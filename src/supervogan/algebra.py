@@ -14,6 +14,7 @@ from typing import Optional, Sequence
 
 from .errors import (
     InvalidFamily,
+    InvariantViolation,
     NotAnEvenRoot,
     SingularBlock,
     SingularNormalization,
@@ -149,6 +150,20 @@ def validate_family(fam: FamilyId) -> None:
         raise InvalidFamily(f"unknown family kind {k!r}")
 
 
+def node_count(fam: FamilyId) -> int:
+    """Number of nodes of ``fam``'s distinguished diagram, without building it."""
+    return {
+        "A": fam.m + fam.n + 1,
+        "B": fam.m + fam.n,
+        "B0": fam.n,
+        "C": fam.n + 1,
+        "D": fam.m + fam.n,
+        "D21alpha": 4,
+        "F4": 4,
+        "G3": 3,
+    }[fam.kind]
+
+
 @dataclass(frozen=True, order=True)
 class Node:
     index: int
@@ -162,6 +177,19 @@ class Diagram:
 
     nodes: tuple[Node, ...]
     family: Optional[FamilyId] = None
+
+    def __hash__(self) -> int:
+        # Diagrams key every cache; hash the nested Fraction tuples only once.
+        try:
+            return self._hash
+        except AttributeError:
+            h = hash((self.nodes, self.family))
+            object.__setattr__(self, "_hash", h)
+            return h
+
+    def __getstate__(self):
+        # str hashes differ between processes: never carry the cached one
+        return {"nodes": self.nodes, "family": self.family}
 
     def __len__(self) -> int:
         return len(self.nodes)
@@ -342,7 +370,10 @@ def cartan_matrix(diagram: Diagram) -> CartanData:
     sym = tuple(
         tuple(eps[i] * a_rows[i][j] for j in range(size)) for i in range(size)
     )
-    assert sym == tuple(tuple(row) for row in g)
+    if sym != g or sym != tuple(zip(*sym)):
+        raise InvariantViolation(
+            "diag(eps) times the Cartan matrix is not the symmetric Gram matrix"
+        )
     return CartanData(tuple(a_rows), tuple(eps), sym)
 
 
@@ -547,6 +578,9 @@ def noncompact_parity(diagram: Diagram, painted: frozenset[int], v: WeightVector
     total = 0
     for i in painted:
         c = coeffs[i]
-        assert c.denominator == 1
+        if c.denominator != 1:
+            raise InvariantViolation(
+                f"{v} has the non-integer coefficient {c} at node {i}"
+            )
         total += int(c)
     return total % 2

@@ -26,9 +26,9 @@ from .algebra import (
     even_blocks,
     gram_matrix,
 )
-from .errors import InvalidFamily, UnreducedInput
+from .errors import InvalidFamily, InvariantViolation, UnreducedInput
 from .linalg import Q
-from .vogan import VoganDiagram, canonical_block_painting, enumerate_vogan
+from .vogan import VoganDiagram, canonical_block_painting, enumerate_vogan, flip_orbit
 
 
 @dataclass(frozen=True)
@@ -85,6 +85,15 @@ def _sp_name(n: int, pos: Optional[int]) -> str:
     return f"sp({q},{n - q})"
 
 
+def _single_vertex(canon: frozenset[int]) -> int:
+    """The one vertex of a block's canonical painting (Borel-de Siebenthal)."""
+    if len(canon) != 1:
+        raise InvariantViolation(
+            f"canonical block painting {sorted(canon)} is not a single vertex"
+        )
+    return next(iter(canon))
+
+
 # ----------------------------------------------------------------------------
 # The symplectic side with its superimposed long vertex.
 
@@ -115,8 +124,7 @@ def _sp_side_position(n: int, chain_painted: frozenset[int], long_painted: bool)
         return None
     diagram = _sp_side_diagram(n)
     canon = canonical_block_painting(diagram, tuple(range(n)), frozenset(painting))
-    assert len(canon) == 1
-    return next(iter(canon)) + 1
+    return _single_vertex(canon) + 1
 
 
 # ----------------------------------------------------------------------------
@@ -260,8 +268,7 @@ def _chain_position(
     canon = canonical_block_painting(diagram, block, part, fixed)
     if not canon:
         return None
-    assert len(canon) == 1
-    return next(iter(canon)) - first_position_index + 1
+    return _single_vertex(canon) - first_position_index + 1
 
 
 def _classify_a(vd: VoganDiagram, fam: FamilyId) -> RealFormDescriptor:
@@ -415,12 +422,19 @@ def _classify_g3(vd: VoganDiagram, fam: FamilyId) -> RealFormDescriptor:
 
 
 def enumerate_real_forms(diagram: Diagram) -> tuple[RealFormDescriptor, ...]:
-    """Distinct real forms over all painted diagrams, in first-seen order."""
+    """Distinct real forms over all painted diagrams, in first-seen order.
+
+    ``classify`` is constant on flip orbits, so it runs once per orbit, on
+    the orbit's first painting in enumeration order.
+    """
     seen: dict[str, RealFormDescriptor] = {}
+    covered: set[VoganDiagram] = set()
     for vd in enumerate_vogan(diagram):
+        if vd in covered:
+            continue
+        covered.update(flip_orbit(vd))
         desc = classify(vd)
-        if desc.super_name not in seen:
-            seen[desc.super_name] = desc
+        seen.setdefault(desc.super_name, desc)
     return tuple(seen.values())
 
 

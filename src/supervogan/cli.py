@@ -14,7 +14,7 @@ import sys
 from fractions import Fraction
 from typing import Optional
 
-from .algebra import EVEN, Diagram, FamilyId, build_diagram, validate_family
+from .algebra import EVEN, Diagram, FamilyId, build_diagram, node_count, validate_family
 from .classify import RealFormDescriptor, TableReport, classify, enumerate_real_forms, table_report
 from .errors import BadIndex, ParseError, RankGuardExceeded, SupervoganError
 from .render import document_json, emit_document, render_ascii, render_dot
@@ -93,22 +93,9 @@ def parse_family_spec(text: str) -> FamilyId:
     return fam
 
 
-def _node_count(fam: FamilyId) -> int:
-    return {
-        "A": fam.m + fam.n + 1,
-        "B": fam.m + fam.n,
-        "B0": fam.n,
-        "C": fam.n + 1,
-        "D": fam.m + fam.n,
-        "D21alpha": 4,
-        "F4": 4,
-        "G3": 3,
-    }[fam.kind]
-
-
 def _diagram_for(spec: str) -> Diagram:
     fam = parse_family_spec(spec)
-    count = _node_count(fam)
+    count = node_count(fam)
     if count > RANK_GUARD:
         raise RankGuardExceeded(
             f"{fam.display()} has {count} nodes; the guard allows {RANK_GUARD}"

@@ -39,6 +39,10 @@ class UnreducedInput(SupervoganError):
     """classify_block needs at most one painted vertex in the block."""
 
 
+class InvariantViolation(SupervoganError):
+    """A library invariant failed: the diagram data or the code is inconsistent."""
+
+
 class BadIndex(SupervoganError):
     """Node index out of range, or a painting/flip aimed at an ineligible node."""
 

@@ -5,6 +5,12 @@ painted node re-chooses the Cartan involution through that node's reflection
 and toggles exactly the fixed even neighbours paired with it by an odd
 integer.  Reduction walks the flip orbit to a painting with at most one
 painted node per even block, chosen by the dual-basis minimality rule.
+
+One kernel does every flip.  Inside it a painting is an ``int`` bitmask, bit
+i for node i, and a flip at node i is one XOR with node i's toggle mask.  The
+masks are derived once per (diagram, fixed nodes) from the Cartan matrix, and
+the orbit BFS expands flips in ascending node order, so every trail is a
+shortest one and its tie-breaks are deterministic.
 """
 
 from __future__ import annotations
@@ -24,7 +30,13 @@ from .algebra import (
     even_blocks,
     gram_matrix,
 )
-from .errors import BadIndex, FamilyMismatch, FlipAtOddNode, FlipAtUnpainted
+from .errors import (
+    BadIndex,
+    FamilyMismatch,
+    FlipAtOddNode,
+    FlipAtUnpainted,
+    InvariantViolation,
+)
 
 
 @dataclass(frozen=True)
@@ -127,14 +139,47 @@ def _odd_integer(x) -> bool:
     return x.denominator == 1 and x.numerator % 2 != 0
 
 
-def _toggle_set(diagram: Diagram, fixed: frozenset[int], at: int) -> tuple[int, ...]:
-    """Fixed even nodes paired with ``at`` by an odd integer in its Cartan row."""
+# ----------------------------------------------------------------------------
+# The flip kernel (see the module docstring).
+
+
+def _mask(nodes: Iterable[int]) -> int:
+    return sum(1 << i for i in nodes)
+
+
+def _bits(mask: int) -> Iterable[int]:
+    """Set bits of ``mask``, lowest first."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
+def _nodes(mask: int) -> frozenset[int]:
+    return frozenset(_bits(mask))
+
+
+def _sort_key(mask: int) -> tuple[int, list[int]]:
+    """Fewest painted nodes first, then lexicographic on the sorted nodes."""
+    return mask.bit_count(), list(_bits(mask))
+
+
+@lru_cache(maxsize=None)
+def _toggle_masks(diagram: Diagram, fixed: frozenset[int]) -> tuple[int, ...]:
+    """Per node, the fixed even nodes paired with it by an odd integer in its
+    Cartan row, as a mask: exactly what a flip there toggles."""
     a = cartan_matrix(diagram).matrix
+    even = [j for j in diagram.even_indices() if j in fixed]
     return tuple(
-        j
-        for j in diagram.even_indices()
-        if j != at and j in fixed and _odd_integer(a[at][j])
+        _mask(j for j in even if j != at and _odd_integer(a[at][j]))
+        for at in range(len(diagram))
     )
+
+
+def _flips(masks: tuple[int, ...], cur: int) -> Iterable[tuple[int, int]]:
+    """(node, result) for a flip at each painted node of ``cur``, lowest first."""
+    for at in _bits(cur):
+        yield at, cur ^ masks[at]
 
 
 def flip(vd: VoganDiagram, at: int) -> VoganDiagram:
@@ -145,14 +190,9 @@ def flip(vd: VoganDiagram, at: int) -> VoganDiagram:
         raise FlipAtOddNode(f"node {at} is odd; flips act on even nodes")
     if at not in vd.painted:
         raise FlipAtUnpainted(f"node {at} is not painted")
-    fixed = frozenset(vd.involution.fixed())
-    new = set(vd.painted)
-    for j in _toggle_set(vd.diagram, fixed, at):
-        if j in new:
-            new.remove(j)
-        else:
-            new.add(j)
-    return VoganDiagram(vd.diagram, vd.involution, frozenset(new))
+    masks = _toggle_masks(vd.diagram, frozenset(vd.involution.fixed()))
+    new = _mask(vd.painted) ^ masks[at]
+    return VoganDiagram(vd.diagram, vd.involution, _nodes(new))
 
 
 @dataclass(frozen=True)
@@ -161,21 +201,15 @@ class FlipMove:
 
 
 def _painting_orbit(
-    diagram: Diagram, fixed: frozenset[int], start: frozenset[int]
-) -> dict[frozenset[int], Optional[tuple[frozenset[int], int]]]:
+    diagram: Diagram, fixed: frozenset[int], start: int
+) -> dict[int, Optional[tuple[int, int]]]:
     """BFS over flips; maps each reachable painting to (parent painting, flip index)."""
-    parents: dict[frozenset[int], Optional[tuple[frozenset[int], int]]] = {start: None}
+    masks = _toggle_masks(diagram, fixed)
+    parents: dict[int, Optional[tuple[int, int]]] = {start: None}
     queue = deque([start])
     while queue:
         cur = queue.popleft()
-        for at in sorted(cur):
-            new = set(cur)
-            for j in _toggle_set(diagram, fixed, at):
-                if j in new:
-                    new.remove(j)
-                else:
-                    new.add(j)
-            nxt = frozenset(new)
+        for at, nxt in _flips(masks, cur):
             if nxt not in parents:
                 parents[nxt] = (cur, at)
                 queue.append(nxt)
@@ -185,9 +219,26 @@ def _painting_orbit(
 def flip_orbit(vd: VoganDiagram) -> tuple[VoganDiagram, ...]:
     """Every Vogan diagram reachable from ``vd`` by flips, deterministically ordered."""
     fixed = frozenset(vd.involution.fixed())
-    parents = _painting_orbit(vd.diagram, fixed, vd.painted)
-    paintings = sorted(parents, key=lambda p: (len(p), sorted(p)))
-    return tuple(VoganDiagram(vd.diagram, vd.involution, p) for p in paintings)
+    parents = _painting_orbit(vd.diagram, fixed, _mask(vd.painted))
+    return tuple(
+        VoganDiagram(vd.diagram, vd.involution, _nodes(p))
+        for p in sorted(parents, key=_sort_key)
+    )
+
+
+@lru_cache(maxsize=None)
+def _admissible_vertices(diagram: Diagram, block: tuple[int, ...]) -> frozenset[int]:
+    """Block vertices i whose dual-basis vector is minimal:
+    sign * <w_i - w_j, w_j> <= 0 for every j in the block, the sign making
+    the comparison definite on both sides of the weight space."""
+    omegas = dual_basis(diagram, block)
+    s = block_sign(diagram, block)
+    inner = [[a.inner(b) for b in omegas] for a in omegas]
+    return frozenset(
+        i
+        for ki, i in enumerate(block)
+        if all(s * (inner[ki][kj] - inner[kj][kj]) <= 0 for kj in range(len(block)))
+    )
 
 
 def canonical_block_painting(
@@ -198,30 +249,20 @@ def canonical_block_painting(
 ) -> frozenset[int]:
     """Canonical representative of a block painting's flip orbit.
 
-    Prefers a reachable single painted vertex i whose dual-basis vector is
-    minimal: sign * <w_i - w_j, w_j> <= 0 for every j in the block, the sign
-    making the comparison definite on both sides of the weight space.
+    Prefers a reachable single painted vertex that is admissible (see
+    ``_admissible_vertices``), the lowest such; failing that the lowest
+    reachable single vertex, and failing that the smallest painting.
     """
     if not painted:
         return frozenset()
     if fixed is None:
         fixed = frozenset(block)
-    orbit = _painting_orbit(diagram, fixed, painted)
-    singles = sorted(next(iter(p)) for p in orbit if len(p) == 1)
+    orbit = _painting_orbit(diagram, fixed, _mask(painted))
+    singles = sorted(p.bit_length() - 1 for p in orbit if p.bit_count() == 1)
     if not singles:
-        return min(orbit, key=lambda p: (len(p), sorted(p)))
-    omegas = dual_basis(diagram, block)
-    pos = {node: k for k, node in enumerate(block)}
-    s = block_sign(diagram, block)
-    inner = [[a.inner(b) for b in omegas] for a in omegas]
-
-    def admissible(i: int) -> bool:
-        ki = pos[i]
-        return all(
-            s * (inner[ki][kj] - inner[kj][kj]) <= 0 for kj in range(len(block))
-        )
-
-    winners = [i for i in singles if admissible(i)]
+        return _nodes(min(orbit, key=_sort_key))
+    admissible = _admissible_vertices(diagram, tuple(block))
+    winners = [i for i in singles if i in admissible]
     return frozenset({winners[0] if winners else singles[0]})
 
 
@@ -236,17 +277,20 @@ def reduce_with_trail(vd: VoganDiagram) -> tuple[VoganDiagram, tuple[FlipMove, .
     for block in even_blocks(vd.diagram):
         part = vd.painted & set(block)
         target |= canonical_block_painting(vd.diagram, block, frozenset(part), fixed)
-    goal = frozenset(target)
-    parents = _painting_orbit(vd.diagram, fixed, vd.painted)
-    assert goal in parents
+    goal = _mask(target)
+    parents = _painting_orbit(vd.diagram, fixed, _mask(vd.painted))
+    if goal not in parents:
+        raise InvariantViolation(
+            f"canonical painting {sorted(target)} is not in the flip orbit "
+            f"of {sorted(vd.painted)}"
+        )
     moves: list[FlipMove] = []
     cur = goal
     while parents[cur] is not None:
-        prev, at = parents[cur]
+        cur, at = parents[cur]
         moves.append(FlipMove(at))
-        cur = prev
     moves.reverse()
-    return VoganDiagram(vd.diagram, vd.involution, goal), tuple(moves)
+    return VoganDiagram(vd.diagram, vd.involution, frozenset(target)), tuple(moves)
 
 
 def reduce(vd: VoganDiagram) -> VoganDiagram:
@@ -268,8 +312,8 @@ def equivalent(vd1: VoganDiagram, vd2: VoganDiagram) -> bool:
         raise FamilyMismatch(f"cannot compare {a} with {b}")
     diagram = vd1.diagram
     autos = automorphisms(diagram)
-    start = (vd1.involution.perm, vd1.painted)
-    goal = (vd2.involution.perm, vd2.painted)
+    start = (vd1.involution.perm, _mask(vd1.painted))
+    goal = (vd2.involution.perm, _mask(vd2.painted))
     seen = {start}
     queue = deque([start])
     while queue:
@@ -277,22 +321,12 @@ def equivalent(vd1: VoganDiagram, vd2: VoganDiagram) -> bool:
         if (perm, painted) == goal:
             return True
         fixed = frozenset(i for i, j in enumerate(perm) if i == j)
-        for at in sorted(painted):
-            new = set(painted)
-            for j in _toggle_set(diagram, fixed, at):
-                if j in new:
-                    new.remove(j)
-                else:
-                    new.add(j)
-            state = (perm, frozenset(new))
-            if state not in seen:
-                seen.add(state)
-                queue.append(state)
-        for g in autos:
-            state = (
-                _conjugate(g.perm, perm),
-                frozenset(g.perm[i] for i in painted),
-            )
+        states = [(perm, nxt) for _, nxt in _flips(_toggle_masks(diagram, fixed), painted)]
+        states += [
+            (_conjugate(g.perm, perm), _mask(g.perm[i] for i in _bits(painted)))
+            for g in autos
+        ]
+        for state in states:
             if state not in seen:
                 seen.add(state)
                 queue.append(state)

@@ -1,5 +1,8 @@
 """Diagram construction, Cartan data, dual bases, roots, parity."""
 
+import dataclasses
+import importlib
+import pickle
 from fractions import Fraction
 
 import pytest
@@ -10,6 +13,7 @@ from supervogan import (
     ODD_NONISO,
     FamilyId,
     InvalidFamily,
+    InvariantViolation,
     NotAnEvenRoot,
     build_diagram,
     block_sign,
@@ -17,6 +21,7 @@ from supervogan import (
     dual_basis,
     even_blocks,
     generate_roots,
+    node_count,
     noncompact_parity,
     root_expansion,
     validate_family,
@@ -130,6 +135,49 @@ def all_families(max_m=4, max_n=4):
     ]
     fams += [FamilyId("F4"), FamilyId("G3")]
     return fams
+
+
+def test_node_count_matches_built_diagram():
+    for fam in all_families(7, 7):
+        assert node_count(fam) == len(build_diagram(fam)), fam.display()
+
+
+def test_equal_diagrams_hash_equal():
+    for fam in all_families():
+        a, b = build_diagram(fam), build_diagram(fam)
+        assert a is not b
+        assert a == b
+        assert hash(a) == hash(b) == hash((a.nodes, a.family))
+        assert hash(a) == hash(a)
+        assert [f.name for f in dataclasses.fields(a)] == ["nodes", "family"]
+        assert repr(a) == f"Diagram(nodes={a.nodes!r}, family={a.family!r})"
+        clone = pickle.loads(pickle.dumps(a))
+        assert clone == a and hash(clone) == hash(a)
+
+
+def test_cartan_matrix_rejects_asymmetric_gram(monkeypatch):
+    module = importlib.import_module("supervogan.algebra")
+    diagram = build_diagram(FamilyId("B", 1, 1))
+    gram = module.gram_matrix(diagram)
+    skewed = (gram[0], (gram[1][0] + 1,) + gram[1][1:])
+    monkeypatch.setattr(module, "gram_matrix", lambda d: skewed)
+    module.cartan_matrix.cache_clear()
+    try:
+        with pytest.raises(InvariantViolation):
+            module.cartan_matrix(diagram)
+    finally:
+        module.cartan_matrix.cache_clear()
+
+
+def test_noncompact_parity_rejects_fractional_coefficient(monkeypatch):
+    module = importlib.import_module("supervogan.algebra")
+    diagram = build_diagram(FamilyId("B", 1, 1))
+    root = generate_roots(diagram).even()[0]
+    monkeypatch.setattr(
+        module, "root_expansion", lambda d, v: tuple(Q(1, 2) for _ in d.nodes)
+    )
+    with pytest.raises(InvariantViolation):
+        module.noncompact_parity(diagram, frozenset(diagram.even_indices()), root)
 
 
 @pytest.mark.parametrize("fam", all_families(), ids=lambda f: f.display())

@@ -1,11 +1,13 @@
 """Real-form names from reduced painted diagrams, and the family tables."""
 
+import importlib
 from fractions import Fraction
 
 import pytest
 
 from supervogan import (
     FamilyId,
+    InvariantViolation,
     UnreducedInput,
     VoganDiagram,
     automorphisms,
@@ -269,3 +271,19 @@ def test_table_complex_names():
     assert report.complex_name == "osp(5|4)"
     report = table_report(build_diagram(FamilyId("A", 2, 2)))
     assert report.complex_name.startswith("psl")
+
+
+@pytest.mark.parametrize(
+    "fam, painted",
+    [
+        (FamilyId("C", 0, 3), (1, 3)),  # _chain_position
+        (FamilyId("B0", 0, 3), (0,)),  # _sp_side_position
+    ],
+)
+def test_classify_rejects_a_canonical_painting_of_two_vertices(fam, painted, monkeypatch):
+    module = importlib.import_module("supervogan.classify")
+    monkeypatch.setattr(
+        module, "canonical_block_painting", lambda d, block, *rest: frozenset(block[:2])
+    )
+    with pytest.raises(InvariantViolation):
+        module.classify(vd_of(fam, painted))

@@ -1,5 +1,6 @@
 """Painted diagrams: involutions, flips, orbits, reduction, equivalence."""
 
+import importlib
 from fractions import Fraction
 
 import pytest
@@ -10,6 +11,7 @@ from supervogan import (
     FamilyMismatch,
     FlipAtOddNode,
     FlipAtUnpainted,
+    InvariantViolation,
     VoganDiagram,
     automorphisms,
     build_diagram,
@@ -314,3 +316,11 @@ def test_equivalent_is_equivalence_relation():
             for k in range(len(items)):
                 if rel[(i, j)] and rel[(j, k)]:
                     assert rel[(i, k)]
+
+
+def test_reduce_rejects_a_target_outside_the_orbit(monkeypatch):
+    module = importlib.import_module("supervogan.vogan")
+    # a flip keeps the flipped node painted, so no orbit holds the empty painting
+    monkeypatch.setattr(module, "canonical_block_painting", lambda *args: frozenset())
+    with pytest.raises(InvariantViolation):
+        module.reduce_with_trail(vd_of(FamilyId("C", 0, 3), painted=(1, 2)))
