@@ -19,7 +19,7 @@ from .errors import (
     SingularBlock,
     SingularNormalization,
 )
-from .linalg import Matrix, Q, invert, solve_exact
+from .linalg import Q, invert, row_reduce
 
 # Node kinds, also used verbatim in the JSON document schema.
 EVEN = "even"
@@ -33,6 +33,16 @@ class WeightVector:
 
     e_part: tuple[Fraction, ...]
     d_part: tuple[Fraction, ...]
+
+    def __hash__(self) -> int:
+        # Roots key sets and caches; hash the Fraction tuples only once.
+        # Number hashes are the same in every process, so pickles may carry it.
+        try:
+            return self._hash
+        except AttributeError:
+            h = hash((self.e_part, self.d_part))
+            object.__setattr__(self, "_hash", h)
+            return h
 
     def __add__(self, other: "WeightVector") -> "WeightVector":
         return WeightVector(
@@ -462,6 +472,7 @@ def _pairs_pm(units: list[WeightVector], with_sum: bool):
     return diffs + (sums if with_sum else [])
 
 
+@lru_cache(maxsize=None)
 def generate_roots(diagram: Diagram) -> RootSystem:
     """Positive roots of the family in the same coordinates as the diagram."""
     fam = diagram.family
@@ -529,7 +540,11 @@ def generate_roots(diagram: Diagram) -> RootSystem:
 
 @lru_cache(maxsize=None)
 def _root_index(diagram: Diagram):
-    """Sets of all (+/-) even and odd roots, for membership tests."""
+    """Sets of all (+/-) even and odd roots, for membership tests.
+
+    The positive roots are the very objects ``generate_roots`` hands out, so
+    a caller's lookups mostly match by identity.
+    """
     rs = generate_roots(diagram)
     even = set(rs.even()) | {-r for r in rs.even()}
     odd = set(rs.odd) | {-r for r in rs.odd}
@@ -540,28 +555,59 @@ def _root_index(diagram: Diagram):
 def _expansion_basis(diagram: Diagram) -> tuple[int, ...]:
     """Node indices forming the canonical spanning subset for expansions.
 
-    The four-node star of D(2,1;alpha) carries one dependent node (index 0);
-    every other family's simple roots are independent.
+    The four-node star of D(2,1;alpha) is dependent: its odd node is half a
+    signed sum of the three even ones, which span the weight space of the
+    roots.  Expanding over the even nodes makes every even root +/- one even
+    simple root, so a painted even node is seen by its own sl(2).  Every
+    other family's simple roots are independent.
     """
     if diagram.family is not None and diagram.family.kind == "D21alpha":
-        return tuple(range(1, len(diagram)))
+        return diagram.even_indices()
     return tuple(range(len(diagram)))
+
+
+@lru_cache(maxsize=None)
+def _expansion_operator(diagram: Diagram):
+    """The expansion solve, factored once per diagram.
+
+    Row reduction of the matrix whose columns are the expansion basis gives a
+    transform E with E @ basis in reduced row echelon form.  For each
+    coordinate r of the weight space this returns column r of E, kept
+    sparse and split in two: ``(node, weight)`` pairs for the rows that give
+    the coefficient of a pivot node, and ``(row, weight)`` pairs for the rows
+    that vanish exactly on the span.  Non-pivot basis nodes get coefficient 0.
+    """
+    basis = _expansion_basis(diagram)
+    mat = [list(row) for row in zip(*(diagram.root(i).coords() for i in basis))]
+    pivots, e = row_reduce(mat)
+    rank = len(pivots)
+    solve, vanish = [], []
+    for r in range(len(mat)):
+        solve.append(tuple((basis[pivots[k]], e[k][r]) for k in range(rank) if e[k][r]))
+        vanish.append(tuple((k, e[k][r]) for k in range(rank, len(mat)) if e[k][r]))
+    return tuple(solve), tuple(vanish)
 
 
 @lru_cache(maxsize=None)
 def root_expansion(diagram: Diagram, v: WeightVector) -> tuple[Fraction, ...]:
     """Coefficients of ``v`` over the nodes (dependent nodes get coefficient 0).
 
+    For D(2,1;alpha) the expansion is over the even nodes, so the odd node
+    gets 0 and the odd roots get half-integer coefficients.
+
     Raises ValueError when ``v`` is outside the span of the simple roots.
     """
-    basis = _expansion_basis(diagram)
-    cols = [diagram.root(i).coords() for i in basis]
-    dim = len(cols[0])
-    mat = [[cols[j][r] for j in range(len(basis))] for r in range(dim)]
-    sol = solve_exact(mat, list(v.coords()))
+    solve, vanish = _expansion_operator(diagram)
     out = [Q(0)] * len(diagram)
-    for pos, i in enumerate(basis):
-        out[i] = sol[pos]
+    residual: dict[int, Fraction] = {}
+    for r, x in enumerate(v.coords()):
+        if x:
+            for i, w in solve[r]:
+                out[i] += w * x
+            for k, w in vanish[r]:
+                residual[k] = residual.get(k, 0) + w * x
+    if any(residual.values()):
+        raise ValueError(f"{v} is outside the span of the simple roots")
     return tuple(out)
 
 

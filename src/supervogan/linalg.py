@@ -34,44 +34,22 @@ def is_symmetric(a: Matrix) -> bool:
     )
 
 
-def invert(a: Matrix) -> Matrix:
-    """Inverse by Gauss-Jordan elimination with exact pivoting.
+def row_reduce(a: Matrix) -> tuple[list[int], Matrix]:
+    """Gauss-Jordan elimination with exact pivoting.
 
-    Raises ``ValueError`` on a singular matrix.
-    """
-    n = len(a)
-    if any(len(row) != n for row in a):
-        raise ValueError("not square")
-    # augmented [a | I], reduced in place
-    aug = [[Q(x) for x in row] + [Q(1) if i == j else Q(0) for j in range(n)]
-           for i, row in enumerate(a)]
-    for col in range(n):
-        pivot = next((r for r in range(col, n) if aug[r][col] != 0), None)
-        if pivot is None:
-            raise ValueError("singular matrix")
-        aug[col], aug[pivot] = aug[pivot], aug[col]
-        inv_p = Q(1) / aug[col][col]
-        aug[col] = [x * inv_p for x in aug[col]]
-        for r in range(n):
-            if r != col and aug[r][col] != 0:
-                factor = aug[r][col]
-                aug[r] = [x - factor * y for x, y in zip(aug[r], aug[col])]
-    return [row[n:] for row in aug]
-
-
-def solve_exact(a: Matrix, rhs: list[Fraction]) -> list[Fraction]:
-    """Solve a*x = rhs for a consistent (possibly non-square) system.
-
-    Gaussian elimination to reduced row echelon form; free variables are set
-    to zero.  Raises ``ValueError`` if the system is inconsistent.
+    Returns the pivot columns of ``a`` and an invertible transform ``e`` with
+    ``e @ a`` in reduced row echelon form: its first ``len(pivots)`` rows hold
+    the pivots, in order, and its remaining rows are zero.
     """
     rows, cols = len(a), len(a[0]) if a else 0
-    if len(rhs) != rows:
-        raise ValueError("incompatible shapes")
-    aug = [[Q(x) for x in a[r]] + [Q(rhs[r])] for r in range(rows)]
-    pivot_cols: list[int] = []
-    r = 0
+    # augmented [a | I], reduced in place
+    aug = [[Q(x) for x in row] + [Q(1) if i == j else Q(0) for j in range(rows)]
+           for i, row in enumerate(a)]
+    pivots: list[int] = []
     for c in range(cols):
+        r = len(pivots)
+        if r == rows:
+            break
         pivot = next((k for k in range(r, rows) if aug[k][c] != 0), None)
         if pivot is None:
             continue
@@ -82,37 +60,41 @@ def solve_exact(a: Matrix, rhs: list[Fraction]) -> list[Fraction]:
             if k != r and aug[k][c] != 0:
                 factor = aug[k][c]
                 aug[k] = [x - factor * y for x, y in zip(aug[k], aug[r])]
-        pivot_cols.append(c)
-        r += 1
-        if r == rows:
-            break
-    for k in range(r, rows):
-        if aug[k][cols] != 0:
-            raise ValueError("inconsistent system")
-    x = [Q(0)] * cols
-    for i, c in enumerate(pivot_cols):
-        x[c] = aug[i][cols]
+        pivots.append(c)
+    return pivots, [row[cols:] for row in aug]
+
+
+def invert(a: Matrix) -> Matrix:
+    """Inverse by Gauss-Jordan elimination with exact pivoting.
+
+    Raises ``ValueError`` on a singular matrix.
+    """
+    n = len(a)
+    if any(len(row) != n for row in a):
+        raise ValueError("not square")
+    pivots, e = row_reduce(a)
+    if len(pivots) < n:
+        raise ValueError("singular matrix")
+    return e
+
+
+def solve_exact(a: Matrix, rhs: list[Fraction]) -> list[Fraction]:
+    """Solve a*x = rhs for a consistent (possibly non-square) system.
+
+    Gaussian elimination to reduced row echelon form; free variables are set
+    to zero.  Raises ``ValueError`` if the system is inconsistent.
+    """
+    if len(rhs) != len(a):
+        raise ValueError("incompatible shapes")
+    pivots, e = row_reduce(a)
+    y = [sum((w * Q(b) for w, b in zip(row, rhs)), Q(0)) for row in e]
+    if any(y[len(pivots):]):
+        raise ValueError("inconsistent system")
+    x = [Q(0)] * (len(a[0]) if a else 0)
+    for c, value in zip(pivots, y):
+        x[c] = value
     return x
 
 
 def matrix_rank(a: Matrix) -> int:
-    if not a:
-        return 0
-    rows, cols = len(a), len(a[0])
-    m = [[Q(x) for x in row] for row in a]
-    rank = 0
-    for c in range(cols):
-        pivot = next((k for k in range(rank, rows) if m[k][c] != 0), None)
-        if pivot is None:
-            continue
-        m[rank], m[pivot] = m[pivot], m[rank]
-        inv_p = Q(1) / m[rank][c]
-        m[rank] = [x * inv_p for x in m[rank]]
-        for k in range(rows):
-            if k != rank and m[k][c] != 0:
-                factor = m[k][c]
-                m[k] = [x - factor * y for x, y in zip(m[k], m[rank])]
-        rank += 1
-        if rank == rows:
-            break
-    return rank
+    return len(row_reduce(a)[0])

@@ -27,6 +27,8 @@ from supervogan import (
     validate_family,
     weight,
 )
+from supervogan.classify import classify
+from supervogan.vogan import VoganDiagram, identity_involution
 
 Q = Fraction
 
@@ -313,24 +315,136 @@ def test_negation_and_subtraction_match_scaling(fam):
             assert all(isinstance(x, Fraction) for x in (a - b).coords())
 
 
-def test_root_expansion_roundtrip():
-    diagram = build_diagram(FamilyId("B", 2, 1))
-    for v in generate_roots(diagram).all_positive():
-        coeffs = root_expansion(diagram, v)
-        acc = None
-        for c, node in zip(coeffs, diagram.nodes):
-            term = node.root.scale(c)
-            acc = term if acc is None else acc + term
-        assert acc == v
-        assert all(c == int(c) for c in coeffs)
+def _dot(x, y):
+    return sum((a * b for a, b in zip(x, y)), Q(0))
+
+
+def _residual(orthogonal, v):
+    """``v`` minus its projection on the span of mutually orthogonal vectors."""
+    rest = list(v)
+    for b in orthogonal:
+        c = _dot(v, b) / _dot(b, b)
+        rest = [x - c * y for x, y in zip(rest, b)]
+    return rest
+
+
+def _orthogonal_basis(vectors):
+    """Gram-Schmidt under the plain dot product: a span test independent of
+    the row reduction behind ``root_expansion``."""
+    basis = []
+    for v in vectors:
+        u = _residual(basis, v)
+        if any(u):
+            basis.append(u)
+    return basis
+
+
+def _combination(diagram, coeffs):
+    """The sum of ``coeffs`` times the simple roots."""
+    acc = diagram.root(0).scale(Q(0))
+    for c, node in zip(coeffs, diagram.nodes):
+        if c:
+            acc = acc + node.root.scale(c)
+    return acc
+
+
+EXPANSION_GRID = (
+    [f for f in all_families(8, 8) if node_count(f) <= 8]
+    + [FamilyId("D21alpha", alpha=a) for a in (Q(-3), Q(3, 5))]
+    + [
+        FamilyId("C", 0, 11),
+        FamilyId("B", 6, 6),
+        FamilyId("D", 6, 6),
+        FamilyId("B0", 0, 12),
+        FamilyId("A", 11, 0),
+    ]
+)
+
+
+@pytest.mark.parametrize("fam", EXPANSION_GRID, ids=lambda f: f.display())
+def test_root_expansion_roundtrip(fam):
+    """Every root and its negative is the sum of its coefficients times the
+    simple roots, and a unit coordinate vector is rejected exactly when it
+    lies outside their span."""
+    diagram = build_diagram(fam)
+    rs = generate_roots(diagram)
+    odd = set(rs.odd)
+    for root in rs.all_positive():
+        for v in (root, -root):
+            coeffs = root_expansion(diagram, v)
+            assert _combination(diagram, coeffs) == v
+            if fam.kind == "D21alpha" and root in odd:
+                # expanded over the even nodes: odd roots get half-integers
+                assert coeffs[1] == 0
+                assert all((2 * c).denominator == 1 for c in coeffs)
+            else:
+                assert all(c.denominator == 1 for c in coeffs)
+                assert all(c >= 0 for c in coeffs) or all(c <= 0 for c in coeffs)
+    span = _orthogonal_basis(node.root.coords() for node in diagram.nodes)
+    e_dim, size = len(diagram.root(0).e_part), len(diagram.root(0).coords())
+    for k in range(size):
+        unit = tuple(Q(int(j == k)) for j in range(size))
+        v = weight(unit[:e_dim], unit[e_dim:])
+        if not any(_residual(span, unit)):
+            assert _combination(diagram, root_expansion(diagram, v)) == v
+        else:
+            with pytest.raises(ValueError):
+                root_expansion(diagram, v)
 
 
 def test_root_expansion_d21_drops_dependent_leg():
     diagram = build_diagram(FamilyId("D21alpha", alpha=Q(1, 2)))
     coeffs = root_expansion(diagram, diagram.root(2))
     assert coeffs == (Q(0), Q(0), Q(1), Q(0))
+    # the odd node is the dropped leg: half a signed sum of the even nodes
+    assert root_expansion(diagram, diagram.root(1)) == (Q(1, 2), Q(0), Q(-1, 2), Q(-1, 2))
     with pytest.raises(ValueError):
         root_expansion(diagram, weight([1, 2, 3], [0, 0]))
+
+
+@pytest.mark.parametrize(
+    "alpha", [Q(1), Q(-2), Q(2), Q(-3), Q(1, 2), Q(3, 7)], ids=str
+)
+def test_d21_painted_node_makes_its_own_sl2_noncompact(alpha):
+    """On D(2,1;alpha) each even node carries one sl(2): painting node i makes
+    exactly the positive even root on node i noncompact, and ``classify``
+    names that painting with exactly one sl(2,R)."""
+    diagram = build_diagram(FamilyId("D21alpha", alpha=alpha))
+    even = generate_roots(diagram).even()
+    for i in diagram.even_indices():
+        painted = frozenset({i})
+        noncompact = [v for v in even if noncompact_parity(diagram, painted, v)]
+        assert noncompact in ([diagram.root(i)], [-diagram.root(i)])
+        vd = VoganDiagram(diagram, identity_involution(len(diagram)), painted)
+        assert classify(vd).even_parts.count("sl(2,R)") == len(noncompact)
+
+
+def test_weight_vectors_built_apart_hash_equal():
+    """Equal weights from ``weight``, from arithmetic and from a pickle round
+    trip compare and hash equal; the hash is cached on first use."""
+    half = Q(1, 2)
+    direct = weight([1, -1, half], [0, 2])
+    summed = weight([1, 0, 0], [0, 1]) - weight([0, 1, 0], [0, -1]) + weight(
+        [0, 0, 1], [0, 0]
+    ).scale(half)
+    negated = -weight([-1, 1, -half], [0, -2])
+    for v in (summed, negated):
+        assert v == direct and hash(v) == hash(direct)
+    for v in (direct, summed, negated):
+        hash(v)  # caches the hash before pickling
+        back = pickle.loads(pickle.dumps(v))
+        assert back == direct and hash(back) == hash(direct)
+        assert len({back, direct, summed, negated}) == 1
+
+
+def test_generate_roots_is_shared_per_diagram():
+    diagram = build_diagram(FamilyId("B", 2, 1))
+    first = generate_roots(diagram)
+    assert generate_roots(diagram) is first
+    assert generate_roots(build_diagram(FamilyId("B", 2, 1))) is first
+    generate_roots.cache_clear()
+    again = generate_roots(diagram)
+    assert again == first and again is not first
 
 
 def test_noncompact_parity_basics():

@@ -10,6 +10,7 @@ from supervogan.linalg import (
     is_symmetric,
     mat_mul,
     matrix_rank,
+    row_reduce,
     solve_exact,
 )
 
@@ -68,3 +69,38 @@ def test_matrix_rank():
     assert matrix_rank([[Q(1), Q(2)], [Q(2), Q(4)]]) == 1
     assert matrix_rank(identity(4)) == 4
     assert matrix_rank([[Q(0), Q(0)], [Q(0), Q(0)]]) == 0
+
+
+@pytest.mark.parametrize(
+    "a",
+    [
+        [[2, 1], [1, 3]],
+        [[1, 1]],
+        [[1, 2], [2, 4], [3, 6]],
+        [[0, 2, 4, 1], [0, 1, 2, 0], [0, 3, 6, 1]],
+        [[0, 0], [0, 0]],
+    ],
+)
+def test_row_reduce_transform_gives_reduced_echelon_form(a):
+    a = [[Q(x) for x in row] for row in a]
+    pivots, e = row_reduce(a)
+    r = mat_mul(e, a)
+    assert pivots == sorted(pivots)
+    for k, row in enumerate(r):
+        if k < len(pivots):
+            lead = next(j for j, x in enumerate(row) if x != 0)
+            assert lead == pivots[k] and row[lead] == 1
+            assert all(r[i][lead] == 0 for i in range(len(r)) if i != k)
+        else:
+            assert not any(row)
+    assert _det(e) != 0
+
+
+def _det(m):
+    """Laplace expansion along the first row."""
+    if len(m) == 1:
+        return m[0][0]
+    return sum(
+        (-1) ** j * m[0][j] * _det([row[:j] + row[j + 1:] for row in m[1:]])
+        for j in range(len(m))
+    )
