@@ -16,6 +16,7 @@ from .errors import (
     InvalidFamily,
     InvariantViolation,
     NotAnEvenRoot,
+    RankGuardExceeded,
     SingularBlock,
     SingularNormalization,
 )
@@ -172,6 +173,18 @@ def node_count(fam: FamilyId) -> int:
         "F4": 4,
         "G3": 3,
     }[fam.kind]
+
+
+RANK_GUARD = 12
+
+
+def check_rank_guard(fam: FamilyId) -> None:
+    """Raise RankGuardExceeded when ``fam`` has more than RANK_GUARD nodes."""
+    count = node_count(fam)
+    if count > RANK_GUARD:
+        raise RankGuardExceeded(
+            f"{fam.display()} has {count} nodes; the guard allows {RANK_GUARD}"
+        )
 
 
 @dataclass(frozen=True, order=True)

@@ -1,43 +1,26 @@
 """Naming the real form determined by a painted diagram.
 
 Every even block is first driven to its canonical painting (at most one
-painted vertex) with the same flip machinery used by reduction, then looked
-up in the classical block dictionary.  Sides whose even root system is not
-fully spanned by diagram nodes (the bottom long root of a symplectic side,
-or a lone sl(2) summand) are handled by superimposing the missing vertex;
-its paint state is forced by the partner side, never free.
+painted vertex) with the same flip machinery used by reduction; the
+canonical vertex's position along its side is then named by ``_side``, the
+one dictionary of su, so, sp and G2 forms.  Sides whose even root system is
+not fully spanned by diagram nodes (the bottom long root of a symplectic
+side, or a lone sl(2) summand) are handled by superimposing the missing
+vertex; its paint state is forced by the partner side, never free.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 from typing import Optional
 
-from .algebra import (
-    EVEN,
-    Diagram,
-    FamilyId,
-    Node,
-    WeightVector,
-    adjacency,
-    cartan_matrix,
-    even_blocks,
-    gram_matrix,
-)
-from .errors import InvalidFamily, InvariantViolation, UnreducedInput
+from .algebra import EVEN, Diagram, FamilyId, Node, WeightVector
+from .errors import InvalidFamily, InvariantViolation
 from .linalg import Q
 from .vogan import VoganDiagram, canonical_block_painting, enumerate_vogan, flip_orbit
 
-
-@dataclass(frozen=True)
-class EvenBlockRealForm:
-    """Classified even block: its type, rank, and real-form name."""
-
-    block_type: str  # "A", "B", "C", "D", "G2"
-    rank: int
-    name: str
+Pair = Optional[tuple[int, int]]
 
 
 @dataclass(frozen=True)
@@ -52,37 +35,46 @@ class RealFormDescriptor:
 
 
 # ----------------------------------------------------------------------------
-# Block dictionary helpers.  Signatures are printed smallest first; compact
-# forms drop the zero slot, while super names keep zeros for a uniform shape.
+# The side namer.  Signatures are printed smallest first; compact forms drop
+# the zero slot, while super names keep zeros for a uniform shape.
 
 
-def _minmax(a: int, b: int) -> tuple[int, int]:
-    return (a, b) if a <= b else (b, a)
+def _side(kind: str, size: int, pos: Optional[int]) -> tuple[Pair, str]:
+    """Signature pair and even-part name of one side of the even part.
+
+    ``kind`` is "su", "so", "so'" (so(2m) under the outer swap of its D_m
+    block), "sp" or "G2"; ``size`` is the n of su(n), so(n) or sp(n).
+    ``pos`` is the side's canonical painted vertex, 1-based along its chain,
+    or None when the side is unpainted: for sp(n), n is the long root; for
+    so(2m), m-1 and m are the prongs.  The pair is None when the name has no
+    signature: so*(2m), sp(2n,R) and G2.
+    """
+    p = pos or 0
+    if kind == "G2":
+        return None, "G2,0" if pos is None else "G2,2"
+    if kind == "sp":
+        if pos == size:
+            return None, f"sp({2 * size},R)"
+        q = min(p, size - p)
+        return (q, size - q), f"sp({size})" if q == 0 else f"sp({q},{size - q})"
+    if kind == "so" and size % 2 == 0 and p >= max(size // 2 - 1, 2):
+        return None, f"so*({size})"
+    negative = {"su": p, "so": 2 * p, "so'": 2 * p + 1}[kind]
+    a, b = sorted((negative, size - negative))
+    group = kind.rstrip("'")
+    return (a, b), f"{group}({size})" if a == 0 else f"{group}({a},{b})"
 
 
-def _su_name(total: int, p: Optional[int]) -> str:
-    if p is None or p == 0 or p == total:
-        return f"su({total})"
-    a, b = _minmax(p, total - p)
-    return f"su({a},{b})"
-
-
-def _so_name(total: int, a: int, b: int) -> str:
-    if a == 0:
-        return f"so({total})"
-    a, b = _minmax(a, b)
-    return f"so({a},{b})"
-
-
-def _sp_name(n: int, pos: Optional[int]) -> str:
-    """Symplectic side of rank n: pos is the canonical vertex, n meaning the
-    long root, 1..n-1 a chain vertex, None unpainted."""
-    if pos is None:
-        return f"sp({n})"
-    if pos == n:
-        return f"sp({2 * n},R)"
-    q = min(pos, n - pos)
-    return f"sp({q},{n - q})"
+def _osp(so_size: int, so_pair: Pair, n: int, sp_pair: Pair) -> str:
+    """Super name osp(so|sp;R) or osp(so|sp;H) of the sides so(so_size) and
+    sp(n); an orthogonal side without a pair prints its size alone, and a
+    symplectic side without one, sp(2n,R), makes the form real."""
+    left = str(so_size) if so_pair is None else f"{so_pair[0]},{so_pair[1]}"
+    if sp_pair is None:
+        return f"osp({left}|{2 * n};R)"
+    if sp_pair[0] == 0:
+        return f"osp({left}|{2 * n};H)"
+    return f"osp({left}|{2 * sp_pair[0]},{2 * sp_pair[1]};H)"
 
 
 def _single_vertex(canon: frozenset[int]) -> int:
@@ -92,6 +84,21 @@ def _single_vertex(canon: frozenset[int]) -> int:
             f"canonical block painting {sorted(canon)} is not a single vertex"
         )
     return next(iter(canon))
+
+
+def _chain_position(
+    diagram: Diagram,
+    block: tuple[int, ...],
+    painted: frozenset[int],
+    first_position_index: int,
+    fixed: Optional[frozenset[int]] = None,
+) -> Optional[int]:
+    """Canonical painted vertex of a block, as a 1-based position along it."""
+    part = frozenset(painted & set(block))
+    canon = canonical_block_painting(diagram, block, part, fixed)
+    if not canon:
+        return None
+    return _single_vertex(canon) - first_position_index + 1
 
 
 # ----------------------------------------------------------------------------
@@ -113,124 +120,17 @@ def _sp_side_diagram(n: int) -> Diagram:
     return Diagram(tuple(nodes), None)
 
 
-def _sp_side_position(n: int, chain_painted: frozenset[int], long_painted: bool) -> Optional[int]:
-    """Canonical vertex (1-based; n = long root) of the symplectic side.
-
-    ``chain_painted`` holds 0-based chain positions (0 .. n-2)."""
-    painting = set(chain_painted)
-    if long_painted:
-        painting.add(n - 1)
-    if not painting:
-        return None
-    diagram = _sp_side_diagram(n)
-    canon = canonical_block_painting(diagram, tuple(range(n)), frozenset(painting))
-    return _single_vertex(canon) + 1
+def _sp_side(n: int, painted: frozenset[int], long_painted: bool) -> tuple[Pair, str]:
+    """The symplectic side sp(n) of B, B(0,n) and D, whose chain is nodes
+    0 .. n-2 of the diagram and whose long root is superimposed."""
+    part = {i for i in painted if i <= n - 2} | ({n - 1} if long_painted else set())
+    pos = _chain_position(_sp_side_diagram(n), tuple(range(n)), frozenset(part), 0)
+    return _side("sp", n, pos)
 
 
 # ----------------------------------------------------------------------------
-# Generic single-block classification (public utility).
-
-
-def classify_block(
-    diagram: Diagram,
-    block: tuple[int, ...],
-    painted: frozenset[int],
-    block_type: Optional[str] = None,
-) -> EvenBlockRealForm:
-    """Name the real form of one even block with at most one painted vertex.
-
-    Raises UnreducedInput when more than one block vertex is painted; callers
-    reduce first.  ``block_type`` overrides detection for the ambiguous rank-2
-    asymmetric case (B versus C).
-    """
-    inside = sorted(set(painted) & set(block))
-    if len(inside) > 1:
-        raise UnreducedInput(
-            f"block {block} carries {len(inside)} painted vertices; reduce first"
-        )
-    order, kind = _block_order(diagram, block)
-    if block_type is not None:
-        kind = block_type
-    rank = len(block)
-    pos = None if not inside else order.index(inside[0]) + 1
-    if kind == "G2":
-        name = "G2,0" if pos is None else "G2,2"
-    elif kind == "A":
-        name = _su_name(rank + 1, pos)
-    elif kind == "B":
-        total = 2 * rank + 1
-        name = _so_name(total, 0, total) if pos is None else _so_name(total, 2 * pos, total - 2 * pos)
-    elif kind == "C":
-        name = _sp_name(rank, pos)
-    elif kind == "D":
-        total = 2 * rank
-        if pos is None:
-            name = _so_name(total, 0, total)
-        elif pos >= rank - 1:
-            name = f"so*({total})"
-        else:
-            name = _so_name(total, 2 * pos, total - 2 * pos)
-    else:  # pragma: no cover
-        raise InvalidFamily(f"unknown block type {kind!r}")
-    return EvenBlockRealForm(kind, rank, name)
-
-
-def _block_order(diagram: Diagram, block: tuple[int, ...]) -> tuple[list[int], str]:
-    """Path order of a block with its detected type.
-
-    B puts its short end last, C its long end last, D its two prongs last;
-    A blocks keep an arbitrary orientation (the naming is symmetric).  The
-    rank-2 asymmetric block and the 3-node prong are each compatible with two
-    types; detection defaults to B and A, and callers override.
-    """
-    g = gram_matrix(diagram)
-    adj = {i: [j for j in adjacency(diagram)[i] if j in block] for i in block}
-    if len(block) == 1:
-        return list(block), "A"
-    a = cartan_matrix(diagram).matrix
-    entries = {abs(a[i][j]) for i in block for j in adj[i]}
-    if 3 in entries:
-        order = sorted(block, key=lambda i: abs(g[i][i]))
-        return order, "G2"
-    prong_root = [i for i in block if len(adj[i]) == 3]
-    if prong_root:
-        prongs = sorted(j for j in adj[prong_root[0]] if len(adj[j]) == 1)
-        start = next(i for i in block if len(adj[i]) == 1 and i not in prongs)
-        order = _walk(adj, start, forbidden=set(prongs))
-        return order + prongs, "D"
-    ends = sorted(i for i in block if len(adj[i]) == 1)
-    norms = {i: abs(g[i][i]) for i in block}
-    lo, hi = min(norms.values()), max(norms.values())
-    if lo == hi:
-        return _walk(adj, ends[0]), "A"
-    if len(block) == 2:
-        short = min(block, key=lambda i: norms[i])
-        other = next(i for i in block if i != short)
-        return [other, short], "B"
-    special = next(
-        i for i in ends if sum(1 for j in block if norms[j] == norms[i]) == 1
-    )
-    start = next(i for i in ends if i != special)
-    order = _walk(adj, start)
-    kind = "B" if norms[special] == lo else "C"
-    return order, kind
-
-
-def _walk(adj, start, forbidden=frozenset()):
-    order = [start]
-    seen = {start} | set(forbidden)
-    cur = start
-    while True:
-        nxt = [j for j in adj[cur] if j not in seen]
-        if not nxt:
-            return order
-        cur = nxt[0]
-        seen.add(cur)
-        order.append(cur)
-
-
-# ----------------------------------------------------------------------------
-# Family-level classification.
+# Family-level classification: which nodes form each side, and the family's
+# spelling of the super name.
 
 
 def classify(vd: VoganDiagram) -> RealFormDescriptor:
@@ -256,21 +156,6 @@ def classify(vd: VoganDiagram) -> RealFormDescriptor:
     raise InvalidFamily(f"unknown family kind {kind!r}")  # pragma: no cover
 
 
-def _chain_position(
-    diagram: Diagram,
-    block: tuple[int, ...],
-    painted: frozenset[int],
-    first_position_index: int,
-    fixed: Optional[frozenset[int]] = None,
-) -> Optional[int]:
-    """Canonical painted vertex of a block, as a 1-based position along it."""
-    part = frozenset(painted & set(block))
-    canon = canonical_block_painting(diagram, block, part, fixed)
-    if not canon:
-        return None
-    return _single_vertex(canon) - first_position_index + 1
-
-
 def _classify_a(vd: VoganDiagram, fam: FamilyId) -> RealFormDescriptor:
     m, n = fam.m, fam.n
     M, N = m + 1, n + 1
@@ -283,103 +168,60 @@ def _classify_a(vd: VoganDiagram, fam: FamilyId) -> RealFormDescriptor:
             fam, "reversal", f"psl({N}|{N};R)", (f"sl({N},R)", f"sl({N},R)")
         )
     d = vd.diagram
-    p_e = (
-        _chain_position(d, tuple(range(m)), vd.painted, 0) if m >= 1 else None
-    )
-    p_d = (
-        _chain_position(d, tuple(range(m + 1, m + 1 + n)), vd.painted, m + 1)
-        if n >= 1
-        else None
-    )
-    pair_e = _minmax(p_e or 0, M - (p_e or 0))
-    pair_d = _minmax(p_d or 0, N - (p_d or 0))
+    e = _side("su", M, _chain_position(d, tuple(range(m)), vd.painted, 0))
+    f = _side("su", N, _chain_position(d, tuple(range(m + 1, m + 1 + n)), vd.painted, m + 1))
     if m == n:
-        pairs = sorted([pair_e, pair_d])
-        super_name = f"psu({pairs[0][0]},{pairs[0][1]}|{pairs[1][0]},{pairs[1][1]})"
-        evens = tuple(_su_name(M, a) for (a, _) in pairs)
-        return RealFormDescriptor(fam, "identity", super_name, evens)
-    super_name = f"su({pair_e[0]},{pair_e[1]}|{pair_d[0]},{pair_d[1]})"
-    evens = []
-    if M > 1:
-        evens.append(_su_name(M, pair_e[0]))
-    if N > 1:
-        evens.append(_su_name(N, pair_d[0]))
-    evens.append("iR")
-    return RealFormDescriptor(fam, "identity", super_name, tuple(evens))
+        (pe, name_e), (pf, name_f) = sorted([e, f])
+        return RealFormDescriptor(
+            fam, "identity", f"psu({pe[0]},{pe[1]}|{pf[0]},{pf[1]})", (name_e, name_f)
+        )
+    (pe, name_e), (pf, name_f) = e, f
+    evens = [name for size, name in ((M, name_e), (N, name_f)) if size > 1] + ["iR"]
+    return RealFormDescriptor(
+        fam, "identity", f"su({pe[0]},{pe[1]}|{pf[0]},{pf[1]})", tuple(evens)
+    )
 
 
 def _classify_b(vd: VoganDiagram, fam: FamilyId) -> RealFormDescriptor:
     m, n = fam.m, fam.n
-    d = vd.diagram
-    chain = frozenset(i for i in vd.painted if i <= n - 2)
     # the orthogonal side is never quaternionic, so the superimposed long
     # vertex of the symplectic side is always painted
-    sp_pos = _sp_side_position(n, chain, long_painted=True)
-    sp = _sp_name(n, sp_pos)
+    sp_pair, sp = _sp_side(n, vd.painted, long_painted=True)
     if fam.kind == "B0":
-        return RealFormDescriptor(fam, "identity", f"osp(1|{2 * n};R)", (sp,))
-    p = _chain_position(d, tuple(range(n, n + m)), vd.painted, n)
-    total = 2 * m + 1
-    pair = _minmax(2 * (p or 0), total - 2 * (p or 0))
-    so = _so_name(total, pair[0], pair[1])
-    super_name = f"osp({pair[0]},{pair[1]}|{2 * n};R)"
-    return RealFormDescriptor(fam, "identity", super_name, (sp, so))
+        return RealFormDescriptor(fam, "identity", _osp(1, None, n, sp_pair), (sp,))
+    p = _chain_position(vd.diagram, tuple(range(n, n + m)), vd.painted, n)
+    so_pair, so = _side("so", 2 * m + 1, p)
+    return RealFormDescriptor(
+        fam, "identity", _osp(2 * m + 1, so_pair, n, sp_pair), (sp, so)
+    )
 
 
 def _classify_c(vd: VoganDiagram, fam: FamilyId) -> RealFormDescriptor:
     n = fam.n
-    d = vd.diagram
-    pos = _chain_position(d, tuple(range(1, n + 1)), vd.painted, 1)
-    sp = _sp_name(n, pos)
-    if pos == n:
-        super_name = f"osp(2|{2 * n};R)"
-    elif pos is None:
-        super_name = f"osp(2|{2 * n};H)"
-    else:
-        q = min(pos, n - pos)
-        super_name = f"osp(2|{2 * q},{2 * n - 2 * q};H)"
-    return RealFormDescriptor(fam, "identity", super_name, ("so*(2)", sp))
+    pos = _chain_position(vd.diagram, tuple(range(1, n + 1)), vd.painted, 1)
+    sp_pair, sp = _side("sp", n, pos)
+    return RealFormDescriptor(fam, "identity", _osp(2, None, n, sp_pair), ("so*(2)", sp))
 
 
 def _classify_d(vd: VoganDiagram, fam: FamilyId) -> RealFormDescriptor:
     m, n = fam.m, fam.n
     d = vd.diagram
-    chain = frozenset(i for i in vd.painted if i <= n - 2)
     block = tuple(range(n, n + m))
     if vd.involution.name == "swap":
         fixed = frozenset(i for i in block if vd.involution.perm[i] == i)
-        p = _chain_position(d, block, vd.painted, n, fixed)
-        pair = _minmax(2 * (p or 0) + 1, 2 * m - 2 * (p or 0) - 1)
-        so = _so_name(2 * m, pair[0], pair[1])
-        quaternionic = False
+        so_pair, so = _side("so'", 2 * m, _chain_position(d, block, vd.painted, n, fixed))
     elif m == 2:
-        bits = (block[0] in vd.painted, block[1] in vd.painted)
-        if bits == (False, False):
-            pair, so, quaternionic = (0, 4), "so(4)", False
-        elif bits == (True, True):
-            pair, so, quaternionic = (2, 2), "so(2,2)", False
-        else:
-            pair, so, quaternionic = None, "so*(4)", True
+        # D2 = A1 + A1 has no chain.  One painted node is a prong, so*(4);
+        # both painted give so(2,2), the form of chain position 1 in every D_m
+        count = len(vd.painted & set(block))
+        so_pair, so = _side("so", 4, {0: None, 1: 2, 2: 1}[count])
     else:
-        p = _chain_position(d, block, vd.painted, n)
-        if p is None:
-            pair, so, quaternionic = (0, 2 * m), f"so({2 * m})", False
-        elif p >= m - 1:
-            pair, so, quaternionic = None, f"so*({2 * m})", True
-        else:
-            pair = _minmax(2 * p, 2 * m - 2 * p)
-            so, quaternionic = _so_name(2 * m, pair[0], pair[1]), False
-    sp_pos = _sp_side_position(n, chain, long_painted=not quaternionic)
-    sp = _sp_name(n, sp_pos)
-    if quaternionic:
-        if sp_pos is None:
-            super_name = f"osp({2 * m}|{2 * n};H)"
-        else:
-            q = min(sp_pos, n - sp_pos)
-            super_name = f"osp({2 * m}|{2 * q},{2 * n - 2 * q};H)"
-    else:
-        super_name = f"osp({pair[0]},{pair[1]}|{2 * n};R)"
-    return RealFormDescriptor(fam, vd.involution.name, super_name, (sp, so))
+        so_pair, so = _side("so", 2 * m, _chain_position(d, block, vd.painted, n))
+    # a quaternionic orthogonal side leaves the superimposed long vertex unpainted
+    sp_pair, sp = _sp_side(n, vd.painted, long_painted=so_pair is not None)
+    return RealFormDescriptor(
+        fam, vd.involution.name, _osp(2 * m, so_pair, n, sp_pair), (sp, so)
+    )
 
 
 def _classify_d21(vd: VoganDiagram, fam: FamilyId) -> RealFormDescriptor:
@@ -402,23 +244,18 @@ _F4_LEVEL = {(0, 7): 0, (1, 6): 3, (2, 5): 2, (3, 4): 1}
 
 
 def _classify_f4(vd: VoganDiagram, fam: FamilyId) -> RealFormDescriptor:
-    d = vd.diagram
     # block positions run away from the odd node; the Bourbaki count is reversed
-    pos = _chain_position(d, (1, 2, 3), vd.painted, 1)
-    p = None if pos is None else 4 - pos
-    pair = _minmax(2 * (p or 0), 7 - 2 * (p or 0))
-    so = _so_name(7, pair[0], pair[1])
-    level = _F4_LEVEL[pair]
-    return RealFormDescriptor(
-        fam, "identity", f"F(4;{level})", ("sl(2,R)", so)
-    )
+    pos = _chain_position(vd.diagram, (1, 2, 3), vd.painted, 1)
+    pair, so = _side("so", 7, None if pos is None else 4 - pos)
+    return RealFormDescriptor(fam, "identity", f"F(4;{_F4_LEVEL[pair]})", ("sl(2,R)", so))
 
 
 def _classify_g3(vd: VoganDiagram, fam: FamilyId) -> RealFormDescriptor:
-    painted = vd.painted & {1, 2}
-    if painted:
-        return RealFormDescriptor(fam, "identity", "G(3,1)", ("sl(2,R)", "G2,2"))
-    return RealFormDescriptor(fam, "identity", "G(3,0)", ("sl(2,R)", "G2,0"))
+    pos = _chain_position(vd.diagram, (1, 2), vd.painted, 1)
+    _, g2 = _side("G2", 2, pos)
+    return RealFormDescriptor(
+        fam, "identity", f"G(3,{0 if pos is None else 1})", ("sl(2,R)", g2)
+    )
 
 
 def enumerate_real_forms(diagram: Diagram) -> tuple[RealFormDescriptor, ...]:
@@ -496,6 +333,9 @@ def _complex_names(fam: FamilyId) -> tuple[str, str]:
 
 
 def _expected_rows(fam: FamilyId, diagram: Diagram) -> list[tuple[str, tuple[str, ...]]]:
+    """Reference rows, spelled here with their own signature arithmetic and
+    f-strings.  They share no code with the namer ``classify`` uses, so
+    ``table`` checks that namer rather than repeating it."""
     from .vogan import automorphisms
 
     k, m, n = fam.kind, fam.m, fam.n
@@ -507,29 +347,23 @@ def _expected_rows(fam: FamilyId, diagram: Diagram) -> list[tuple[str, tuple[str
 
     if k == "A":
         M, N = m + 1, n + 1
+        # su(p,M-p) with its smaller slot first: p runs up to M/2
+        for p in range(M // 2 + 1):
+            for q in range(N // 2 + 1):
+                su_m = f"su({M})" if p == 0 else f"su({p},{M - p})"
+                su_n = f"su({N})" if q == 0 else f"su({q},{N - q})"
+                if m == n:
+                    (a, su_a), (b, su_b) = sorted([(p, su_m), (q, su_n)])
+                    add(f"psu({a},{M - a}|{b},{N - b})", (su_a, su_b))
+                else:
+                    evens = ([su_m] if M > 1 else []) + ([su_n] if N > 1 else [])
+                    add(f"su({p},{M - p}|{q},{N - q})", tuple(evens + ["iR"]))
         if m == n:
-            for p in range(M + 1):
-                for q in range(N + 1):
-                    pairs = sorted([_minmax(p, M - p), _minmax(q, N - q)])
-                    add(
-                        f"psu({pairs[0][0]},{pairs[0][1]}|{pairs[1][0]},{pairs[1][1]})",
-                        tuple(_su_name(M, a) for (a, _) in pairs),
-                    )
             if N % 2 == 0:
                 add(f"psl({N}|{N};H)", (f"su*({N})",) * 2)
             else:
                 add(f"psl({N}|{N};R)", (f"sl({N},R)",) * 2)
         else:
-            for p in range(M + 1):
-                for q in range(N + 1):
-                    pe, pd = _minmax(p, M - p), _minmax(q, N - q)
-                    evens = []
-                    if M > 1:
-                        evens.append(_su_name(M, pe[0]))
-                    if N > 1:
-                        evens.append(_su_name(N, pd[0]))
-                    evens.append("iR")
-                    add(f"su({pe[0]},{pe[1]}|{pd[0]},{pd[1]})", tuple(evens))
             evens = []
             if M > 1:
                 evens.append(f"sl({M},R)")
@@ -539,16 +373,27 @@ def _expected_rows(fam: FamilyId, diagram: Diagram) -> list[tuple[str, tuple[str
             add(f"sl({M}|{N};R)", tuple(evens))
             if M % 2 == 0 and N % 2 == 0:
                 add(f"sl({M}|{N};H)", (f"su*({M})", f"su*({N})", "R"))
-    elif k in ("B", "B0"):
-        if k == "B0":
-            add(f"osp(1|{2 * n};R)", (f"sp({2 * n},R)",))
+    elif k == "B0":
+        add(f"osp(1|{2 * n};R)", (f"sp({2 * n},R)",))
+    elif k in ("B", "D"):
+        total = 2 * m + 1 if k == "B" else 2 * m
+        # so(x,total-x): x = 2p for an inner form; D adds the outer forms
+        # x = 2p+1 and stops the inner ones before the prongs (D2: x = 2)
+        if k == "B":
+            xs = [2 * p for p in range(m + 1)]
         else:
-            total = 2 * m + 1
-            for p in range(m + 1):
-                pair = _minmax(2 * p, total - 2 * p)
+            xs = [0] + ([2] if m == 2 else [2 * p for p in range(1, m - 1)])
+            xs += [2 * p + 1 for p in range(m)]
+        for x in xs:
+            a, b = sorted((x, total - x))
+            so = f"so({total})" if a == 0 else f"so({a},{b})"
+            add(f"osp({a},{b}|{2 * n};R)", (f"sp({2 * n},R)", so))
+        if k == "D":
+            add(f"osp({total}|{2 * n};H)", (f"sp({n})", f"so*({total})"))
+            for q in range(1, n // 2 + 1):
                 add(
-                    f"osp({pair[0]},{pair[1]}|{2 * n};R)",
-                    (f"sp({2 * n},R)", _so_name(total, pair[0], pair[1])),
+                    f"osp({total}|{2 * q},{2 * n - 2 * q};H)",
+                    (f"sp({q},{n - q})", f"so*({total})"),
                 )
     elif k == "C":
         add(f"osp(2|{2 * n};R)", ("so*(2)", f"sp({2 * n},R)"))
@@ -557,31 +402,6 @@ def _expected_rows(fam: FamilyId, diagram: Diagram) -> list[tuple[str, tuple[str
             add(
                 f"osp(2|{2 * q},{2 * n - 2 * q};H)",
                 ("so*(2)", f"sp({q},{n - q})"),
-            )
-    elif k == "D":
-        total = 2 * m
-        r_pairs = [(0, total)]
-        if m == 2:
-            r_pairs.append((2, 2))
-        else:
-            for p in range(1, m - 1):
-                r_pairs.append(_minmax(2 * p, total - 2 * p))
-        for pair in r_pairs:
-            add(
-                f"osp({pair[0]},{pair[1]}|{2 * n};R)",
-                (f"sp({2 * n},R)", _so_name(total, pair[0], pair[1])),
-            )
-        for p in range(m):
-            pair = _minmax(2 * p + 1, total - 2 * p - 1)
-            add(
-                f"osp({pair[0]},{pair[1]}|{2 * n};R)",
-                (f"sp({2 * n},R)", _so_name(total, pair[0], pair[1])),
-            )
-        add(f"osp({total}|{2 * n};H)", (f"sp({n})", f"so*({total})"))
-        for q in range(1, n // 2 + 1):
-            add(
-                f"osp({total}|{2 * q},{2 * n - 2 * q};H)",
-                (f"sp({q},{n - q})", f"so*({total})"),
             )
     elif k == "D21alpha":
         a = fam.alpha

@@ -9,14 +9,15 @@ Exit codes: 0 success, 1 usage or input error, 2 table mismatches.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from fractions import Fraction
 from typing import Optional
 
-from .algebra import EVEN, Diagram, FamilyId, build_diagram, node_count, validate_family
+from .algebra import EVEN, Diagram, FamilyId, build_diagram, check_rank_guard, validate_family
 from .classify import RealFormDescriptor, TableReport, classify, enumerate_real_forms, table_report
-from .errors import BadIndex, ParseError, RankGuardExceeded, SupervoganError
+from .errors import BadIndex, ParseError, SupervoganError
 from .render import document_json, emit_document, render_ascii, render_dot
 from .vogan import (
     VoganDiagram,
@@ -25,8 +26,6 @@ from .vogan import (
     identity_involution,
     reduce_with_trail,
 )
-
-RANK_GUARD = 12
 
 
 def parse_family_spec(text: str) -> FamilyId:
@@ -95,11 +94,7 @@ def parse_family_spec(text: str) -> FamilyId:
 
 def _diagram_for(spec: str) -> Diagram:
     fam = parse_family_spec(spec)
-    count = node_count(fam)
-    if count > RANK_GUARD:
-        raise RankGuardExceeded(
-            f"{fam.display()} has {count} nodes; the guard allows {RANK_GUARD}"
-        )
+    check_rank_guard(fam)
     return build_diagram(fam)
 
 
@@ -358,9 +353,14 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser, built on first use and shared by every later call."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.func(args)
     except SupervoganError as exc:

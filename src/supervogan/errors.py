@@ -35,10 +35,6 @@ class FamilyMismatch(SupervoganError):
     """Two diagrams from different families were compared."""
 
 
-class UnreducedInput(SupervoganError):
-    """classify_block needs at most one painted vertex in the block."""
-
-
 class InvariantViolation(SupervoganError):
     """A library invariant failed: the diagram data or the code is inconsistent."""
 

@@ -13,27 +13,6 @@ Q = Fraction
 Matrix = list[list[Fraction]]
 
 
-def identity(n: int) -> Matrix:
-    return [[Q(1) if i == j else Q(0) for j in range(n)] for i in range(n)]
-
-
-def mat_mul(a: Matrix, b: Matrix) -> Matrix:
-    if not a or not b or len(a[0]) != len(b):
-        raise ValueError("incompatible shapes")
-    cols = len(b[0])
-    return [
-        [sum((a[i][k] * b[k][j] for k in range(len(b))), Q(0)) for j in range(cols)]
-        for i in range(len(a))
-    ]
-
-
-def is_symmetric(a: Matrix) -> bool:
-    n = len(a)
-    return all(len(row) == n for row in a) and all(
-        a[i][j] == a[j][i] for i in range(n) for j in range(i)
-    )
-
-
 def row_reduce(a: Matrix) -> tuple[list[int], Matrix]:
     """Gauss-Jordan elimination with exact pivoting.
 
@@ -95,6 +74,3 @@ def solve_exact(a: Matrix, rhs: list[Fraction]) -> list[Fraction]:
         x[c] = value
     return x
 
-
-def matrix_rank(a: Matrix) -> int:
-    return len(row_reduce(a)[0])

@@ -19,6 +19,8 @@ from .algebra import (
     FamilyId,
     build_diagram,
     cartan_matrix,
+    check_rank_guard,
+    validate_family,
 )
 from .errors import BadIndex, InvalidFamily, ParseError
 from .vogan import (
@@ -139,17 +141,17 @@ def _family_dict(fam: FamilyId) -> dict:
 
 
 def _family_from_dict(data: dict) -> FamilyId:
-    try:
-        kind = data["kind"]
-        m = int(data.get("m", 0))
-        n = int(data.get("n", 0))
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ParseError("malformed family object", json.dumps(data), 0) from exc
+    if not isinstance(data, dict) or "kind" not in data:
+        raise ParseError("malformed family object", json.dumps(data), 0)
+    kind, m, n = data["kind"], data.get("m", 0), data.get("n", 0)
+    # type(), not isinstance(): a bool is an int to isinstance
+    if not (type(m) is int and type(n) is int):
+        raise ParseError("family m and n must be integers", json.dumps(data), 0)
     alpha = None
     if "alpha" in data:
         try:
             alpha = Fraction(data["alpha"])
-        except (ValueError, ZeroDivisionError) as exc:
+        except (TypeError, ValueError, ZeroDivisionError) as exc:
             raise ParseError("malformed alpha", str(data["alpha"]), 0) from exc
     return FamilyId(kind, m, n, alpha)
 
@@ -206,9 +208,11 @@ def parse_document(source: Union[str, dict]) -> VoganDiagram:
         )
     fam = _family_from_dict(data.get("family", {}))
     try:
-        diagram = build_diagram(fam)
+        validate_family(fam)
     except InvalidFamily as exc:
         raise ParseError(str(exc), json.dumps(data.get("family")), 0) from exc
+    check_rank_guard(fam)
+    diagram = build_diagram(fam)
     nodes = data.get("nodes")
     if not isinstance(nodes, list) or len(nodes) != len(diagram):
         raise ParseError(
@@ -227,7 +231,10 @@ def parse_document(source: Union[str, dict]) -> VoganDiagram:
                 str(entry.get("kind")),
                 pos,
             )
-        if entry.get("painted"):
+        flag = entry.get("painted")
+        if not isinstance(flag, bool):
+            raise ParseError(f"node {pos + 1} painted must be true or false", str(flag), pos)
+        if flag:
             painted.add(pos)
     arrows = data.get("arrows", [])
     perm = list(range(len(diagram)))
@@ -235,7 +242,7 @@ def parse_document(source: Union[str, dict]) -> VoganDiagram:
         if (
             not isinstance(pair, (list, tuple))
             or len(pair) != 2
-            or not all(isinstance(x, int) for x in pair)
+            or not all(type(x) is int for x in pair)
         ):
             raise ParseError("arrows must be index pairs", str(pair), 0)
         i, j = pair[0] - 1, pair[1] - 1

@@ -8,12 +8,10 @@ import pytest
 from supervogan import (
     FamilyId,
     InvariantViolation,
-    UnreducedInput,
     VoganDiagram,
     automorphisms,
     build_diagram,
     classify,
-    classify_block,
     enumerate_real_forms,
     enumerate_vogan,
     flip,
@@ -204,23 +202,22 @@ def test_classify_accepts_unreduced_paintings():
     assert classify(v) == classify(w)
 
 
-def test_classify_block_rejects_multiple_painted():
-    diagram = build_diagram(FamilyId("A", 3, 0))
-    with pytest.raises(UnreducedInput):
-        classify_block(diagram, (0, 1, 2), frozenset({0, 2}))
-
-
 def test_classify_block_dictionary():
-    diagram = build_diagram(FamilyId("A", 3, 0))
-    block = (0, 1, 2)
-    assert classify_block(diagram, block, frozenset()).name == "su(4)"
-    assert classify_block(diagram, block, frozenset({1})).name == "su(2,2)"
-    assert classify_block(diagram, block, frozenset({0})).name == "su(1,3)"
-    diagram = build_diagram(FamilyId("C", 0, 3))
-    block = (1, 2, 3)
-    assert classify_block(diagram, block, frozenset()).name == "sp(3)"
-    assert classify_block(diagram, block, frozenset({3})).name == "sp(6,R)"
-    assert classify_block(diagram, block, frozenset({1})).name == "sp(1,2)"
+    # A(3,0) is su(4|1): its first side is the chain of nodes 1..3
+    def su_side(painted):
+        return classify(vd_of(FamilyId("A", 3, 0), painted)).even_parts[0]
+
+    assert su_side(()) == "su(4)"
+    assert su_side({1}) == "su(2,2)"
+    assert su_side({0}) == "su(1,3)"
+
+    # C(4) is osp(2|6): its symplectic side is the chain of nodes 2..4
+    def sp_side(painted):
+        return classify(vd_of(FamilyId("C", 0, 3), painted)).even_parts[1]
+
+    assert sp_side(()) == "sp(3)"
+    assert sp_side({3}) == "sp(6,R)"
+    assert sp_side({1}) == "sp(1,2)"
 
 
 # -------------------------------------------------------------------- tables
@@ -277,7 +274,7 @@ def test_table_complex_names():
     "fam, painted",
     [
         (FamilyId("C", 0, 3), (1, 3)),  # _chain_position
-        (FamilyId("B0", 0, 3), (0,)),  # _sp_side_position
+        (FamilyId("B0", 0, 3), (0,)),  # _sp_side
     ],
 )
 def test_classify_rejects_a_canonical_painting_of_two_vertices(fam, painted, monkeypatch):

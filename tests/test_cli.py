@@ -224,6 +224,23 @@ def test_invalid_family_parameters(capsys):
     assert code == 1
 
 
+def test_main_builds_its_parser_once(capsys, monkeypatch):
+    from supervogan import cli
+
+    query = ["classify", "B(2,2)", "--painted", "3", "--format", "json"]
+    verbs = [query, ["table", "C(4)"], ["reduce", "A(3,0)", "--painted", "1,3"], query]
+    fresh = []
+    for argv in verbs:
+        cli._parser.cache_clear()
+        fresh.append(run(capsys, *argv))
+    cli._parser.cache_clear()
+    built, build = [], cli.build_parser
+    monkeypatch.setattr(cli, "build_parser", lambda: built.append(1) or build())
+    assert [run(capsys, *argv) for argv in verbs] == fresh
+    assert len(built) == 1
+    assert cli._parser.cache_info().hits == len(verbs) - 1
+
+
 # ---------------------------------------------------------------------- out
 
 

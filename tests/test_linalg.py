@@ -4,15 +4,8 @@ from fractions import Fraction
 
 import pytest
 
-from supervogan.linalg import (
-    identity,
-    invert,
-    is_symmetric,
-    mat_mul,
-    matrix_rank,
-    row_reduce,
-    solve_exact,
-)
+from matrix_helpers import identity, is_symmetric, mat_mul, matrix_rank
+from supervogan.linalg import invert, row_reduce, solve_exact
 
 Q = Fraction
 

@@ -17,7 +17,8 @@ from supervogan import (
     flip,
     noncompact_parity,
 )
-from supervogan.linalg import identity, invert, mat_mul, matrix_rank, solve_exact
+from matrix_helpers import identity, mat_mul, matrix_rank
+from supervogan.linalg import invert, solve_exact
 
 Q = Fraction
 

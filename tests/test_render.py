@@ -1,6 +1,7 @@
 """ASCII and DOT rendering, JSON documents, and the document parser."""
 
 import json
+import time
 from fractions import Fraction
 
 import pytest
@@ -8,6 +9,7 @@ import pytest
 from supervogan import (
     FamilyId,
     ParseError,
+    RankGuardExceeded,
     VoganDiagram,
     automorphisms,
     build_diagram,
@@ -182,12 +184,61 @@ def test_document_json_carries_realform_and_trail():
         lambda d: d["nodes"][2].__setitem__("painted", True),  # the odd node
         lambda d: d.__setitem__("arrows", [[1]]),
         lambda d: d.__setitem__("arrows", [[1, 99]]),
+        lambda d: d["family"].__setitem__("alpha", [1]),
     ],
 )
 def test_parse_document_rejects_mangled_documents(mangle):
     doc = emit_document(vd_of(FamilyId("A", 2, 1), painted={0}))
     mangle(doc)
     with pytest.raises(ParseError):
+        parse_document(doc)
+
+
+@pytest.mark.parametrize(
+    "mangle",
+    [
+        lambda d: d["nodes"][0].__setitem__("painted", "false"),
+        lambda d: d["nodes"][0].__setitem__("painted", 0),
+        lambda d: d["nodes"][0].pop("painted"),
+    ],
+    ids=["string", "number", "missing"],
+)
+def test_parse_document_requires_a_boolean_painted_flag(mangle):
+    doc = emit_document(vd_of(FamilyId("A", 2, 1)))
+    mangle(doc)
+    with pytest.raises(ParseError):
+        parse_document(doc)
+
+
+@pytest.mark.parametrize(
+    "key, value",
+    [("m", 1.9), ("m", 1.0), ("m", "1"), ("m", True), ("n", 1.0), ("n", True)],
+)
+def test_parse_document_requires_integer_family_parameters(key, value):
+    # each value once read as the 1 of B(1,1), the family of the document
+    doc = emit_document(vd_of(FamilyId("B", 1, 1)))
+    doc["family"][key] = value
+    with pytest.raises(ParseError):
+        parse_document(doc)
+
+
+@pytest.mark.parametrize("pair", [[1.0, 5.0], [True, 5], [1, "5"]])
+def test_parse_document_requires_integer_arrow_indices(pair):
+    doc = emit_document(vd_of(FamilyId("A", 2, 2), inv_name="reversal"))
+    doc["arrows"] = [pair, [2, 4]]
+    with pytest.raises(ParseError):
+        parse_document(doc)
+
+
+def test_parse_document_guards_rank_before_building():
+    doc = emit_document(vd_of(FamilyId("A", 1, 0)))
+    doc["family"] = {"kind": "A", "m": 3000, "n": 0}
+    start = time.perf_counter()
+    with pytest.raises(RankGuardExceeded, match="3001 nodes"):
+        parse_document(doc)
+    assert time.perf_counter() - start < 0.05
+    doc["family"] = {"kind": "B", "m": 6, "n": 6}
+    with pytest.raises(ParseError, match="expected 12 nodes"):
         parse_document(doc)
 
 
