@@ -74,9 +74,6 @@ class WeightVector:
         neg = sum((a * b for a, b in zip(self.d_part, other.d_part)), Q(0))
         return pos - neg
 
-    def is_zero(self) -> bool:
-        return not any(self.e_part) and not any(self.d_part)
-
     def coords(self) -> tuple[Fraction, ...]:
         return self.e_part + self.d_part
 
@@ -155,10 +152,10 @@ def validate_family(fam: FamilyId) -> None:
     elif k == "D21alpha":
         if fam.alpha is None or fam.alpha in (0, -1):
             raise InvalidFamily("D(2,1;alpha) needs alpha outside {0, -1}")
-    elif k in ("F4", "G3"):
-        pass
-    else:
+    elif k not in ("F4", "G3"):
         raise InvalidFamily(f"unknown family kind {k!r}")
+    if k != "D21alpha" and fam.alpha is not None:
+        raise InvalidFamily(f"only D(2,1;alpha) takes alpha, got it on {fam.display()}")
 
 
 def node_count(fam: FamilyId) -> int:
@@ -196,10 +193,15 @@ class Node:
 
 @dataclass(frozen=True)
 class Diagram:
-    """Decorated simple system.  ``family`` is None for synthetic block diagrams."""
+    """Decorated simple system of a named family, as ``build_diagram`` makes
+    it; every side is named, and every root generated, from its family."""
 
     nodes: tuple[Node, ...]
-    family: Optional[FamilyId] = None
+    family: FamilyId
+
+    def __post_init__(self):
+        if not isinstance(self.family, FamilyId):
+            raise InvalidFamily(f"a diagram needs a FamilyId, got {self.family!r}")
 
     def __hash__(self) -> int:
         # Diagrams key every cache; hash the nested Fraction tuples only once.
@@ -223,9 +225,6 @@ class Diagram:
     def even_indices(self) -> tuple[int, ...]:
         return tuple(n.index for n in self.nodes if n.kind == EVEN)
 
-    def odd_indices(self) -> tuple[int, ...]:
-        return tuple(n.index for n in self.nodes if n.kind != EVEN)
-
 
 @lru_cache(maxsize=None)
 def gram_matrix(diagram: Diagram) -> tuple[tuple[Fraction, ...], ...]:
@@ -233,16 +232,6 @@ def gram_matrix(diagram: Diagram) -> tuple[tuple[Fraction, ...], ...]:
     for a in diagram.nodes:
         rows.append(tuple(a.root.inner(b.root) for b in diagram.nodes))
     return tuple(rows)
-
-
-@lru_cache(maxsize=None)
-def adjacency(diagram: Diagram) -> tuple[tuple[int, ...], ...]:
-    """Neighbour lists: i ~ j iff the simple roots are non-orthogonal."""
-    g = gram_matrix(diagram)
-    size = len(diagram)
-    return tuple(
-        tuple(j for j in range(size) if j != i and g[i][j] != 0) for i in range(size)
-    )
 
 
 # ----------------------------------------------------------------------------
@@ -406,8 +395,9 @@ def cartan_matrix(diagram: Diagram) -> CartanData:
 
 @lru_cache(maxsize=None)
 def even_blocks(diagram: Diagram) -> tuple[tuple[int, ...], ...]:
-    """Connected components of the subdiagram spanned by the even nodes."""
-    adj = adjacency(diagram)
+    """Connected components of the subdiagram spanned by the even nodes,
+    two nodes joined when their simple roots are non-orthogonal."""
+    g = gram_matrix(diagram)
     even = set(diagram.even_indices())
     seen: set[int] = set()
     blocks: list[tuple[int, ...]] = []
@@ -420,8 +410,8 @@ def even_blocks(diagram: Diagram) -> tuple[tuple[int, ...], ...]:
         while stack:
             i = stack.pop()
             comp.append(i)
-            for j in adj[i]:
-                if j in even and j not in seen:
+            for j in even:
+                if g[i][j] != 0 and j not in seen:
                     seen.add(j)
                     stack.append(j)
         blocks.append(tuple(sorted(comp)))
@@ -489,8 +479,6 @@ def _pairs_pm(units: list[WeightVector], with_sum: bool):
 def generate_roots(diagram: Diagram) -> RootSystem:
     """Positive roots of the family in the same coordinates as the diagram."""
     fam = diagram.family
-    if fam is None:
-        raise InvalidFamily("root generation needs a named family")
     k, m, n = fam.kind, fam.m, fam.n
     ed = len(diagram.root(0).e_part)
     dd = len(diagram.root(0).d_part)
@@ -565,21 +553,6 @@ def _root_index(diagram: Diagram):
 
 
 @lru_cache(maxsize=None)
-def _expansion_basis(diagram: Diagram) -> tuple[int, ...]:
-    """Node indices forming the canonical spanning subset for expansions.
-
-    The four-node star of D(2,1;alpha) is dependent: its odd node is half a
-    signed sum of the three even ones, which span the weight space of the
-    roots.  Expanding over the even nodes makes every even root +/- one even
-    simple root, so a painted even node is seen by its own sl(2).  Every
-    other family's simple roots are independent.
-    """
-    if diagram.family is not None and diagram.family.kind == "D21alpha":
-        return diagram.even_indices()
-    return tuple(range(len(diagram)))
-
-
-@lru_cache(maxsize=None)
 def _expansion_operator(diagram: Diagram):
     """The expansion solve, factored once per diagram.
 
@@ -590,7 +563,15 @@ def _expansion_operator(diagram: Diagram):
     the coefficient of a pivot node, and ``(row, weight)`` pairs for the rows
     that vanish exactly on the span.  Non-pivot basis nodes get coefficient 0.
     """
-    basis = _expansion_basis(diagram)
+    # The four-node star of D(2,1;alpha) is dependent: its odd node is half a
+    # signed sum of the three even ones, which span the weight space of the
+    # roots.  Expanding over the even nodes makes every even root +/- one even
+    # simple root, so a painted even node is seen by its own sl(2).  Every
+    # other family's simple roots are independent.
+    if diagram.family.kind == "D21alpha":
+        basis = diagram.even_indices()
+    else:
+        basis = tuple(range(len(diagram)))
     mat = [list(row) for row in zip(*(diagram.root(i).coords() for i in basis))]
     pivots, e = row_reduce(mat)
     rank = len(pivots)

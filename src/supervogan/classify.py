@@ -1,23 +1,26 @@
 """Naming the real form determined by a painted diagram.
 
-Every even block is first driven to its canonical painting (at most one
-painted vertex) with the same flip machinery used by reduction; the
-canonical vertex's position along its side is then named by ``_side``, the
-one dictionary of su, so, sp and G2 forms.  Sides whose even root system is
-not fully spanned by diagram nodes (the bottom long root of a symplectic
-side, or a lone sl(2) summand) are handled by superimposing the missing
-vertex; its paint state is forced by the partner side, never free.
+Every even block of the diagram is first driven to its canonical painting
+(at most one painted vertex) with the same flip machinery used by
+reduction; the canonical vertex's position along its side is then named by
+``_side``, the one dictionary of su, so, sp and G2 forms.
+
+The symplectic side of B(m,n), B(0,n) and D(m,n) is the chain of nodes
+0 .. n-2 plus the long root 2 delta_n, which no diagram node carries.  No
+flip toggles that superimposed root: the Cartan entry from the chain's end
+to it is -2, which is even.  So its paint is constant on the flip orbit,
+and the orthogonal side forces it.  Painted, the side is sp(2n,R) and no
+orbit walk is needed; unpainted, the chain's canonical vertex gives
+sp(q,n-q).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Optional
 
-from .algebra import EVEN, Diagram, FamilyId, Node, WeightVector
+from .algebra import Diagram, FamilyId
 from .errors import InvalidFamily, InvariantViolation
-from .linalg import Q
 from .vogan import VoganDiagram, canonical_block_painting, enumerate_vogan, flip_orbit
 
 Pair = Optional[tuple[int, int]]
@@ -86,46 +89,26 @@ def _single_vertex(canon: frozenset[int]) -> int:
     return next(iter(canon))
 
 
-def _chain_position(
-    diagram: Diagram,
-    block: tuple[int, ...],
-    painted: frozenset[int],
-    first_position_index: int,
-    fixed: Optional[frozenset[int]] = None,
-) -> Optional[int]:
-    """Canonical painted vertex of a block, as a 1-based position along it."""
-    part = frozenset(painted & set(block))
-    canon = canonical_block_painting(diagram, block, part, fixed)
+def _chain_position(vd: VoganDiagram, block: tuple[int, ...]) -> Optional[int]:
+    """Canonical painted vertex of a block, as a 1-based position from block[0].
+
+    Flips only toggle even neighbours, which lie in the flipped node's own
+    block, so the involution's whole fixed set gives the block's orbit.
+    """
+    part = frozenset(vd.painted & set(block))
+    canon = canonical_block_painting(vd.diagram, block, part, frozenset(vd.involution.fixed()))
     if not canon:
         return None
-    return _single_vertex(canon) - first_position_index + 1
+    return _single_vertex(canon) - block[0] + 1
 
 
-# ----------------------------------------------------------------------------
-# The symplectic side with its superimposed long vertex.
-
-
-@lru_cache(maxsize=None)
-def _sp_side_diagram(n: int) -> Diagram:
-    """Rank-n symplectic simple system on the negative side: the chain
-    d_i - d_{i+1} plus the long root 2 d_n."""
-    nodes = []
-    for i in range(n - 1):
-        d = [Q(0)] * n
-        d[i], d[i + 1] = Q(1), Q(-1)
-        nodes.append(Node(i, WeightVector((), tuple(d)), EVEN))
-    d = [Q(0)] * n
-    d[n - 1] = Q(2)
-    nodes.append(Node(n - 1, WeightVector((), tuple(d)), EVEN))
-    return Diagram(tuple(nodes), None)
-
-
-def _sp_side(n: int, painted: frozenset[int], long_painted: bool) -> tuple[Pair, str]:
-    """The symplectic side sp(n) of B, B(0,n) and D, whose chain is nodes
-    0 .. n-2 of the diagram and whose long root is superimposed."""
-    part = {i for i in painted if i <= n - 2} | ({n - 1} if long_painted else set())
-    pos = _chain_position(_sp_side_diagram(n), tuple(range(n)), frozenset(part), 0)
-    return _side("sp", n, pos)
+def _sp_side(vd: VoganDiagram, n: int, long_painted: bool) -> tuple[Pair, str]:
+    """The symplectic side sp(n) of B, B(0,n) and D: the chain of nodes
+    0 .. n-2 plus the superimposed long root, painted as the orthogonal side
+    forces (see the module docstring)."""
+    if long_painted:
+        return _side("sp", n, n)
+    return _side("sp", n, _chain_position(vd, tuple(range(n - 1))))
 
 
 # ----------------------------------------------------------------------------
@@ -136,8 +119,6 @@ def _sp_side(n: int, painted: frozenset[int], long_painted: bool) -> tuple[Pair,
 def classify(vd: VoganDiagram) -> RealFormDescriptor:
     """Real form named by a painted diagram; constant on flip orbits."""
     fam = vd.diagram.family
-    if fam is None:
-        raise InvalidFamily("classification needs a named family")
     kind = fam.kind
     if kind == "A":
         return _classify_a(vd, fam)
@@ -167,9 +148,8 @@ def _classify_a(vd: VoganDiagram, fam: FamilyId) -> RealFormDescriptor:
         return RealFormDescriptor(
             fam, "reversal", f"psl({N}|{N};R)", (f"sl({N},R)", f"sl({N},R)")
         )
-    d = vd.diagram
-    e = _side("su", M, _chain_position(d, tuple(range(m)), vd.painted, 0))
-    f = _side("su", N, _chain_position(d, tuple(range(m + 1, m + 1 + n)), vd.painted, m + 1))
+    e = _side("su", M, _chain_position(vd, tuple(range(m))))
+    f = _side("su", N, _chain_position(vd, tuple(range(m + 1, m + 1 + n))))
     if m == n:
         (pe, name_e), (pf, name_f) = sorted([e, f])
         return RealFormDescriptor(
@@ -186,10 +166,10 @@ def _classify_b(vd: VoganDiagram, fam: FamilyId) -> RealFormDescriptor:
     m, n = fam.m, fam.n
     # the orthogonal side is never quaternionic, so the superimposed long
     # vertex of the symplectic side is always painted
-    sp_pair, sp = _sp_side(n, vd.painted, long_painted=True)
+    sp_pair, sp = _sp_side(vd, n, long_painted=True)
     if fam.kind == "B0":
         return RealFormDescriptor(fam, "identity", _osp(1, None, n, sp_pair), (sp,))
-    p = _chain_position(vd.diagram, tuple(range(n, n + m)), vd.painted, n)
+    p = _chain_position(vd, tuple(range(n, n + m)))
     so_pair, so = _side("so", 2 * m + 1, p)
     return RealFormDescriptor(
         fam, "identity", _osp(2 * m + 1, so_pair, n, sp_pair), (sp, so)
@@ -198,27 +178,25 @@ def _classify_b(vd: VoganDiagram, fam: FamilyId) -> RealFormDescriptor:
 
 def _classify_c(vd: VoganDiagram, fam: FamilyId) -> RealFormDescriptor:
     n = fam.n
-    pos = _chain_position(vd.diagram, tuple(range(1, n + 1)), vd.painted, 1)
+    pos = _chain_position(vd, tuple(range(1, n + 1)))
     sp_pair, sp = _side("sp", n, pos)
     return RealFormDescriptor(fam, "identity", _osp(2, None, n, sp_pair), ("so*(2)", sp))
 
 
 def _classify_d(vd: VoganDiagram, fam: FamilyId) -> RealFormDescriptor:
     m, n = fam.m, fam.n
-    d = vd.diagram
     block = tuple(range(n, n + m))
     if vd.involution.name == "swap":
-        fixed = frozenset(i for i in block if vd.involution.perm[i] == i)
-        so_pair, so = _side("so'", 2 * m, _chain_position(d, block, vd.painted, n, fixed))
+        so_pair, so = _side("so'", 2 * m, _chain_position(vd, block))
     elif m == 2:
         # D2 = A1 + A1 has no chain.  One painted node is a prong, so*(4);
         # both painted give so(2,2), the form of chain position 1 in every D_m
         count = len(vd.painted & set(block))
         so_pair, so = _side("so", 4, {0: None, 1: 2, 2: 1}[count])
     else:
-        so_pair, so = _side("so", 2 * m, _chain_position(d, block, vd.painted, n))
+        so_pair, so = _side("so", 2 * m, _chain_position(vd, block))
     # a quaternionic orthogonal side leaves the superimposed long vertex unpainted
-    sp_pair, sp = _sp_side(n, vd.painted, long_painted=so_pair is not None)
+    sp_pair, sp = _sp_side(vd, n, long_painted=so_pair is not None)
     return RealFormDescriptor(
         fam, vd.involution.name, _osp(2 * m, so_pair, n, sp_pair), (sp, so)
     )
@@ -245,13 +223,13 @@ _F4_LEVEL = {(0, 7): 0, (1, 6): 3, (2, 5): 2, (3, 4): 1}
 
 def _classify_f4(vd: VoganDiagram, fam: FamilyId) -> RealFormDescriptor:
     # block positions run away from the odd node; the Bourbaki count is reversed
-    pos = _chain_position(vd.diagram, (1, 2, 3), vd.painted, 1)
+    pos = _chain_position(vd, (1, 2, 3))
     pair, so = _side("so", 7, None if pos is None else 4 - pos)
     return RealFormDescriptor(fam, "identity", f"F(4;{_F4_LEVEL[pair]})", ("sl(2,R)", so))
 
 
 def _classify_g3(vd: VoganDiagram, fam: FamilyId) -> RealFormDescriptor:
-    pos = _chain_position(vd.diagram, (1, 2), vd.painted, 1)
+    pos = _chain_position(vd, (1, 2))
     _, g2 = _side("G2", 2, pos)
     return RealFormDescriptor(
         fam, "identity", f"G(3,{0 if pos is None else 1})", ("sl(2,R)", g2)
@@ -422,8 +400,6 @@ def _expected_rows(fam: FamilyId, diagram: Diagram) -> list[tuple[str, tuple[str
 
 def table_report(diagram: Diagram) -> TableReport:
     fam = diagram.family
-    if fam is None:
-        raise InvalidFamily("table needs a named family")
     computed = enumerate_real_forms(diagram)
     expected = tuple(_expected_rows(fam, diagram))
     computed_by_name = {d.super_name: d for d in computed}

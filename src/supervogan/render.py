@@ -80,11 +80,11 @@ def _pronged_ascii(vd: VoganDiagram, main: list[int], tips: tuple[int, int]) -> 
 
 def render_ascii(vd: VoganDiagram) -> str:
     """Drawn diagram plus one ``i <--> j`` line per involution arrow (1-based)."""
-    fam = vd.diagram.family
+    kind = vd.diagram.family.kind
     size = len(vd.diagram)
-    if fam is not None and fam.kind == "D":
+    if kind == "D":
         body = _pronged_ascii(vd, list(range(size - 2)), (size - 2, size - 1))
-    elif fam is not None and fam.kind == "D21alpha":
+    elif kind == "D21alpha":
         body = _pronged_ascii(vd, [0, 1], (2, 3))
     else:
         body = _linear_ascii(vd, list(range(size)))
@@ -149,10 +149,13 @@ def _family_from_dict(data: dict) -> FamilyId:
         raise ParseError("family m and n must be integers", json.dumps(data), 0)
     alpha = None
     if "alpha" in data:
+        # a string only: a JSON number would come in as a float or a bool
+        if not isinstance(data["alpha"], str):
+            raise ParseError("alpha must be a string p/q", str(data["alpha"]), 0)
         try:
             alpha = Fraction(data["alpha"])
-        except (TypeError, ValueError, ZeroDivisionError) as exc:
-            raise ParseError("malformed alpha", str(data["alpha"]), 0) from exc
+        except (ValueError, ZeroDivisionError) as exc:
+            raise ParseError("malformed alpha", data["alpha"], 0) from exc
     return FamilyId(kind, m, n, alpha)
 
 

@@ -49,9 +49,6 @@ class DiagramInvolution:
     def fixed(self) -> tuple[int, ...]:
         return tuple(i for i, j in enumerate(self.perm) if i == j)
 
-    def is_identity(self) -> bool:
-        return all(i == j for i, j in enumerate(self.perm))
-
 
 def identity_involution(size: int) -> DiagramInvolution:
     return DiagramInvolution("identity", tuple(range(size)))
@@ -79,20 +76,19 @@ def automorphisms(diagram: Diagram) -> tuple[DiagramInvolution, ...]:
     """Identity plus every nontrivial involutive symmetry the diagram admits."""
     size = len(diagram)
     out = [identity_involution(size)]
-    fam = diagram.family
+    kind = diagram.family.kind
     candidates: list[tuple[str, tuple[int, ...]]] = []
-    if fam is not None:
-        if fam.kind == "A":
-            candidates.append(("reversal", tuple(reversed(range(size)))))
-        elif fam.kind == "D":
+    if kind == "A":
+        candidates.append(("reversal", tuple(reversed(range(size)))))
+    elif kind == "D":
+        perm = list(range(size))
+        perm[-1], perm[-2] = perm[-2], perm[-1]
+        candidates.append(("swap", tuple(perm)))
+    elif kind == "D21alpha":
+        for a, b in ((0, 2), (0, 3), (2, 3)):
             perm = list(range(size))
-            perm[-1], perm[-2] = perm[-2], perm[-1]
+            perm[a], perm[b] = perm[b], perm[a]
             candidates.append(("swap", tuple(perm)))
-        elif fam.kind == "D21alpha":
-            for a, b in ((0, 2), (0, 3), (2, 3)):
-                perm = list(range(size))
-                perm[a], perm[b] = perm[b], perm[a]
-                candidates.append(("swap", tuple(perm)))
     for name, perm in candidates:
         if _preserves_diagram(diagram, perm):
             out.append(DiagramInvolution(name, perm))
@@ -116,10 +112,6 @@ class VoganDiagram:
                 raise BadIndex(f"painted index {i} is not an even node")
             if i not in fixed:
                 raise BadIndex(f"painted index {i} is not fixed by the involution")
-
-    def fixed_even_nodes(self) -> tuple[int, ...]:
-        fixed = set(self.involution.fixed())
-        return tuple(i for i in self.diagram.even_indices() if i in fixed)
 
 
 def enumerate_vogan(diagram: Diagram) -> tuple[VoganDiagram, ...]:
@@ -307,8 +299,7 @@ def _conjugate(g: tuple[int, ...], perm: tuple[int, ...]) -> tuple[int, ...]:
 def equivalent(vd1: VoganDiagram, vd2: VoganDiagram) -> bool:
     """True when flips plus diagram relabelings carry vd1 to vd2."""
     if vd1.diagram != vd2.diagram:
-        a = vd1.diagram.family.display() if vd1.diagram.family else "block"
-        b = vd2.diagram.family.display() if vd2.diagram.family else "block"
+        a, b = vd1.diagram.family.display(), vd2.diagram.family.display()
         raise FamilyMismatch(f"cannot compare {a} with {b}")
     diagram = vd1.diagram
     autos = automorphisms(diagram)

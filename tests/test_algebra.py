@@ -11,6 +11,7 @@ from supervogan import (
     EVEN,
     ODD_ISO,
     ODD_NONISO,
+    Diagram,
     FamilyId,
     InvalidFamily,
     InvariantViolation,
@@ -68,6 +69,8 @@ def test_family_normalization():
         FamilyId("D", 2, 0),
         FamilyId("D21alpha", alpha=0),
         FamilyId("D21alpha", alpha=-1),
+        FamilyId("A", 2, 1, alpha=Q(1, 2)),  # alpha belongs to D(2,1;alpha) alone
+        FamilyId("F4", alpha=Q(1)),
     ],
 )
 def test_invalid_families(fam):
@@ -155,6 +158,12 @@ def test_equal_diagrams_hash_equal():
         assert repr(a) == f"Diagram(nodes={a.nodes!r}, family={a.family!r})"
         clone = pickle.loads(pickle.dumps(a))
         assert clone == a and hash(clone) == hash(a)
+
+
+def test_diagram_requires_a_family():
+    nodes = build_diagram(FamilyId("C", 0, 3)).nodes
+    with pytest.raises(InvalidFamily):
+        Diagram(nodes, None)
 
 
 def test_cartan_matrix_rejects_asymmetric_gram(monkeypatch):

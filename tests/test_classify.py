@@ -1,6 +1,7 @@
 """Real-form names from reduced painted diagrams, and the family tables."""
 
 import importlib
+import itertools
 from fractions import Fraction
 
 import pytest
@@ -11,10 +12,12 @@ from supervogan import (
     VoganDiagram,
     automorphisms,
     build_diagram,
+    canonical_block_painting,
     classify,
     enumerate_real_forms,
     enumerate_vogan,
     flip,
+    flip_orbit,
     identity_involution,
     table_report,
 )
@@ -273,14 +276,40 @@ def test_table_complex_names():
 @pytest.mark.parametrize(
     "fam, painted",
     [
-        (FamilyId("C", 0, 3), (1, 3)),  # _chain_position
-        (FamilyId("B0", 0, 3), (0,)),  # _sp_side
+        (FamilyId("C", 0, 3), (1, 3)),  # the C(4) chain, nodes 1..3
+        # the painted prong makes the orthogonal side so*(6), so the
+        # symplectic chain of nodes 0..1 is canonicalised
+        (FamilyId("D", 3, 3), (0, 4)),
     ],
 )
 def test_classify_rejects_a_canonical_painting_of_two_vertices(fam, painted, monkeypatch):
     module = importlib.import_module("supervogan.classify")
-    monkeypatch.setattr(
-        module, "canonical_block_painting", lambda d, block, *rest: frozenset(block[:2])
-    )
-    with pytest.raises(InvariantViolation):
+    real = module.canonical_block_painting
+    first = min(painted)  # the block under test starts at the lowest painted node
+
+    def two_vertices(d, block, *rest):
+        if block[0] == first:
+            return frozenset(block[:2])
+        return real(d, block, *rest)
+
+    monkeypatch.setattr(module, "canonical_block_painting", two_vertices)
+    with pytest.raises(InvariantViolation, match="not a single vertex"):
         module.classify(vd_of(fam, painted))
+
+
+@pytest.mark.parametrize("k", range(2, 9))
+def test_symplectic_long_root_keeps_its_paint_under_flips(k):
+    """What classify relies on for the symplectic side of B, B(0,n) and D:
+    on the chain plus long root of C(k), no flip changes the long root's
+    paint, and with it painted the canonical painting is that root alone."""
+    diagram = build_diagram(FamilyId("C", 0, k - 1))
+    block = tuple(range(1, k))
+    long_root = k - 1
+    for r in range(len(block) + 1):
+        for combo in itertools.combinations(block, r):
+            vd = VoganDiagram(diagram, identity_involution(k), frozenset(combo))
+            painted = long_root in vd.painted
+            assert all((long_root in w.painted) == painted for w in flip_orbit(vd))
+            if painted:
+                canon = canonical_block_painting(diagram, block, vd.painted)
+                assert canon == frozenset({long_root})

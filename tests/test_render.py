@@ -172,6 +172,17 @@ def test_document_json_carries_realform_and_trail():
     assert payload["trail"] == [1, 2]
 
 
+def _as_d21_with_alpha(alpha):
+    """Mangler: the document becomes D(2,1;1)'s, with ``alpha`` in its family."""
+
+    def mangle(doc):
+        doc.clear()
+        doc.update(emit_document(vd_of(FamilyId("D21alpha", alpha=1))))
+        doc["family"]["alpha"] = alpha
+
+    return mangle
+
+
 @pytest.mark.parametrize(
     "mangle",
     [
@@ -185,6 +196,10 @@ def test_document_json_carries_realform_and_trail():
         lambda d: d.__setitem__("arrows", [[1]]),
         lambda d: d.__setitem__("arrows", [[1, 99]]),
         lambda d: d["family"].__setitem__("alpha", [1]),
+        # alpha only as a JSON string, and only on D(2,1;alpha)
+        _as_d21_with_alpha(0.1),
+        _as_d21_with_alpha(True),
+        lambda d: d["family"].__setitem__("alpha", "1/2"),
     ],
 )
 def test_parse_document_rejects_mangled_documents(mangle):
