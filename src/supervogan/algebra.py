@@ -420,30 +420,31 @@ def even_blocks(diagram: Diagram) -> tuple[tuple[int, ...], ...]:
 
 def block_sign(diagram: Diagram, component: Sequence[int]) -> int:
     """+1 on the positive-definite side, -1 on the negative-definite side."""
-    g0 = diagram.root(component[0]).inner(diagram.root(component[0]))
-    return 1 if g0 > 0 else -1
+    return 1 if gram_matrix(diagram)[component[0]][component[0]] > 0 else -1
+
+
+def _block_gram_inverse(diagram: Diagram, component: Sequence[int]):
+    """G^-1 for the component's Gram matrix G, and eps_i = G_ii / 2.  The dual
+    basis is w_j = sum_i (G^-1)_ji a_i / eps_j, so <w_i, w_j> = (G^-1)_ij / (eps_i eps_j)."""
+    g = gram_matrix(diagram)
+    try:
+        inv = invert([[g[i][j] for j in component] for i in component])
+    except ValueError as exc:
+        raise SingularBlock(f"block {tuple(component)} has singular Gram matrix") from exc
+    return inv, [g[i][i] / 2 for i in component]
 
 
 def dual_basis(diagram: Diagram, component: Sequence[int]) -> tuple[WeightVector, ...]:
     """Vectors w_j in the span of the component with <w_j, a_k> = delta_jk / eps_k."""
-    comp = list(component)
-    g = gram_matrix(diagram)
-    sub = [[g[i][j] for j in comp] for i in comp]
-    try:
-        inv = invert([row[:] for row in sub])
-    except ValueError as exc:
-        raise SingularBlock(f"block {tuple(comp)} has singular Gram matrix") from exc
-    eps = [g[i][i] / 2 for i in comp]
-    out = []
-    for j in range(len(comp)):
-        acc = WeightVector(
-            tuple(Q(0) for _ in diagram.root(0).e_part),
-            tuple(Q(0) for _ in diagram.root(0).d_part),
+    inv, eps = _block_gram_inverse(diagram, component)
+    zero = diagram.root(0).scale(Q(0))
+    return tuple(
+        sum(
+            (diagram.root(i).scale(inv[j][k] / eps[j]) for k, i in enumerate(component)),
+            zero,
         )
-        for i in range(len(comp)):
-            acc = acc + diagram.root(comp[i]).scale(inv[j][i] / eps[j])
-        out.append(acc)
-    return tuple(out)
+        for j in range(len(component))
+    )
 
 
 # ----------------------------------------------------------------------------
@@ -540,19 +541,6 @@ def generate_roots(diagram: Diagram) -> RootSystem:
 
 
 @lru_cache(maxsize=None)
-def _root_index(diagram: Diagram):
-    """Sets of all (+/-) even and odd roots, for membership tests.
-
-    The positive roots are the very objects ``generate_roots`` hands out, so
-    a caller's lookups mostly match by identity.
-    """
-    rs = generate_roots(diagram)
-    even = set(rs.even()) | {-r for r in rs.even()}
-    odd = set(rs.odd) | {-r for r in rs.odd}
-    return even, odd
-
-
-@lru_cache(maxsize=None)
 def _expansion_operator(diagram: Diagram):
     """The expansion solve, factored once per diagram.
 
@@ -582,7 +570,6 @@ def _expansion_operator(diagram: Diagram):
     return tuple(solve), tuple(vanish)
 
 
-@lru_cache(maxsize=None)
 def root_expansion(diagram: Diagram, v: WeightVector) -> tuple[Fraction, ...]:
     """Coefficients of ``v`` over the nodes (dependent nodes get coefficient 0).
 
@@ -605,16 +592,25 @@ def root_expansion(diagram: Diagram, v: WeightVector) -> tuple[Fraction, ...]:
     return tuple(out)
 
 
+@lru_cache(maxsize=None)
+def _even_root_expansions(diagram: Diagram) -> dict[WeightVector, tuple[Fraction, ...]]:
+    """Every even root, and its negative, mapped to its ``root_expansion``."""
+    table = {}
+    for r in generate_roots(diagram).even():
+        table[r] = root_expansion(diagram, r)
+        table[-r] = tuple(-c for c in table[r])
+    return table
+
+
 def noncompact_parity(diagram: Diagram, painted: frozenset[int], v: WeightVector) -> int:
     """Parity (0 compact, 1 noncompact) of an even root under a painting.
 
     The parity is the painted-coefficient sum mod 2, which makes it additive:
     for even roots a, b, a+b with a+b a root, parities satisfy the XOR law.
     """
-    even, odd = _root_index(diagram)
-    if v in odd or v not in even:
+    coeffs = _even_root_expansions(diagram).get(v)
+    if coeffs is None:
         raise NotAnEvenRoot(f"{v} is not an even root of {diagram.family.display()}")
-    coeffs = root_expansion(diagram, v)
     total = 0
     for i in painted:
         c = coeffs[i]

@@ -15,7 +15,6 @@ from .algebra import (
     EVEN,
     ODD_ISO,
     ODD_NONISO,
-    Diagram,
     FamilyId,
     build_diagram,
     cartan_matrix,
@@ -43,8 +42,7 @@ def _glyph(vd: VoganDiagram, i: int) -> str:
     return "*" if i in vd.painted else "o"
 
 
-def _bond(diagram: Diagram, i: int, j: int) -> str:
-    a = cartan_matrix(diagram).matrix
+def _bond(a: tuple[tuple[Fraction, ...], ...], i: int, j: int) -> str:
     left, right = abs(a[i][j]), abs(a[j][i])
     strength = max(left, right)
     if strength < 2:
@@ -57,9 +55,10 @@ def _bond(diagram: Diagram, i: int, j: int) -> str:
 
 
 def _linear_ascii(vd: VoganDiagram, order: list[int]) -> str:
+    a = cartan_matrix(vd.diagram).matrix
     parts = [_glyph(vd, order[0])]
     for prev, cur in zip(order, order[1:]):
-        parts.append(_bond(vd.diagram, prev, cur))
+        parts.append(_bond(a, prev, cur))
         parts.append(_glyph(vd, cur))
     return "".join(parts)
 
@@ -141,12 +140,13 @@ def _family_dict(fam: FamilyId) -> dict:
 
 
 def _family_from_dict(data: dict) -> FamilyId:
+    # a dict source may hold values JSON cannot encode: quote those by repr
     if not isinstance(data, dict) or "kind" not in data:
-        raise ParseError("malformed family object", json.dumps(data), 0)
+        raise ParseError("malformed family object", json.dumps(data, default=repr), 0)
     kind, m, n = data["kind"], data.get("m", 0), data.get("n", 0)
     # type(), not isinstance(): a bool is an int to isinstance
     if not (type(m) is int and type(n) is int):
-        raise ParseError("family m and n must be integers", json.dumps(data), 0)
+        raise ParseError("family m and n must be integers", json.dumps(data, default=repr), 0)
     alpha = None
     if "alpha" in data:
         # a string only: a JSON number would come in as a float or a bool
@@ -213,7 +213,7 @@ def parse_document(source: Union[str, dict]) -> VoganDiagram:
     try:
         validate_family(fam)
     except InvalidFamily as exc:
-        raise ParseError(str(exc), json.dumps(data.get("family")), 0) from exc
+        raise ParseError(str(exc), json.dumps(data.get("family"), default=repr), 0) from exc
     check_rank_guard(fam)
     diagram = build_diagram(fam)
     nodes = data.get("nodes")

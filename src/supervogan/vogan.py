@@ -24,9 +24,9 @@ from typing import Iterable, Optional
 from .algebra import (
     EVEN,
     Diagram,
+    _block_gram_inverse,
     block_sign,
     cartan_matrix,
-    dual_basis,
     even_blocks,
     gram_matrix,
 )
@@ -222,14 +222,16 @@ def flip_orbit(vd: VoganDiagram) -> tuple[VoganDiagram, ...]:
 def _admissible_vertices(diagram: Diagram, block: tuple[int, ...]) -> frozenset[int]:
     """Block vertices i whose dual-basis vector is minimal:
     sign * <w_i - w_j, w_j> <= 0 for every j in the block, the sign making
-    the comparison definite on both sides of the weight space."""
-    omegas = dual_basis(diagram, block)
+    the comparison definite on both sides of the weight space.  The inner
+    products are read off the inverse block Gram matrix, scaled by eps."""
+    inv, eps = _block_gram_inverse(diagram, block)
     s = block_sign(diagram, block)
-    inner = [[a.inner(b) for b in omegas] for a in omegas]
+    k = range(len(block))
+    inner = [[inv[a][b] / (eps[a] * eps[b]) for b in k] for a in k]
     return frozenset(
         i
         for ki, i in enumerate(block)
-        if all(s * (inner[ki][kj] - inner[kj][kj]) <= 0 for kj in range(len(block)))
+        if all(s * (inner[ki][kj] - inner[kj][kj]) <= 0 for kj in k)
     )
 
 

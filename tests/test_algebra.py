@@ -16,6 +16,7 @@ from supervogan import (
     InvalidFamily,
     InvariantViolation,
     NotAnEvenRoot,
+    SingularBlock,
     build_diagram,
     block_sign,
     cartan_matrix,
@@ -29,7 +30,7 @@ from supervogan import (
     weight,
 )
 from supervogan.classify import classify
-from supervogan.vogan import VoganDiagram, identity_involution
+from supervogan.vogan import VoganDiagram, canonical_block_painting, identity_involution
 
 Q = Fraction
 
@@ -187,8 +188,12 @@ def test_noncompact_parity_rejects_fractional_coefficient(monkeypatch):
     monkeypatch.setattr(
         module, "root_expansion", lambda d, v: tuple(Q(1, 2) for _ in d.nodes)
     )
-    with pytest.raises(InvariantViolation):
-        module.noncompact_parity(diagram, frozenset(diagram.even_indices()), root)
+    module._even_root_expansions.cache_clear()
+    try:
+        with pytest.raises(InvariantViolation):
+            module.noncompact_parity(diagram, frozenset(diagram.even_indices()), root)
+    finally:
+        module._even_root_expansions.cache_clear()
 
 
 @pytest.mark.parametrize("fam", all_families(), ids=lambda f: f.display())
@@ -267,6 +272,19 @@ def test_dual_basis_positivity(fam):
         for x in combos:
             for y in combos:
                 assert s * x.inner(y) > 0
+
+
+def test_singular_block_raises():
+    """A(3,0) with node 0's root replaced by node 1's, e2 - e3: the Gram
+    matrix of the even block (0, 1, 2) has two equal rows."""
+    diagram = build_diagram(FamilyId("A", 3, 0))
+    nodes = (dataclasses.replace(diagram.nodes[0], root=diagram.root(1)),) + diagram.nodes[1:]
+    singular = Diagram(nodes, diagram.family)
+    assert even_blocks(singular) == ((0, 1, 2),)
+    with pytest.raises(SingularBlock):
+        dual_basis(singular, (0, 1, 2))
+    with pytest.raises(SingularBlock):
+        canonical_block_painting(singular, (0, 1, 2), frozenset({0}))
 
 
 # ----------------------------------------------------------------- roots
@@ -474,6 +492,18 @@ def test_noncompact_parity_rejects_odd_roots():
         noncompact_parity(diagram, frozenset(), rs.odd[0])
     with pytest.raises(NotAnEvenRoot):
         noncompact_parity(diagram, frozenset(), weight([5, 5], [0, 0]))
+
+
+@pytest.mark.parametrize("fam", all_families(), ids=lambda f: f.display())
+def test_noncompact_parity_rejects_every_odd_root_and_a_non_root(fam):
+    diagram = build_diagram(fam)
+    rs = generate_roots(diagram)
+    painted = frozenset(diagram.even_indices())
+    for v in rs.odd + tuple(-r for r in rs.odd):
+        with pytest.raises(NotAnEvenRoot):
+            noncompact_parity(diagram, painted, v)
+    with pytest.raises(NotAnEvenRoot):
+        noncompact_parity(diagram, painted, rs.even()[0].scale(Q(3)))
 
 
 @pytest.mark.parametrize(

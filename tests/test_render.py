@@ -200,6 +200,9 @@ def _as_d21_with_alpha(alpha):
         _as_d21_with_alpha(0.1),
         _as_d21_with_alpha(True),
         lambda d: d["family"].__setitem__("alpha", "1/2"),
+        # values JSON cannot encode, which only a dict source can carry
+        lambda d: d["family"].__setitem__("m", Q(2)),
+        lambda d: d.__setitem__("family", {"kind": "Z", "m": 1, "n": 1, "tags": {7}}),
     ],
 )
 def test_parse_document_rejects_mangled_documents(mangle):

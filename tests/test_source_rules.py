@@ -1,5 +1,7 @@
 """Source rules of the package: invariants are raised errors, so ``python -O``
-keeps them, and arithmetic stays exact, so no float enters."""
+keeps them, and arithmetic stays exact, so no float enters.  Every
+``functools`` cache decorates a module-level function, where the benchmark's
+cold rounds find and clear it; ``cached_property`` is not used."""
 
 import ast
 from pathlib import Path
@@ -21,6 +23,44 @@ def violations(tree: ast.AST) -> list[str]:
     return out
 
 
+CACHES = {"lru_cache", "cache", "cached_property"}
+
+
+def cache_violations(tree: ast.Module) -> list[str]:
+    """Every reference to a ``functools`` cache that is not a decorator (bare
+    or called) of a module-level function, and every ``cached_property``."""
+    names, modules = {}, set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "functools":
+            names.update((a.asname or a.name, a.name) for a in node.names if a.name in CACHES)
+        elif isinstance(node, ast.Import):
+            modules.update(a.asname or a.name for a in node.names if a.name == "functools")
+
+    def cache(node):
+        if isinstance(node, ast.Name):
+            return names.get(node.id)
+        if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name):
+            if node.value.id in modules and node.attr in CACHES:
+                return node.attr
+        return None
+
+    decorators = {
+        id(dec.func if isinstance(dec, ast.Call) else dec)
+        for node in tree.body
+        if isinstance(node, ast.FunctionDef)
+        for dec in node.decorator_list
+    }
+    found = [
+        node
+        for node in ast.walk(tree)
+        if cache(node) and (cache(node) == "cached_property" or id(node) not in decorators)
+    ]
+    return [
+        f"line {node.lineno}: {cache(node)} not on a module-level function"
+        for node in sorted(found, key=lambda node: node.lineno)
+    ]
+
+
 def test_the_package_has_sources():
     assert len(SOURCES) >= 8
 
@@ -30,6 +70,35 @@ def test_no_assert_and_no_float(path):
     assert violations(ast.parse(path.read_text(), str(path))) == []
 
 
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_caches_are_module_level_and_clearable(path):
+    assert cache_violations(ast.parse(path.read_text(), str(path))) == []
+
+
 def test_the_rules_catch_each_kind():
     source = "assert x\ny = 0.5\nz = float(y)\nw = 1j\n"
     assert len(violations(ast.parse(source))) == 4
+
+
+def test_the_cache_rule_catches_each_kind():
+    source = (
+        "import functools\n"
+        "from functools import lru_cache, cached_property as cp\n"
+        "@lru_cache(maxsize=None)\n"
+        "def fine(x): pass\n"
+        "@functools.cache\n"
+        "def also_fine(x): pass\n"
+        "class C:\n"
+        "    @lru_cache\n"
+        "    def method(self): pass\n"
+        "    @cp\n"
+        "    def prop(self): pass\n"
+        "def outer():\n"
+        "    @functools.lru_cache()\n"
+        "    def inner(): pass\n"
+        "wrapped = functools.cache(len)\n"
+        "@functools.cached_property\n"
+        "def top(): pass\n"
+    )
+    lines = [v.split(":")[0] for v in cache_violations(ast.parse(source))]
+    assert lines == ["line 8", "line 10", "line 13", "line 15", "line 16"]

@@ -14,9 +14,12 @@ from supervogan import (
     InvariantViolation,
     VoganDiagram,
     automorphisms,
+    block_sign,
     build_diagram,
     canonical_block_painting,
+    dual_basis,
     enumerate_vogan,
+    even_blocks,
     equivalent,
     flip,
     flip_orbit,
@@ -24,6 +27,8 @@ from supervogan import (
     reduce,
     reduce_with_trail,
 )
+from supervogan.vogan import _admissible_vertices
+from test_acceptance import families
 
 Q = Fraction
 
@@ -213,6 +218,27 @@ def test_canonical_block_painting_prefers_interior():
     assert canonical_block_painting(diagram, (0, 1, 2), frozenset({0, 2})) == frozenset(
         {1}
     )
+
+
+ADMISSIBLE_ALPHAS = (Q(1), Q(2), Q(1, 2), Q(-2), Q(-1, 2), Q(3, 7), Q(-3, 5), Q(5))
+
+
+@pytest.mark.parametrize(
+    "fam", families(6, 6, ADMISSIBLE_ALPHAS), ids=lambda f: f.display()
+)
+def test_admissible_vertices_match_dual_basis_inner_products(fam):
+    """The inverse-Gram reading agrees with inner products of the dual-basis
+    vectors themselves: i is admissible when s <w_i - w_j, w_j> <= 0 for all j."""
+    diagram = build_diagram(fam)
+    for block in even_blocks(diagram):
+        w = dual_basis(diagram, block)
+        s = block_sign(diagram, block)
+        expect = frozenset(
+            i
+            for a, i in enumerate(block)
+            if all(s * (w[a] - w[b]).inner(w[b]) <= 0 for b in range(len(block)))
+        )
+        assert _admissible_vertices(diagram, block) == expect
 
 
 def test_reduce_worked_example():
