@@ -2,7 +2,11 @@
 
 Every quantity is exact: weights live in a split coordinate space with
 inner product ``<e_i, e_j> = delta_ij``, ``<d_i, d_j> = -delta_ij`` and all
-coordinates are ``fractions.Fraction``.
+coordinates are ``fractions.Fraction``.  The Gram and Cartan matrices are
+computed over ``int`` (each root scaled by the lcm of its denominators, the
+Gram matrix brought to one common denominator) and hold one ``Fraction``
+per entry; block inverses and root expansions come from the fraction-free
+elimination in ``linalg``.
 """
 
 from __future__ import annotations
@@ -10,12 +14,15 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
+from math import lcm
+from operator import mul
 from typing import Optional, Sequence
 
 from .errors import (
     InvalidFamily,
     InvariantViolation,
     NotAnEvenRoot,
+    ParseError,
     RankGuardExceeded,
     SingularBlock,
     SingularNormalization,
@@ -131,6 +138,42 @@ class FamilyId:
         raise InvalidFamily(f"unknown family kind {self.kind!r}")
 
 
+ALPHA_MAX_CHARS = 64
+ALPHA_MAX_EXPONENT = 64
+
+
+def read_alpha(text: str, source: Optional[str] = None, at: int = 0) -> Fraction:
+    """The rational ``alpha`` of D(2,1;alpha) written as ``text``: p, p/q or a
+    decimal with an optional exponent, as ``Fraction`` reads it.
+
+    The text and its exponent are bounded before ``Fraction`` sees them, so
+    every accepted alpha has at most a few hundred digits: it prints, and
+    ``table`` runs on it, in bounded time.  Errors raise ``ParseError``
+    against ``source`` (default ``text``), with ``text`` starting at ``at``.
+    """
+    source = text if source is None else source
+    if len(text) > ALPHA_MAX_CHARS:
+        raise ParseError(
+            f"alpha is longer than {ALPHA_MAX_CHARS} characters", source, at + ALPHA_MAX_CHARS
+        )
+    mantissa, marker, exponent = text.lower().partition("e")
+    if marker:
+        try:
+            large = abs(int(exponent)) > ALPHA_MAX_EXPONENT
+        except ValueError:  # not an exponent: Fraction rejects the text below
+            large = False
+        if large:
+            raise ParseError(
+                f"alpha's exponent is outside -{ALPHA_MAX_EXPONENT}..{ALPHA_MAX_EXPONENT}",
+                source,
+                at + len(mantissa) + 1,
+            )
+    try:
+        return Fraction(text)
+    except (ValueError, ZeroDivisionError):
+        raise ParseError("expected a rational p/q", source, at) from None
+
+
 def validate_family(fam: FamilyId) -> None:
     """Raise InvalidFamily unless ``fam`` names a member of the eight families."""
     k = fam.kind
@@ -226,12 +269,30 @@ class Diagram:
         return tuple(n.index for n in self.nodes if n.kind == EVEN)
 
 
+def _integer_coords(root: WeightVector) -> tuple[list[int], list[int], int]:
+    """``(e, d, s)`` with ``root = (e | d) / s`` over integers, s the lcm of
+    the root's coordinate denominators."""
+    s = lcm(*(x.denominator for x in root.coords()))
+    return (
+        [x.numerator * (s // x.denominator) for x in root.e_part],
+        [x.numerator * (s // x.denominator) for x in root.d_part],
+        s,
+    )
+
+
 @lru_cache(maxsize=None)
 def gram_matrix(diagram: Diagram) -> tuple[tuple[Fraction, ...], ...]:
-    rows = []
-    for a in diagram.nodes:
-        rows.append(tuple(a.root.inner(b.root) for b in diagram.nodes))
-    return tuple(rows)
+    """Inner products of the simple roots: signed integer dot products over
+    each pair's common denominator, one ``Fraction`` per entry."""
+    coords = [_integer_coords(node.root) for node in diagram.nodes]
+    size = len(coords)
+    rows = [[Q(0)] * size for _ in range(size)]
+    for i, (ei, di, si) in enumerate(coords):
+        for j in range(i, size):
+            ej, dj, sj = coords[j]
+            dot = sum(map(mul, ei, ej)) - sum(map(mul, di, dj))
+            rows[i][j] = rows[j][i] = Q(dot, si * sj)
+    return tuple(map(tuple, rows))
 
 
 # ----------------------------------------------------------------------------
@@ -364,29 +425,34 @@ def cartan_matrix(diagram: Diagram) -> CartanData:
     isotropic nodes are scaled so the largest entry in absolute value is 1.
     """
     g = gram_matrix(diagram)
-    size = len(diagram)
+    size = len(g)
+    # n / den is the Gram matrix over one common denominator
+    den = lcm(*(x.denominator for row in g for x in row))
+    n = [[x.numerator * (den // x.denominator) for x in row] for row in g]
     a_rows: list[tuple[Fraction, ...]] = []
     eps: list[Fraction] = []
-    for i in range(size):
-        if g[i][i] != 0:
-            a_rows.append(tuple(2 * g[i][j] / g[i][i] for j in range(size)))
-            eps.append(g[i][i] / 2)
+    for i, row in enumerate(n):
+        if row[i]:
+            a_rows.append(tuple(Q(2 * x, row[i]) for x in row))
+            eps.append(Q(row[i], 2 * den))
         else:
-            scale = max(abs(x) for x in g[i])
+            scale = max(map(abs, row))
             if scale == 0:
                 raise SingularNormalization(
                     f"isotropic node {i} is orthogonal to the whole diagram"
                 )
-            a_rows.append(tuple(g[i][j] / scale for j in range(size)))
-            eps.append(scale)
-    sym = tuple(
-        tuple(eps[i] * a_rows[i][j] for j in range(size)) for i in range(size)
-    )
-    if sym != g or sym != tuple(zip(*sym)):
+            a_rows.append(tuple(Q(x, scale) for x in row))
+            eps.append(Q(scale, den))
+    # eps_i a_ij == n_ij / den, cross-multiplied over the integers
+    if any(n[i][j] != n[j][i] for i in range(size) for j in range(i)) or any(
+        e.numerator * x.numerator * den != nij * e.denominator * x.denominator
+        for e, a_row, n_row in zip(eps, a_rows, n)
+        for x, nij in zip(a_row, n_row)
+    ):
         raise InvariantViolation(
             "diag(eps) times the Cartan matrix is not the symmetric Gram matrix"
         )
-    return CartanData(tuple(a_rows), tuple(eps), sym)
+    return CartanData(tuple(a_rows), tuple(eps), g)
 
 
 # ----------------------------------------------------------------------------

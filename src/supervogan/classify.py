@@ -21,7 +21,7 @@ from typing import Optional
 
 from .algebra import Diagram, FamilyId
 from .errors import InvalidFamily, InvariantViolation
-from .vogan import VoganDiagram, canonical_block_painting, enumerate_vogan, flip_orbit
+from .vogan import VoganDiagram, canonical_block_painting, orbit_representatives
 
 Pair = Optional[tuple[int, int]]
 
@@ -243,11 +243,7 @@ def enumerate_real_forms(diagram: Diagram) -> tuple[RealFormDescriptor, ...]:
     the orbit's first painting in enumeration order.
     """
     seen: dict[str, RealFormDescriptor] = {}
-    covered: set[VoganDiagram] = set()
-    for vd in enumerate_vogan(diagram):
-        if vd in covered:
-            continue
-        covered.update(flip_orbit(vd))
+    for vd in orbit_representatives(diagram):
         desc = classify(vd)
         seen.setdefault(desc.super_name, desc)
     return tuple(seen.values())

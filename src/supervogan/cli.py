@@ -12,10 +12,17 @@ import argparse
 import functools
 import json
 import sys
-from fractions import Fraction
 from typing import Optional
 
-from .algebra import EVEN, Diagram, FamilyId, build_diagram, check_rank_guard, validate_family
+from .algebra import (
+    EVEN,
+    Diagram,
+    FamilyId,
+    build_diagram,
+    check_rank_guard,
+    read_alpha,
+    validate_family,
+)
 from .classify import RealFormDescriptor, TableReport, classify, enumerate_real_forms, table_report
 from .errors import BadIndex, ParseError, SupervoganError
 from .render import document_json, emit_document, render_ascii, render_dot
@@ -47,9 +54,14 @@ def parse_family_spec(text: str) -> FamilyId:
     def want_int(part: str, pos: int) -> int:
         p = part.strip()
         at = pos + len(part) - len(part.lstrip())
-        if not p or not (p.isdigit() or (p[0] == "-" and p[1:].isdigit())):
+        digits = p[1:] if p[:1] == "-" else p
+        # isdigit() alone admits non-ASCII digits such as '²', which int() rejects
+        if not (digits.isascii() and digits.isdigit()):
             raise ParseError("expected an integer", text, at)
-        return int(p)
+        try:
+            return int(p)
+        except ValueError:  # past the interpreter's limit on decimal digits
+            raise ParseError("integer has too many digits", text, at) from None
 
     if head == "F":
         if inner.strip() != "4":
@@ -76,11 +88,7 @@ def parse_family_spec(text: str) -> FamilyId:
                     text,
                     inner_base + len(pre),
                 )
-            alpha_at = inner_base + len(pre) + 1
-            try:
-                alpha = Fraction(post.strip())
-            except (ValueError, ZeroDivisionError):
-                raise ParseError("expected a rational p/q", text, alpha_at) from None
+            alpha = read_alpha(post.strip(), text, inner_base + len(pre) + 1)
             fam = FamilyId("D21alpha", alpha=alpha)
         elif head == "A":
             fam = FamilyId("A", m, n)
@@ -113,12 +121,15 @@ def _make_vogan(diagram: Diagram, painted_arg: Optional[str], inv_name: str) -> 
             token = token.strip()
             if not token:
                 continue
-            if not token.isdigit():
+            if not (token.isascii() and token.isdigit()):
                 raise ParseError(
                     "painted nodes must be positive integers",
                     painted_arg,
                     painted_arg.index(token),
                 )
+            # past any node count, and possibly past int()'s limit on digits
+            if len(token.lstrip("0")) > len(str(len(diagram))):
+                raise BadIndex(f"node {token.lstrip('0')} is out of range 1..{len(diagram)}")
             idx = int(token)
             if not 1 <= idx <= len(diagram):
                 raise BadIndex(f"node {idx} is out of range 1..{len(diagram)}")

@@ -1,12 +1,18 @@
 """Exact linear algebra over the rationals.
 
-Everything in this package runs on ``fractions.Fraction``; matrices are plain
-lists of lists and vectors are tuples.  No floating point anywhere.
+Matrices are plain lists of lists of ``fractions.Fraction`` and vectors are
+tuples; no floating point anywhere.  The one elimination loop,
+``row_reduce``, clears each row's denominators and runs fraction-free
+(Bareiss) Gauss-Jordan on ``int``s, so its only ``Fraction``s are the ones
+it returns.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
+
+from .errors import InvariantViolation
 
 Q = Fraction
 
@@ -19,28 +25,52 @@ def row_reduce(a: Matrix) -> tuple[list[int], Matrix]:
     Returns the pivot columns of ``a`` and an invertible transform ``e`` with
     ``e @ a`` in reduced row echelon form: its first ``len(pivots)`` rows hold
     the pivots, in order, and its remaining rows are zero.
+
+    Row i is scaled to integers by the lcm s_i of its denominators, and the
+    identity beside it by the same s_i, so ``[s a | s]`` keeps the transform
+    exact.  Every Bareiss step divides exactly by the previous pivot; at the
+    end each pivot row is divided by the last pivot d, and each zero row by
+    d times its own scale, which gives the transform Gauss-Jordan over
+    ``Fraction`` gives.
     """
     rows, cols = len(a), len(a[0]) if a else 0
-    # augmented [a | I], reduced in place
-    aug = [[Q(x) for x in row] + [Q(1) if i == j else Q(0) for j in range(rows)]
-           for i, row in enumerate(a)]
+    scales = [lcm(*(x.denominator for x in row)) for row in a]
+    aug = [
+        [x.numerator * (s // x.denominator) for x in row]
+        + [s if i == j else 0 for j in range(rows)]
+        for i, (row, s) in enumerate(zip(a, scales))
+    ]
     pivots: list[int] = []
+    prev = 1
     for c in range(cols):
         r = len(pivots)
         if r == rows:
             break
-        pivot = next((k for k in range(r, rows) if aug[k][c] != 0), None)
+        pivot = next((k for k in range(r, rows) if aug[k][c]), None)
         if pivot is None:
             continue
         aug[r], aug[pivot] = aug[pivot], aug[r]
-        inv_p = Q(1) / aug[r][c]
-        aug[r] = [x * inv_p for x in aug[r]]
+        scales[r], scales[pivot] = scales[pivot], scales[r]
+        top = aug[r]
+        p = top[c]
         for k in range(rows):
-            if k != r and aug[k][c] != 0:
-                factor = aug[k][c]
-                aug[k] = [x - factor * y for x, y in zip(aug[k], aug[r])]
+            if k != r:
+                f = aug[k][c]
+                new = [p * x - f * y for x, y in zip(aug[k], top)]
+                if prev != 1:
+                    if any(x % prev for x in new):
+                        raise InvariantViolation(
+                            f"fraction-free elimination: pivot {prev} does not divide row {k}"
+                        )
+                    new = [x // prev for x in new]
+                aug[k] = new
+        prev = p
         pivots.append(c)
-    return pivots, [row[cols:] for row in aug]
+    rank = len(pivots)
+    return pivots, [
+        [Q(x, prev if k < rank else prev * scales[k]) for x in row[cols:]]
+        for k, row in enumerate(aug)
+    ]
 
 
 def invert(a: Matrix) -> Matrix:
@@ -73,4 +103,3 @@ def solve_exact(a: Matrix, rhs: list[Fraction]) -> list[Fraction]:
     for c, value in zip(pivots, y):
         x[c] = value
     return x
-

@@ -19,6 +19,7 @@ from .algebra import (
     build_diagram,
     cartan_matrix,
     check_rank_guard,
+    read_alpha,
     validate_family,
 )
 from .errors import BadIndex, InvalidFamily, ParseError
@@ -152,10 +153,7 @@ def _family_from_dict(data: dict) -> FamilyId:
         # a string only: a JSON number would come in as a float or a bool
         if not isinstance(data["alpha"], str):
             raise ParseError("alpha must be a string p/q", str(data["alpha"]), 0)
-        try:
-            alpha = Fraction(data["alpha"])
-        except (ValueError, ZeroDivisionError) as exc:
-            raise ParseError("malformed alpha", data["alpha"], 0) from exc
+        alpha = read_alpha(data["alpha"])
     return FamilyId(kind, m, n, alpha)
 
 
@@ -201,6 +199,9 @@ def parse_document(source: Union[str, dict]) -> VoganDiagram:
             data = json.loads(source)
         except json.JSONDecodeError as exc:
             raise ParseError("invalid JSON", source[:80], exc.pos) from exc
+        except (ValueError, RecursionError) as exc:
+            # an integer past the digit limit, or nesting past the recursion limit
+            raise ParseError("invalid JSON", source[:80], 0) from exc
     else:
         data = source
     if not isinstance(data, dict):

@@ -19,7 +19,7 @@ from collections import deque
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations
-from typing import Iterable, Optional
+from typing import Iterable, Iterator, Optional
 
 from .algebra import (
     EVEN,
@@ -168,12 +168,6 @@ def _toggle_masks(diagram: Diagram, fixed: frozenset[int]) -> tuple[int, ...]:
     )
 
 
-def _flips(masks: tuple[int, ...], cur: int) -> Iterable[tuple[int, int]]:
-    """(node, result) for a flip at each painted node of ``cur``, lowest first."""
-    for at in _bits(cur):
-        yield at, cur ^ masks[at]
-
-
 def flip(vd: VoganDiagram, at: int) -> VoganDiagram:
     """Flip at a painted node: it stays painted, eligible neighbours toggle."""
     if not 0 <= at < len(vd.diagram):
@@ -200,11 +194,16 @@ def _painting_orbit(
     parents: dict[int, Optional[tuple[int, int]]] = {start: None}
     queue = deque([start])
     while queue:
-        cur = queue.popleft()
-        for at, nxt in _flips(masks, cur):
+        cur = rest = queue.popleft()
+        # a flip at each painted node of cur, lowest first (_bits, inlined)
+        while rest:
+            low = rest & -rest
+            at = low.bit_length() - 1
+            nxt = cur ^ masks[at]
             if nxt not in parents:
                 parents[nxt] = (cur, at)
                 queue.append(nxt)
+            rest ^= low
     return parents
 
 
@@ -216,6 +215,24 @@ def flip_orbit(vd: VoganDiagram) -> tuple[VoganDiagram, ...]:
         VoganDiagram(vd.diagram, vd.involution, _nodes(p))
         for p in sorted(parents, key=_sort_key)
     )
+
+
+def orbit_representatives(diagram: Diagram) -> Iterator[VoganDiagram]:
+    """The first painting of every flip orbit, in ``enumerate_vogan`` order.
+
+    Paintings are walked as masks; a Vogan diagram is built only for a
+    painting that no earlier orbit of its involution covered.
+    """
+    for inv in automorphisms(diagram):
+        fixed = frozenset(inv.fixed())
+        bits = [1 << i for i in diagram.even_indices() if i in fixed]
+        covered: set[int] = set()
+        for r in range(len(bits) + 1):
+            for combo in combinations(bits, r):
+                mask = sum(combo)
+                if mask not in covered:
+                    covered.update(_painting_orbit(diagram, fixed, mask))
+                    yield VoganDiagram(diagram, inv, _nodes(mask))
 
 
 @lru_cache(maxsize=None)
@@ -314,7 +331,8 @@ def equivalent(vd1: VoganDiagram, vd2: VoganDiagram) -> bool:
         if (perm, painted) == goal:
             return True
         fixed = frozenset(i for i, j in enumerate(perm) if i == j)
-        states = [(perm, nxt) for _, nxt in _flips(_toggle_masks(diagram, fixed), painted)]
+        masks = _toggle_masks(diagram, fixed)
+        states = [(perm, painted ^ masks[at]) for at in _bits(painted)]
         states += [
             (_conjugate(g.perm, perm), _mask(g.perm[i] for i in _bits(painted)))
             for g in autos

@@ -29,6 +29,7 @@ from supervogan import (
     validate_family,
     weight,
 )
+from supervogan.algebra import RANK_GUARD, _block_gram_inverse, gram_matrix
 from supervogan.classify import classify
 from supervogan.vogan import VoganDiagram, canonical_block_painting, identity_involution
 
@@ -141,6 +142,42 @@ def all_families(max_m=4, max_n=4):
     ]
     fams += [FamilyId("F4"), FamilyId("G3")]
     return fams
+
+
+def guard_families():
+    """Every family the rank guard admits, with D(2,1;alpha) for six alphas."""
+    return [
+        fam
+        for fam in all_families(RANK_GUARD, RANK_GUARD + 1)
+        if node_count(fam) <= RANK_GUARD
+    ]
+
+
+def test_integer_gram_matches_weight_vector_inner_products():
+    fams = guard_families()
+    assert len(fams) == 229
+    for fam in fams:
+        diagram = build_diagram(fam)
+        expected = tuple(
+            tuple(a.root.inner(b.root) for b in diagram.nodes) for a in diagram.nodes
+        )
+        assert gram_matrix(diagram) == expected, fam.display()
+
+
+def test_gram_cartan_and_block_inverses_hold_only_fractions():
+    def fractions_only(rows):
+        return all(type(x) is Fraction for row in rows for x in row)
+
+    for fam in guard_families():
+        diagram = build_diagram(fam)
+        data = cartan_matrix(diagram)
+        assert fractions_only(gram_matrix(diagram)), fam.display()
+        assert fractions_only(data.matrix), fam.display()
+        assert fractions_only([data.eps]), fam.display()
+        assert fractions_only(data.symmetrized), fam.display()
+        for block in even_blocks(diagram):
+            inv, eps = _block_gram_inverse(diagram, block)
+            assert fractions_only(inv) and fractions_only([eps]), (fam.display(), block)
 
 
 def test_node_count_matches_built_diagram():

@@ -21,6 +21,8 @@ from supervogan import (
     identity_involution,
     table_report,
 )
+from supervogan.vogan import orbit_representatives
+from test_acceptance import families
 
 Q = Fraction
 
@@ -180,6 +182,30 @@ def test_d21_k_rule():
 
 
 # ----------------------------------------------------------------- behavior
+
+
+def reference_walk(diagram):
+    """The walk ``enumerate_real_forms`` replaced: every painting built as a
+    Vogan diagram, each orbit covered through ``flip_orbit``, and ``classify``
+    run on the first painting of each orbit.  Returns the representatives and
+    the distinct real forms in first-seen order."""
+    reps, seen, covered = [], {}, set()
+    for vd in enumerate_vogan(diagram):
+        if vd in covered:
+            continue
+        covered.update(flip_orbit(vd))
+        reps.append(vd)
+        desc = classify(vd)
+        seen.setdefault(desc.super_name, desc)
+    return reps, tuple(seen.values())
+
+
+@pytest.mark.parametrize("fam", families(6, 6), ids=lambda f: f.display())
+def test_orbit_walk_matches_the_reference_walk(fam):
+    diagram = build_diagram(fam)
+    reps, forms = reference_walk(diagram)
+    assert list(orbit_representatives(diagram)) == reps
+    assert enumerate_real_forms(diagram) == forms
 
 
 def test_classify_is_constant_on_flip_orbits():

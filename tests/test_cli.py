@@ -2,6 +2,7 @@
 
 import json
 from fractions import Fraction
+from time import perf_counter
 
 import pytest
 
@@ -222,6 +223,47 @@ def test_invalid_family_parameters(capsys):
     assert code == 1
     code, out, err = run(capsys, "diagram", "C(1)")
     assert code == 1
+
+
+@pytest.mark.parametrize(
+    "alpha",
+    ["1e5000", "1e2000000", "-3.5E-5000", "7" * 5000],
+    ids=["1e5000", "1e2000000", "-3.5E-5000", "5000-digits"],
+)
+def test_oversized_alpha_fails_fast_with_a_parse_error(capsys, alpha):
+    start = perf_counter()
+    code, out, err = run(capsys, "table", f"D(2,1;{alpha})")
+    assert perf_counter() - start < 0.5
+    assert code == 1 and out == ""
+    assert err.startswith("error: ") and "position" in err
+
+
+@pytest.mark.parametrize(
+    "alpha", ["9" * 61 + "e64", "-0." + "0" * 56 + "1e-64"], ids=["large", "small"]
+)
+def test_the_largest_accepted_alphas_print_and_tabulate(capsys, alpha):
+    start = perf_counter()
+    code, out, err = run(capsys, "table", f"D(2,1;{alpha})", "--format", "json")
+    assert perf_counter() - start < 0.5
+    assert code == 0 and json.loads(out)["clean"]
+
+
+@pytest.mark.parametrize(
+    "spec",
+    ["A(" + "1" * 5000 + ",1)", "A(\u00b2,1)", "C(\u0663)"],
+    ids=["5000-digits", "superscript-two", "arabic-indic-three"],
+)
+def test_spec_integers_past_int_limits_are_parse_errors(capsys, spec):
+    code, out, err = run(capsys, "diagram", spec)
+    assert code == 1 and err.startswith("error: ") and "position 2" in err
+
+
+@pytest.mark.parametrize(
+    "painted", ["\u00b2", "1" * 5000], ids=["superscript-two", "5000-digits"]
+)
+def test_painted_tokens_past_int_limits_are_typed_errors(capsys, painted):
+    code, out, err = run(capsys, "classify", "A(2,1)", "--painted", painted)
+    assert code == 1 and err.startswith("error: ")
 
 
 def test_main_builds_its_parser_once(capsys, monkeypatch):

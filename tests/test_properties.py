@@ -17,8 +17,8 @@ from supervogan import (
     flip,
     noncompact_parity,
 )
-from matrix_helpers import identity, mat_mul, matrix_rank
-from supervogan.linalg import invert, solve_exact
+from matrix_helpers import fraction_gauss_jordan, identity, is_rref, mat_mul, matrix_rank
+from supervogan.linalg import invert, row_reduce, solve_exact
 
 Q = Fraction
 
@@ -55,6 +55,41 @@ def test_solve_matches_multiplication(m, data):
     got = solve_exact(m, rhs)
     back = [sum((m[i][j] * got[j] for j in range(n)), Q(0)) for i in range(n)]
     assert back == rhs  # any exact solution must reproduce the rhs
+
+
+wide_rationals = st.builds(
+    Q,
+    st.integers(min_value=-60, max_value=60),
+    st.integers(min_value=1, max_value=40),
+)
+
+
+@st.composite
+def rational_matrices(draw, max_size=5):
+    """Any shape up to max_size; half the draws are a product of two thin
+    factors, so rank-deficient and zero matrices come up often."""
+    rows = draw(st.integers(min_value=1, max_value=max_size))
+    cols = draw(st.integers(min_value=1, max_value=max_size))
+    if draw(st.booleans()):
+        return [[draw(wide_rationals) for _ in range(cols)] for _ in range(rows)]
+    k = draw(st.integers(min_value=0, max_value=min(rows, cols) - 1))
+    if k == 0:
+        return [[Q(0)] * cols for _ in range(rows)]
+    left = [[draw(rationals) for _ in range(k)] for _ in range(rows)]
+    right = [[draw(rationals) for _ in range(cols)] for _ in range(k)]
+    return mat_mul(left, right)
+
+
+@settings(max_examples=300, deadline=None)
+@given(rational_matrices())
+def test_row_reduce_matches_fraction_gauss_jordan(a):
+    pivots, e = row_reduce(a)
+    ref_pivots, ref_e = fraction_gauss_jordan(a)
+    assert pivots == ref_pivots
+    assert e == ref_e
+    assert all(type(x) is Q for row in e for x in row)
+    assert is_rref(mat_mul(e, a), pivots)
+    assert len(fraction_gauss_jordan(e)[0]) == len(a)  # e is invertible
 
 
 SMALL_FAMILIES = [

@@ -265,6 +265,27 @@ def test_parse_document_rejects_bad_json_text():
         parse_document("{not json")
 
 
+@pytest.mark.parametrize("alpha", ["1e5000", "1e2000000"])
+def test_parse_document_rejects_oversized_alpha_fast(alpha):
+    doc = emit_document(vd_of(FamilyId("D21alpha", alpha=1)))
+    doc["family"]["alpha"] = alpha
+    for source in (doc, json.dumps(doc)):
+        start = time.perf_counter()
+        with pytest.raises(ParseError):
+            parse_document(source)
+        assert time.perf_counter() - start < 0.5
+
+
+@pytest.mark.parametrize(
+    "text",
+    ['{"schema_version": ' + "7" * 5000 + "}", "[" * 100_000],
+    ids=["integer-past-digit-limit", "nesting-past-recursion-limit"],
+)
+def test_parse_document_rejects_json_past_interpreter_limits(text):
+    with pytest.raises(ParseError, match="invalid JSON"):
+        parse_document(text)
+
+
 def test_parse_document_maps_arrows_to_named_involution():
     v = vd_of(FamilyId("A", 2, 2), inv_name="reversal")
     parsed = parse_document(emit_document(v))
