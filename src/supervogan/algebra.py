@@ -7,6 +7,11 @@ computed over ``int`` (each root scaled by the lcm of its denominators, the
 Gram matrix brought to one common denominator) and hold one ``Fraction``
 per entry; block inverses and root expansions come from the fraction-free
 elimination in ``linalg``.
+
+``build_diagram`` interns its diagrams: each process holds one shared,
+immutable ``Diagram`` per family, so every per-diagram cache below finds a
+repeated request by identity instead of comparing nested ``Fraction``
+tuples.  ``build_diagram.cache_clear()`` resets it.
 """
 
 from __future__ import annotations
@@ -98,7 +103,9 @@ class FamilyId:
     """Family tag plus parameters; ``alpha`` only for kind ``D21alpha``.
 
     Parameters that the kind determines are normalized away so equal families
-    compare equal however they were constructed.
+    compare equal however they were constructed.  ``m`` and ``n`` must be
+    ``int`` (a ``bool`` or ``1.0`` equals ``1`` but would display otherwise),
+    so equal families are interchangeable; ``validate_family`` checks the rest.
     """
 
     kind: str
@@ -117,6 +124,12 @@ class FamilyId:
             object.__setattr__(self, "n", 0)
         elif self.kind == "B0":
             object.__setattr__(self, "m", 0)
+        # type(), not isinstance(): a bool is an int to isinstance
+        if not (type(self.m) is int and type(self.n) is int):
+            raise InvalidFamily(
+                f"family m and n must be int, got {type(self.m).__name__} "
+                f"and {type(self.n).__name__}"
+            )
 
     def display(self) -> str:
         if self.kind == "A":
@@ -174,9 +187,27 @@ def read_alpha(text: str, source: Optional[str] = None, at: int = 0) -> Fraction
         raise ParseError("expected a rational p/q", source, at) from None
 
 
+# An alpha that read_alpha accepts has at most ALPHA_MAX_CHARS digits and an
+# exponent of at most ALPHA_MAX_EXPONENT, so its numerator and denominator
+# stay below this bound.
+PARAMETER_BOUND = 10 ** (ALPHA_MAX_CHARS + ALPHA_MAX_EXPONENT)
+
+
 def validate_family(fam: FamilyId) -> None:
-    """Raise InvalidFamily unless ``fam`` names a member of the eight families."""
+    """Raise InvalidFamily unless ``fam`` names a member of the eight families.
+
+    Parameters, and alpha's numerator and denominator, must lie strictly
+    within +-PARAMETER_BOUND, so every accepted family displays; the bound is
+    checked before any parameter is formatted.
+    """
     k = fam.kind
+    bounded = [fam.m, fam.n]
+    if k == "D21alpha" and fam.alpha is not None:
+        bounded += [fam.alpha.numerator, fam.alpha.denominator]
+    if any(abs(x) >= PARAMETER_BOUND for x in bounded):
+        raise InvalidFamily(
+            f"family parameters must lie within +-10**{ALPHA_MAX_CHARS + ALPHA_MAX_EXPONENT}"
+        )
     if k == "A":
         if fam.m < 0 or fam.n < 0 or fam.m + fam.n < 1:
             raise InvalidFamily(f"A(m,n) needs m,n >= 0 and m+n >= 1, got {fam.display()}")
@@ -237,7 +268,13 @@ class Node:
 @dataclass(frozen=True)
 class Diagram:
     """Decorated simple system of a named family, as ``build_diagram`` makes
-    it; every side is named, and every root generated, from its family."""
+    it; every side is named, and every root generated, from its family.
+
+    ``build_diagram`` returns one shared diagram per family, so the caches
+    keyed on diagrams hit by identity.  Equality stays by value: an equal
+    diagram built apart, hand-built or unpickled, gets the same answers
+    through the slower field-by-field comparison.
+    """
 
     nodes: tuple[Node, ...]
     family: FamilyId
@@ -319,8 +356,14 @@ def _unit(pos: int, use_d: bool, e_dim: int, d_dim: int, value=1) -> WeightVecto
     return WeightVector(tuple(e), tuple(d))
 
 
+@lru_cache(maxsize=None)
 def build_diagram(fam: FamilyId) -> Diagram:
-    """Distinguished simple system of ``fam`` with exactly one odd node."""
+    """Distinguished simple system of ``fam`` with exactly one odd node.
+
+    Interned: equal families get the same shared ``Diagram`` object, so do
+    not count on a fresh one.  ``build_diagram.__wrapped__`` is the uncached
+    builder and ``build_diagram.cache_clear()`` resets the cache.
+    """
     validate_family(fam)
     k, m, n = fam.kind, fam.m, fam.n
     nodes: list[Node] = []

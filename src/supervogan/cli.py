@@ -130,7 +130,7 @@ def _make_vogan(diagram: Diagram, painted_arg: Optional[str], inv_name: str) -> 
             # past any node count, and possibly past int()'s limit on digits
             if len(token.lstrip("0")) > len(str(len(diagram))):
                 raise BadIndex(f"node {token.lstrip('0')} is out of range 1..{len(diagram)}")
-            idx = int(token)
+            idx = int(token.lstrip("0") or 0)
             if not 1 <= idx <= len(diagram):
                 raise BadIndex(f"node {idx} is out of range 1..{len(diagram)}")
             if diagram.nodes[idx - 1].kind != EVEN:

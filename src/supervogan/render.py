@@ -140,19 +140,33 @@ def _family_dict(fam: FamilyId) -> dict:
     return out
 
 
-def _family_from_dict(data: dict) -> FamilyId:
+def _shown(value, show=str) -> str:
+    """``show(value)`` for an error message; a dict source may carry an
+    integer past the interpreter's limit on decimal digits, which no
+    formatter prints."""
+    try:
+        return show(value)
+    except ValueError:
+        return "<an integer too long to print>"
+
+
+def _as_json(value) -> str:
     # a dict source may hold values JSON cannot encode: quote those by repr
+    return _shown(value, lambda v: json.dumps(v, default=repr))
+
+
+def _family_from_dict(data: dict) -> FamilyId:
     if not isinstance(data, dict) or "kind" not in data:
-        raise ParseError("malformed family object", json.dumps(data, default=repr), 0)
+        raise ParseError("malformed family object", _as_json(data), 0)
     kind, m, n = data["kind"], data.get("m", 0), data.get("n", 0)
     # type(), not isinstance(): a bool is an int to isinstance
     if not (type(m) is int and type(n) is int):
-        raise ParseError("family m and n must be integers", json.dumps(data, default=repr), 0)
+        raise ParseError("family m and n must be integers", _as_json(data), 0)
     alpha = None
     if "alpha" in data:
         # a string only: a JSON number would come in as a float or a bool
         if not isinstance(data["alpha"], str):
-            raise ParseError("alpha must be a string p/q", str(data["alpha"]), 0)
+            raise ParseError("alpha must be a string p/q", _shown(data["alpha"]), 0)
         alpha = read_alpha(data["alpha"])
     return FamilyId(kind, m, n, alpha)
 
@@ -208,36 +222,36 @@ def parse_document(source: Union[str, dict]) -> VoganDiagram:
         raise ParseError("document must be an object", str(type(data)), 0)
     if data.get("schema_version") != SCHEMA_VERSION:
         raise ParseError(
-            "unsupported schema_version", str(data.get("schema_version")), 0
+            "unsupported schema_version", _shown(data.get("schema_version")), 0
         )
     fam = _family_from_dict(data.get("family", {}))
     try:
         validate_family(fam)
     except InvalidFamily as exc:
-        raise ParseError(str(exc), json.dumps(data.get("family"), default=repr), 0) from exc
+        raise ParseError(str(exc), _as_json(data.get("family")), 0) from exc
     check_rank_guard(fam)
     diagram = build_diagram(fam)
     nodes = data.get("nodes")
     if not isinstance(nodes, list) or len(nodes) != len(diagram):
         raise ParseError(
-            f"expected {len(diagram)} nodes", str(nodes)[:80], 0
+            f"expected {len(diagram)} nodes", _shown(nodes)[:80], 0
         )
     painted = set()
     for pos, entry in enumerate(nodes):
         if not isinstance(entry, dict):
-            raise ParseError("node entries must be objects", str(entry)[:80], pos)
+            raise ParseError("node entries must be objects", _shown(entry)[:80], pos)
         idx = entry.get("index")
         if idx != pos + 1:
-            raise ParseError(f"node index must be {pos + 1}", str(idx), pos)
+            raise ParseError(f"node index must be {pos + 1}", _shown(idx), pos)
         if entry.get("kind") != diagram.nodes[pos].kind:
             raise ParseError(
                 f"node {pos + 1} kind must be {diagram.nodes[pos].kind}",
-                str(entry.get("kind")),
+                _shown(entry.get("kind")),
                 pos,
             )
         flag = entry.get("painted")
         if not isinstance(flag, bool):
-            raise ParseError(f"node {pos + 1} painted must be true or false", str(flag), pos)
+            raise ParseError(f"node {pos + 1} painted must be true or false", _shown(flag), pos)
         if flag:
             painted.add(pos)
     arrows = data.get("arrows", [])
@@ -248,17 +262,17 @@ def parse_document(source: Union[str, dict]) -> VoganDiagram:
             or len(pair) != 2
             or not all(type(x) is int for x in pair)
         ):
-            raise ParseError("arrows must be index pairs", str(pair), 0)
+            raise ParseError("arrows must be index pairs", _shown(pair), 0)
         i, j = pair[0] - 1, pair[1] - 1
         if not (0 <= i < len(diagram) and 0 <= j < len(diagram)):
-            raise ParseError("arrow index out of range", str(pair), 0)
+            raise ParseError("arrow index out of range", _shown(pair), 0)
         perm[i], perm[j] = j, i
     involution = next(
         (g for g in automorphisms(diagram) if g.perm == tuple(perm)), None
     )
     if involution is None:
         raise ParseError(
-            "arrows do not describe a diagram symmetry", str(arrows), 0
+            "arrows do not describe a diagram symmetry", _shown(arrows), 0
         )
     try:
         return VoganDiagram(diagram, involution, frozenset(painted))

@@ -29,7 +29,14 @@ from supervogan import (
     validate_family,
     weight,
 )
-from supervogan.algebra import RANK_GUARD, _block_gram_inverse, gram_matrix
+from supervogan.algebra import (
+    RANK_GUARD,
+    RankGuardExceeded,
+    _block_gram_inverse,
+    check_rank_guard,
+    gram_matrix,
+    read_alpha,
+)
 from supervogan.classify import classify
 from supervogan.vogan import VoganDiagram, canonical_block_painting, identity_involution
 
@@ -78,6 +85,33 @@ def test_family_normalization():
 def test_invalid_families(fam):
     with pytest.raises(InvalidFamily):
         validate_family(fam)
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: FamilyId("D21alpha", alpha=10**5000),
+        lambda: FamilyId("D21alpha", alpha=Q(1, 10**5000)),
+        lambda: FamilyId("A", 10**5000, 1),
+        lambda: FamilyId("A", -(10**5000), 1),
+        lambda: FamilyId("A", True, 1),  # equals A(1,1) but displays A(True,1)
+        lambda: FamilyId("C", 0, 2.0),
+    ],
+    ids=["huge-alpha", "huge-alpha-denominator", "huge-m", "huge-negative-m", "bool-m", "float-n"],
+)
+def test_families_that_cannot_display_or_alias_another_are_invalid(make):
+    with pytest.raises(InvalidFamily):
+        validate_family(make())
+
+
+def test_the_parameter_bound_admits_every_readable_alpha():
+    texts = ["9" * 64, "9" * 61 + "e64", "-" + "9" * 60 + "e64", "." + "0" * 58 + "1e-64", "1/" + "9" * 62]
+    for text in texts:
+        validate_family(FamilyId("D21alpha", alpha=read_alpha(text)))
+    fam = FamilyId("A", 3000, 0)
+    validate_family(fam)
+    with pytest.raises(RankGuardExceeded):
+        check_rank_guard(fam)
 
 
 def test_node_counts():
@@ -187,7 +221,8 @@ def test_node_count_matches_built_diagram():
 
 def test_equal_diagrams_hash_equal():
     for fam in all_families():
-        a, b = build_diagram(fam), build_diagram(fam)
+        # build_diagram interns; __wrapped__ builds a second diagram apart
+        a, b = build_diagram(fam), build_diagram.__wrapped__(fam)
         assert a is not b
         assert a == b
         assert hash(a) == hash(b) == hash((a.nodes, a.family))

@@ -266,6 +266,11 @@ def test_painted_tokens_past_int_limits_are_typed_errors(capsys, painted):
     assert code == 1 and err.startswith("error: ")
 
 
+def test_painted_index_behind_5000_leading_zeros_reads_as_its_value(capsys):
+    expected = run(capsys, "classify", "A(2,2)", "--painted", "1")
+    assert run(capsys, "classify", "A(2,2)", "--painted", "0" * 5000 + "1") == expected
+
+
 def test_main_builds_its_parser_once(capsys, monkeypatch):
     from supervogan import cli
 

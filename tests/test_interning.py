@@ -1,0 +1,101 @@
+"""``build_diagram`` interns: one shared ``Diagram`` per family.
+
+Equal families reached by different routes get the same object, and the CLI
+builds each family once per process.  Code must not rely on that identity:
+a diagram equal to the interned one but built apart gets the same answers.
+"""
+
+import sys
+from fractions import Fraction
+
+import pytest
+
+from supervogan import (
+    FamilyId,
+    build_diagram,
+    classify,
+    document_json,
+    enumerate_real_forms,
+    enumerate_vogan,
+    parse_document,
+    reduce_with_trail,
+    table_report,
+)
+from supervogan.cli import main, parse_family_spec
+from test_acceptance import families
+
+Q = Fraction
+
+
+def test_equal_families_get_one_diagram():
+    assert build_diagram(FamilyId("B0", 0, 5)) is build_diagram(parse_family_spec("B(0,5)"))
+    assert build_diagram(parse_family_spec("D(2,1;0.5)")) is build_diagram(
+        parse_family_spec("D(2,1;1/2)")
+    )
+    assert build_diagram(FamilyId("D21alpha", alpha=Q(1, 2))) is build_diagram(
+        parse_family_spec("D(2,1;0.5)")
+    )
+
+
+def test_a_parsed_document_carries_the_interned_diagram():
+    vd = enumerate_vogan(build_diagram(FamilyId("D", 3, 2)))[5]
+    assert parse_document(document_json(vd)).diagram is vd.diagram
+
+
+def _clear_package_caches(keep=None):
+    """Clear every module-level cache of the package except ``keep``."""
+    for name, module in list(sys.modules.items()):
+        if name.startswith("supervogan") and module is not None:
+            for value in vars(module).values():
+                if hasattr(value, "cache_clear") and value is not keep:
+                    value.cache_clear()
+
+
+def test_the_cli_builds_each_family_once(capsys):
+    calls = [
+        ["classify", "A(2,2)", "--painted", "1"],
+        ["reduce", "A(2,2)", "--painted", "1,2", "--format", "json"],
+        ["table", "A(2,2)"],
+        ["classify", "D(2,1;3/5)", "--format", "json"],
+        ["table", "D(2,1;0.6)", "--format", "json"],
+        ["reduce", "D(2,1;6/10)", "--painted", "3"],
+        ["table", "G(3)"],
+        ["classify", "G(3)", "--painted", "2"],
+        ["reduce", "C(4)", "--painted", "2,3"],
+        ["classify", "C(4)"],
+    ]
+    _clear_package_caches()
+    before = build_diagram.cache_info().misses
+    for argv in calls:
+        assert main(argv) == 0
+    capsys.readouterr()
+    assert build_diagram.cache_info().misses - before == 4
+
+
+def _answers(diagram):
+    report = table_report(diagram)
+    forms = enumerate_real_forms(diagram)
+    # a sample of paintings: all of them would take seconds at twelve nodes
+    paintings = enumerate_vogan(diagram)[::23]
+    return (
+        (report.computed, report.expected, report.clean()),
+        forms,
+        [reduce_with_trail(vd) for vd in paintings],
+        [classify(vd) for vd in paintings],
+    )
+
+
+@pytest.mark.parametrize(
+    "fam",
+    families(6, 6, alphas=(Q(1), Q(2), Q(-1, 2), Q(3, 5), Q(-7, 3))),
+    ids=lambda fam: fam.display(),
+)
+def test_a_diagram_built_apart_gets_the_same_answers(fam):
+    apart = build_diagram.__wrapped__(fam)
+    interned = build_diagram(fam)
+    assert apart == interned and apart is not interned
+    # each diagram computes its answers itself instead of reading the other's
+    _clear_package_caches(keep=build_diagram)
+    got_apart = _answers(apart)
+    _clear_package_caches(keep=build_diagram)
+    assert got_apart == _answers(interned)

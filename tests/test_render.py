@@ -260,6 +260,27 @@ def test_parse_document_guards_rank_before_building():
         parse_document(doc)
 
 
+HUGE = 10**5000  # past the interpreter's limit on decimal digits
+
+
+@pytest.mark.parametrize(
+    "mangle",
+    [
+        lambda d: d["family"].__setitem__("m", HUGE),
+        lambda d: d["family"].__setitem__("m", -HUGE),
+        lambda d: d.__setitem__("schema_version", HUGE),
+        lambda d: d["nodes"][0].__setitem__("index", HUGE),
+        lambda d: d.__setitem__("arrows", [[HUGE, 1]]),
+    ],
+    ids=["m", "negative-m", "schema-version", "node-index", "arrow"],
+)
+def test_parse_document_refuses_unprintable_integers_in_dict_sources(mangle):
+    doc = emit_document(vd_of(FamilyId("A", 1, 1)))
+    mangle(doc)
+    with pytest.raises(ParseError):
+        parse_document(doc)
+
+
 def test_parse_document_rejects_bad_json_text():
     with pytest.raises(ParseError):
         parse_document("{not json")

@@ -23,6 +23,8 @@ generate_roots.
 """
 
 from fractions import Fraction
+from math import lcm
+from operator import add, mul, sub
 
 import pytest
 
@@ -40,23 +42,52 @@ Q = Fraction
 
 
 def _closure(diagram):
-    """All roots (both signs) via string closure, with parity bookkeeping."""
+    """All roots (both signs) via string closure, with parity bookkeeping.
+
+    Every root is an integer combination of the simple roots, so the
+    closure runs on ``int`` tuples: the simple roots' coordinates scaled by
+    one lcm of their denominators, e-coordinates first.  Inner products are
+    the signed dot product of those tuples; the scale cancels from every
+    ratio the rules use.  The returned sets hold ``WeightVector``s again.
+    """
+    e_dim = len(diagram.root(0).e_part)
+    scale = lcm(*(x.denominator for node in diagram.nodes for x in node.root.coords()))
+
+    def inner(u, v):
+        return sum(map(mul, u[:e_dim], v[:e_dim])) - sum(map(mul, u[e_dim:], v[e_dim:]))
+
+    def plus(u, v):
+        return tuple(map(add, u, v))
+
+    def minus(u, v):
+        return tuple(map(sub, u, v))
+
+    def neg(v):
+        return tuple(-x for x in v)
+
+    def ratio(gamma, beta, nb):
+        """<gamma, beta^vee> = 2<gamma,beta>/<beta,beta>, which must be an integer."""
+        twice = 2 * inner(gamma, beta)
+        assert twice % nb == 0
+        return twice // nb
+
     # parity: 0 for even, 1 for odd; simple roots seed it, sums follow Z2.
     parity = {}
     for node in diagram.nodes:
-        parity[node.root] = 0 if node.kind == EVEN else 1
-        parity[-node.root] = parity[node.root]
+        root = tuple(int(x * scale) for x in node.root.coords())
+        parity[root] = 0 if node.kind == EVEN else 1
+        parity[neg(root)] = parity[root]
     roots = set(parity)
 
     def norm(v):
-        return v.inner(v)
+        return inner(v, v)
 
-    def add(v, par):
+    def add_root(v, par):
         if v not in roots:
             roots.add(v)
-            roots.add(-v)
+            roots.add(neg(v))
             parity[v] = par
-            parity[-v] = par
+            parity[neg(v)] = par
             return True
         return False
 
@@ -66,25 +97,25 @@ def _closure(diagram):
         for beta in evens:
             nb = norm(beta)
             assert nb != 0
+            minus_beta = neg(beta)
             for gamma in list(roots):
-                if gamma == beta or gamma == -beta:
+                if gamma == beta or gamma == minus_beta:
                     continue
                 p = 0
-                cur = gamma - beta
+                cur = minus(gamma, beta)
                 while cur in roots:
                     p += 1
-                    cur = cur - beta
+                    cur = minus(cur, beta)
                 # p may still be an undercount here, so q may come out too
                 # small; extending by max(q, 0) converges to the fixpoint.
-                q = p - 2 * gamma.inner(beta) / nb
-                assert q == int(q)
+                q = p - ratio(gamma, beta, nb)
                 cur = gamma
-                for _ in range(max(int(q), 0)):
-                    cur = cur + beta
-                    changed |= add(cur, parity[gamma])
+                for _ in range(max(q, 0)):
+                    cur = plus(cur, beta)
+                    changed |= add_root(cur, parity[gamma])
         for beta in list(roots):
             if parity[beta] == 1 and norm(beta) != 0:
-                changed |= add(beta.scale(Q(2)), 0)
+                changed |= add_root(tuple(2 * x for x in beta), 0)
         return changed
 
     def isotropic_round():
@@ -93,14 +124,15 @@ def _closure(diagram):
         for beta in odds:
             if norm(beta) != 0:
                 continue
+            minus_beta = neg(beta)
             for gamma in odds:
-                if gamma == beta or gamma == -beta:
+                if gamma == beta or gamma == minus_beta:
                     continue
-                if gamma.inner(beta) >= 0:
+                if inner(gamma, beta) >= 0:
                     continue
-                if (gamma + beta) in roots or (gamma - beta) in roots:
+                if plus(gamma, beta) in roots or minus(gamma, beta) in roots:
                     continue
-                changed |= add(gamma + beta, 0)
+                changed |= add_root(plus(gamma, beta), 0)
         return changed
 
     outer = True
@@ -114,32 +146,39 @@ def _closure(diagram):
         if parity[beta] != 0:
             continue
         nb = norm(beta)
+        minus_beta = neg(beta)
         for gamma in roots:
-            if gamma == beta or gamma == -beta:
+            if gamma == beta or gamma == minus_beta:
                 continue
             p = 0
-            cur = gamma - beta
+            cur = minus(gamma, beta)
             while cur in roots:
                 p += 1
-                cur = cur - beta
-            q = p - 2 * gamma.inner(beta) / nb
-            assert q == int(q) and q >= 0
+                cur = minus(cur, beta)
+            q = p - ratio(gamma, beta, nb)
+            assert q >= 0
             cur = gamma
-            for _ in range(int(q)):
-                cur = cur + beta
+            for _ in range(q):
+                cur = plus(cur, beta)
                 assert cur in roots
 
     for beta in roots:
         if parity[beta] != 1 or norm(beta) != 0:
             continue
+        minus_beta = neg(beta)
         for gamma in roots:
-            if gamma == beta or gamma == -beta:
+            if gamma == beta or gamma == minus_beta:
                 continue
-            if gamma.inner(beta) != 0:
-                assert ((gamma + beta) in roots) != ((gamma - beta) in roots)
+            if inner(gamma, beta) != 0:
+                assert (plus(gamma, beta) in roots) != (minus(gamma, beta) in roots)
 
-    even = {b for b in roots if parity[b] == 0}
-    odd = {b for b in roots if parity[b] == 1}
+    def weight(v):
+        return WeightVector(
+            tuple(Q(x, scale) for x in v[:e_dim]), tuple(Q(x, scale) for x in v[e_dim:])
+        )
+
+    even = {weight(b) for b in roots if parity[b] == 0}
+    odd = {weight(b) for b in roots if parity[b] == 1}
     return even, odd
 
 
