@@ -8,20 +8,23 @@ Gram matrix brought to one common denominator) and hold one ``Fraction``
 per entry; block inverses and root expansions come from the fraction-free
 elimination in ``linalg``.
 
-``build_diagram`` interns its diagrams: each process holds one shared,
-immutable ``Diagram`` per family, so every per-diagram cache below finds a
-repeated request by identity instead of comparing nested ``Fraction``
-tuples.  ``build_diagram.cache_clear()`` resets it.
+Data derived from a diagram is kept in a record on the ``Diagram`` by the
+``stored`` functions, here and in ``vogan``, so it lives and dies with its
+diagram.  ``build_diagram`` interns the diagrams of the last ``STORE_BOUND``
+families requested; ``build_diagram.cache_clear()`` empties it and drops
+every record, on diagrams a caller still holds too.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from collections import OrderedDict, namedtuple
+from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import update_wrapper
 from math import lcm
 from operator import mul
 from typing import Optional, Sequence
+from weakref import WeakValueDictionary
 
 from .errors import (
     InvalidFamily,
@@ -122,7 +125,7 @@ class FamilyId:
         elif self.kind in ("F4", "G3"):
             object.__setattr__(self, "m", 0)
             object.__setattr__(self, "n", 0)
-        elif self.kind == "B0":
+        elif self.kind in ("B0", "C"):
             object.__setattr__(self, "m", 0)
         # type(), not isinstance(): a bool is an int to isinstance
         if not (type(self.m) is int and type(self.n) is int):
@@ -270,30 +273,22 @@ class Diagram:
     """Decorated simple system of a named family, as ``build_diagram`` makes
     it; every side is named, and every root generated, from its family.
 
-    ``build_diagram`` returns one shared diagram per family, so the caches
-    keyed on diagrams hit by identity.  Equality stays by value: an equal
-    diagram built apart, hand-built or unpickled, gets the same answers
-    through the slower field-by-field comparison.
+    Each diagram carries a record of the data derived from it, freed with
+    the diagram or by ``build_diagram.cache_clear()`` (see the module
+    docstring).  Equality and hashing stay by value: an equal diagram built apart, hand-built or
+    unpickled, gets the same answers, computed into its own record.
     """
 
     nodes: tuple[Node, ...]
     family: FamilyId
+    _record = None  # the stored values; not a field, so == ignores it
 
     def __post_init__(self):
         if not isinstance(self.family, FamilyId):
             raise InvalidFamily(f"a diagram needs a FamilyId, got {self.family!r}")
 
-    def __hash__(self) -> int:
-        # Diagrams key every cache; hash the nested Fraction tuples only once.
-        try:
-            return self._hash
-        except AttributeError:
-            h = hash((self.nodes, self.family))
-            object.__setattr__(self, "_hash", h)
-            return h
-
     def __getstate__(self):
-        # str hashes differ between processes: never carry the cached one
+        # a record is rebuilt on demand: pickles carry the fields only
         return {"nodes": self.nodes, "family": self.family}
 
     def __len__(self) -> int:
@@ -304,6 +299,68 @@ class Diagram:
 
     def even_indices(self) -> tuple[int, ...]:
         return tuple(n.index for n in self.nodes if n.kind == EVEN)
+
+
+# ----------------------------------------------------------------------------
+# The store: one record per diagram, and the interning of diagrams.
+
+STORE_BOUND = 256
+
+_CacheInfo = namedtuple("CacheInfo", "hits misses maxsize currsize")
+
+# Every diagram holding a record, by id (equal diagrams built apart each
+# hold their own), so that cache_clear drops all records at once.
+_holders: WeakValueDictionary[int, Diagram] = WeakValueDictionary()
+
+
+def stored(func):
+    """``func(diagram, *args)``, computed once and kept in the diagram's record."""
+
+    def read(diagram, *args):
+        values = diagram._record
+        if values is None:
+            values = {}
+            object.__setattr__(diagram, "_record", values)
+            _holders[id(diagram)] = diagram
+        key = (func, args) if args else func
+        try:
+            return values[key]
+        except KeyError:
+            value = values[key] = func(diagram, *args)
+            return value
+
+    return update_wrapper(read, func)
+
+
+def _interned(build):
+    """``build`` with the diagrams of the last STORE_BOUND families kept, in
+    the manner of ``functools.lru_cache``: ``__wrapped__`` is ``build``,
+    ``cache_info()`` counts families, ``cache_clear()`` also drops every record."""
+    diagrams: OrderedDict[FamilyId, Diagram] = OrderedDict()
+    counts = [0, 0]  # hits, misses
+
+    def build_interned(fam: FamilyId) -> Diagram:
+        diagram = diagrams.get(fam)
+        if diagram is None:
+            counts[1] += 1
+            diagram = diagrams[fam] = build(fam)
+            if len(diagrams) > STORE_BOUND:
+                diagrams.popitem(last=False)
+        else:
+            counts[0] += 1
+            diagrams.move_to_end(fam)
+        return diagram
+
+    def cache_clear() -> None:
+        for diagram in list(_holders.values()):
+            object.__setattr__(diagram, "_record", None)
+        _holders.clear()
+        diagrams.clear()
+        counts[:] = [0, 0]
+
+    build_interned.cache_info = lambda: _CacheInfo(*counts, STORE_BOUND, len(diagrams))
+    build_interned.cache_clear = cache_clear
+    return update_wrapper(build_interned, build)
 
 
 def _integer_coords(root: WeightVector) -> tuple[list[int], list[int], int]:
@@ -317,7 +374,7 @@ def _integer_coords(root: WeightVector) -> tuple[list[int], list[int], int]:
     )
 
 
-@lru_cache(maxsize=None)
+@stored
 def gram_matrix(diagram: Diagram) -> tuple[tuple[Fraction, ...], ...]:
     """Inner products of the simple roots: signed integer dot products over
     each pair's common denominator, one ``Fraction`` per entry."""
@@ -356,13 +413,15 @@ def _unit(pos: int, use_d: bool, e_dim: int, d_dim: int, value=1) -> WeightVecto
     return WeightVector(tuple(e), tuple(d))
 
 
-@lru_cache(maxsize=None)
+@_interned
 def build_diagram(fam: FamilyId) -> Diagram:
     """Distinguished simple system of ``fam`` with exactly one odd node.
 
-    Interned: equal families get the same shared ``Diagram`` object, so do
-    not count on a fresh one.  ``build_diagram.__wrapped__`` is the uncached
-    builder and ``build_diagram.cache_clear()`` resets the cache.
+    Interned: equal families get the same shared ``Diagram`` object while
+    the family is among the last STORE_BOUND requested, so do not count on
+    a fresh one.  ``build_diagram.__wrapped__`` is the uninterned builder;
+    ``build_diagram.cache_clear()`` empties the interning and drops every
+    diagram's record.
     """
     validate_family(fam)
     k, m, n = fam.kind, fam.m, fam.n
@@ -460,7 +519,7 @@ class CartanData:
     symmetrized: tuple[tuple[Fraction, ...], ...]
 
 
-@lru_cache(maxsize=None)
+@stored
 def cartan_matrix(diagram: Diagram) -> CartanData:
     """Cartan matrix normalized so that diag(eps) @ matrix equals the Gram matrix.
 
@@ -502,7 +561,7 @@ def cartan_matrix(diagram: Diagram) -> CartanData:
 # Even blocks and their dual bases.
 
 
-@lru_cache(maxsize=None)
+@stored
 def even_blocks(diagram: Diagram) -> tuple[tuple[int, ...], ...]:
     """Connected components of the subdiagram spanned by the even nodes,
     two nodes joined when their simple roots are non-orthogonal."""
@@ -585,7 +644,7 @@ def _pairs_pm(units: list[WeightVector], with_sum: bool):
     return diffs + (sums if with_sum else [])
 
 
-@lru_cache(maxsize=None)
+@stored
 def generate_roots(diagram: Diagram) -> RootSystem:
     """Positive roots of the family in the same coordinates as the diagram."""
     fam = diagram.family
@@ -649,7 +708,7 @@ def generate_roots(diagram: Diagram) -> RootSystem:
     )
 
 
-@lru_cache(maxsize=None)
+@stored
 def _expansion_operator(diagram: Diagram):
     """The expansion solve, factored once per diagram.
 
@@ -701,7 +760,7 @@ def root_expansion(diagram: Diagram, v: WeightVector) -> tuple[Fraction, ...]:
     return tuple(out)
 
 
-@lru_cache(maxsize=None)
+@stored
 def _even_root_expansions(diagram: Diagram) -> dict[WeightVector, tuple[Fraction, ...]]:
     """Every even root, and its negative, mapped to its ``root_expansion``."""
     table = {}

@@ -255,6 +255,8 @@ def parse_document(source: Union[str, dict]) -> VoganDiagram:
         if flag:
             painted.add(pos)
     arrows = data.get("arrows", [])
+    if not isinstance(arrows, list):
+        raise ParseError("arrows must be a list of index pairs", _shown(arrows)[:80], 0)
     perm = list(range(len(diagram)))
     for pair in arrows:
         if (

@@ -17,7 +17,6 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from functools import lru_cache
 from itertools import combinations
 from typing import Iterable, Iterator, Optional
 
@@ -29,6 +28,7 @@ from .algebra import (
     cartan_matrix,
     even_blocks,
     gram_matrix,
+    stored,
 )
 from .errors import (
     BadIndex,
@@ -71,7 +71,7 @@ def _preserves_diagram(diagram: Diagram, perm: tuple[int, ...]) -> bool:
     return True
 
 
-@lru_cache(maxsize=None)
+@stored
 def automorphisms(diagram: Diagram) -> tuple[DiagramInvolution, ...]:
     """Identity plus every nontrivial involutive symmetry the diagram admits."""
     size = len(diagram)
@@ -156,7 +156,7 @@ def _sort_key(mask: int) -> tuple[int, list[int]]:
     return mask.bit_count(), list(_bits(mask))
 
 
-@lru_cache(maxsize=None)
+@stored
 def _toggle_masks(diagram: Diagram, fixed: frozenset[int]) -> tuple[int, ...]:
     """Per node, the fixed even nodes paired with it by an odd integer in its
     Cartan row, as a mask: exactly what a flip there toggles."""
@@ -235,7 +235,7 @@ def orbit_representatives(diagram: Diagram) -> Iterator[VoganDiagram]:
                     yield VoganDiagram(diagram, inv, _nodes(mask))
 
 
-@lru_cache(maxsize=None)
+@stored
 def _admissible_vertices(diagram: Diagram, block: tuple[int, ...]) -> frozenset[int]:
     """Block vertices i whose dual-basis vector is minimal:
     sign * <w_i - w_j, w_j> <= 0 for every j in the block, the sign making

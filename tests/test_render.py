@@ -155,6 +155,15 @@ def test_roundtrip():
         assert parse_document(emit_document(v)) == v
 
 
+def test_a_c_document_reads_and_writes_m_as_zero():
+    """C(k) has no m: a document that gives one reads as the same family."""
+    doc = emit_document(vd_of(FamilyId("C", 0, 3), painted={1}))
+    doc["family"]["m"] = 5
+    vd = parse_document(json.dumps(doc))
+    assert vd.diagram is build_diagram(FamilyId("C", 0, 3))
+    assert emit_document(vd)["family"] == {"kind": "C", "m": 0, "n": 3}
+
+
 def test_document_json_carries_realform_and_trail():
     from supervogan import classify, reduce_with_trail
 
@@ -203,6 +212,10 @@ def _as_d21_with_alpha(alpha):
         # values JSON cannot encode, which only a dict source can carry
         lambda d: d["family"].__setitem__("m", Q(2)),
         lambda d: d.__setitem__("family", {"kind": "Z", "m": 1, "n": 1, "tags": {7}}),
+        # arrows only as a JSON list
+        lambda d: d.__setitem__("arrows", None),
+        lambda d: d.__setitem__("arrows", 5),
+        lambda d: d.__setitem__("arrows", True),
     ],
 )
 def test_parse_document_rejects_mangled_documents(mangle):

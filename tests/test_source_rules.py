@@ -1,7 +1,9 @@
 """Source rules of the package: invariants are raised errors, so ``python -O``
 keeps them, and arithmetic stays exact, so no float enters.  Every
 ``functools`` cache decorates a module-level function, where the benchmark's
-cold rounds find and clear it; ``cached_property`` is not used."""
+cold rounds find and clear it; ``cached_property`` is not used.  The CLI's
+parser is the only such cache: data derived from a diagram is kept in the
+store of ``algebra``, which ``build_diagram.cache_clear()`` clears."""
 
 import ast
 from pathlib import Path
@@ -26,9 +28,8 @@ def violations(tree: ast.AST) -> list[str]:
 CACHES = {"lru_cache", "cache", "cached_property"}
 
 
-def cache_violations(tree: ast.Module) -> list[str]:
-    """Every reference to a ``functools`` cache that is not a decorator (bare
-    or called) of a module-level function, and every ``cached_property``."""
+def _cache_names(tree: ast.Module):
+    """A function naming the ``functools`` cache an AST node refers to, if any."""
     names, modules = {}, set()
     for node in ast.walk(tree):
         if isinstance(node, ast.ImportFrom) and node.module == "functools":
@@ -44,6 +45,13 @@ def cache_violations(tree: ast.Module) -> list[str]:
                 return node.attr
         return None
 
+    return cache
+
+
+def cache_violations(tree: ast.Module) -> list[str]:
+    """Every reference to a ``functools`` cache that is not a decorator (bare
+    or called) of a module-level function, and every ``cached_property``."""
+    cache = _cache_names(tree)
     decorators = {
         id(dec.func if isinstance(dec, ast.Call) else dec)
         for node in tree.body
@@ -61,6 +69,17 @@ def cache_violations(tree: ast.Module) -> list[str]:
     ]
 
 
+def cached_functions(tree: ast.Module) -> list[str]:
+    """Module-level functions under a ``functools`` cache decorator."""
+    cache = _cache_names(tree)
+    return [
+        node.name
+        for node in tree.body
+        if isinstance(node, ast.FunctionDef)
+        and any(cache(dec.func if isinstance(dec, ast.Call) else dec) for dec in node.decorator_list)
+    ]
+
+
 def test_the_package_has_sources():
     assert len(SOURCES) >= 8
 
@@ -73,6 +92,15 @@ def test_no_assert_and_no_float(path):
 @pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
 def test_caches_are_module_level_and_clearable(path):
     assert cache_violations(ast.parse(path.read_text(), str(path))) == []
+
+
+def test_the_cli_parser_is_the_only_functools_cache():
+    found = [
+        f"{path.stem}.{name}"
+        for path in SOURCES
+        for name in cached_functions(ast.parse(path.read_text(), str(path)))
+    ]
+    assert found == ["cli._parser"]
 
 
 def test_the_rules_catch_each_kind():
@@ -102,3 +130,4 @@ def test_the_cache_rule_catches_each_kind():
     )
     lines = [v.split(":")[0] for v in cache_violations(ast.parse(source))]
     assert lines == ["line 8", "line 10", "line 13", "line 15", "line 16"]
+    assert cached_functions(ast.parse(source)) == ["fine", "also_fine", "top"]
