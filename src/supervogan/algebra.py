@@ -13,6 +13,11 @@ Data derived from a diagram is kept in a record on the ``Diagram`` by the
 diagram.  ``build_diagram`` interns the diagrams of the last ``STORE_BOUND``
 families requested; ``build_diagram.cache_clear()`` empties it and drops
 every record, on diagrams a caller still holds too.
+
+Each family is checked once: constructing an invalid ``FamilyId`` raises
+``InvalidFamily``, and ``build_diagram`` raises ``RankGuardExceeded`` above
+``RANK_GUARD`` nodes before building (``build_diagram.__wrapped__`` builds
+any size).
 """
 
 from __future__ import annotations
@@ -106,9 +111,8 @@ class FamilyId:
     """Family tag plus parameters; ``alpha`` only for kind ``D21alpha``.
 
     Parameters that the kind determines are normalized away so equal families
-    compare equal however they were constructed.  ``m`` and ``n`` must be
-    ``int`` (a ``bool`` or ``1.0`` equals ``1`` but would display otherwise),
-    so equal families are interchangeable; ``validate_family`` checks the rest.
+    compare equal however they were constructed; then ``validate_family``
+    checks the result, so constructing an invalid family raises InvalidFamily.
     """
 
     kind: str
@@ -127,12 +131,7 @@ class FamilyId:
             object.__setattr__(self, "n", 0)
         elif self.kind in ("B0", "C"):
             object.__setattr__(self, "m", 0)
-        # type(), not isinstance(): a bool is an int to isinstance
-        if not (type(self.m) is int and type(self.n) is int):
-            raise InvalidFamily(
-                f"family m and n must be int, got {type(self.m).__name__} "
-                f"and {type(self.n).__name__}"
-            )
+        validate_family(self)
 
     def display(self) -> str:
         if self.kind == "A":
@@ -199,11 +198,21 @@ PARAMETER_BOUND = 10 ** (ALPHA_MAX_CHARS + ALPHA_MAX_EXPONENT)
 def validate_family(fam: FamilyId) -> None:
     """Raise InvalidFamily unless ``fam`` names a member of the eight families.
 
-    Parameters, and alpha's numerator and denominator, must lie strictly
-    within +-PARAMETER_BOUND, so every accepted family displays; the bound is
-    checked before any parameter is formatted.
+    ``FamilyId`` calls it on construction.  The kind must be a ``str`` and
+    ``m``, ``n`` an ``int`` (a ``bool`` or ``1.0`` equals ``1`` but would
+    display otherwise).  Parameters, and alpha's numerator and denominator,
+    must lie strictly within +-PARAMETER_BOUND, so every accepted family
+    displays; types and bound are checked before anything is formatted.
     """
     k = fam.kind
+    if type(k) is not str:
+        raise InvalidFamily(f"family kind must be a string, got {type(k).__name__}")
+    # type(), not isinstance(): a bool is an int to isinstance
+    if not (type(fam.m) is int and type(fam.n) is int):
+        raise InvalidFamily(
+            f"family m and n must be int, got {type(fam.m).__name__} "
+            f"and {type(fam.n).__name__}"
+        )
     bounded = [fam.m, fam.n]
     if k == "D21alpha" and fam.alpha is not None:
         bounded += [fam.alpha.numerator, fam.alpha.denominator]
@@ -342,6 +351,7 @@ def _interned(build):
     def build_interned(fam: FamilyId) -> Diagram:
         diagram = diagrams.get(fam)
         if diagram is None:
+            check_rank_guard(fam)
             counts[1] += 1
             diagram = diagrams[fam] = build(fam)
             if len(diagrams) > STORE_BOUND:
@@ -417,13 +427,13 @@ def _unit(pos: int, use_d: bool, e_dim: int, d_dim: int, value=1) -> WeightVecto
 def build_diagram(fam: FamilyId) -> Diagram:
     """Distinguished simple system of ``fam`` with exactly one odd node.
 
+    Raises RankGuardExceeded, before building, above RANK_GUARD nodes.
     Interned: equal families get the same shared ``Diagram`` object while
     the family is among the last STORE_BOUND requested, so do not count on
-    a fresh one.  ``build_diagram.__wrapped__`` is the uninterned builder;
-    ``build_diagram.cache_clear()`` empties the interning and drops every
-    diagram's record.
+    a fresh one.  ``build_diagram.__wrapped__`` is the uninterned, unguarded
+    builder; ``build_diagram.cache_clear()`` empties the interning and drops
+    every diagram's record.
     """
-    validate_family(fam)
     k, m, n = fam.kind, fam.m, fam.n
     nodes: list[Node] = []
 
@@ -488,7 +498,7 @@ def build_diagram(fam: FamilyId) -> Diagram:
         add(delta + e2 - e3, ODD_ISO)
         add(e1 - e2, EVEN)
         add(e2 + e3 - e1.scale(Q(2)), EVEN)
-    else:  # pragma: no cover - validate_family already rejects
+    else:  # pragma: no cover - FamilyId already rejects
         raise InvalidFamily(k)
 
     return Diagram(tuple(nodes), fam)

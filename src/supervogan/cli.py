@@ -19,9 +19,7 @@ from .algebra import (
     Diagram,
     FamilyId,
     build_diagram,
-    check_rank_guard,
     read_alpha,
-    validate_family,
 )
 from .classify import RealFormDescriptor, TableReport, classify, enumerate_real_forms, table_report
 from .errors import BadIndex, ParseError, SupervoganError
@@ -96,14 +94,7 @@ def parse_family_spec(text: str) -> FamilyId:
             fam = FamilyId("B0", 0, n) if m == 0 else FamilyId("B", m, n)
         else:
             fam = FamilyId("D", m, n)
-    validate_family(fam)
     return fam
-
-
-def _diagram_for(spec: str) -> Diagram:
-    fam = parse_family_spec(spec)
-    check_rank_guard(fam)
-    return build_diagram(fam)
 
 
 def _make_vogan(diagram: Diagram, painted_arg: Optional[str], inv_name: str) -> VoganDiagram:
@@ -143,8 +134,11 @@ def _make_vogan(diagram: Diagram, painted_arg: Optional[str], inv_name: str) -> 
 
 def _emit(args, payload: str) -> None:
     if args.out:
-        with open(args.out, "w") as handle:
-            handle.write(payload if payload.endswith("\n") else payload + "\n")
+        try:
+            with open(args.out, "w") as handle:
+                handle.write(payload if payload.endswith("\n") else payload + "\n")
+        except OSError as exc:
+            raise SupervoganError(f"cannot write {args.out}: {exc.strerror}") from exc
     else:
         print(payload)
 
@@ -162,7 +156,7 @@ def _painted_display(vd: VoganDiagram) -> str:
 
 
 def cmd_diagram(args) -> int:
-    diagram = _diagram_for(args.family)
+    diagram = build_diagram(parse_family_spec(args.family))
     vd = VoganDiagram(diagram, identity_involution(len(diagram)), frozenset())
     if args.format == "json":
         _emit(args, document_json(vd))
@@ -174,7 +168,7 @@ def cmd_diagram(args) -> int:
 
 
 def cmd_enumerate(args) -> int:
-    diagram = _diagram_for(args.family)
+    diagram = build_diagram(parse_family_spec(args.family))
     items = enumerate_vogan(diagram)
     if args.format == "json":
         docs = []
@@ -212,7 +206,7 @@ def cmd_enumerate(args) -> int:
 
 
 def cmd_reduce(args) -> int:
-    diagram = _diagram_for(args.family)
+    diagram = build_diagram(parse_family_spec(args.family))
     vd = _make_vogan(diagram, args.painted, args.involution)
     reduced, trail = reduce_with_trail(vd)
     if args.format == "json":
@@ -236,7 +230,7 @@ def cmd_reduce(args) -> int:
 
 
 def cmd_classify(args) -> int:
-    diagram = _diagram_for(args.family)
+    diagram = build_diagram(parse_family_spec(args.family))
     vd = _make_vogan(diagram, args.painted, args.involution)
     desc = classify(vd)
     if args.format == "json":
@@ -292,7 +286,7 @@ def _render_table(report: TableReport) -> str:
 
 
 def cmd_table(args) -> int:
-    diagram = _diagram_for(args.family)
+    diagram = build_diagram(parse_family_spec(args.family))
     report = table_report(diagram)
     if args.format == "json":
         payload = {

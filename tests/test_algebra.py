@@ -66,25 +66,29 @@ def test_family_normalization():
     assert isinstance(FamilyId("D21alpha", alpha=2).alpha, Q)
 
 
+INVALID_FAMILIES = [
+    lambda: FamilyId("A", 0, 0),
+    lambda: FamilyId("B", 0, 1),
+    lambda: FamilyId("B", 1, 0),
+    lambda: FamilyId("B0", 0, 0),
+    lambda: FamilyId("C", 0, 0),
+    lambda: FamilyId("D", 1, 1),
+    lambda: FamilyId("D", 2, 0),
+    lambda: FamilyId("D21alpha", alpha=0),
+    lambda: FamilyId("D21alpha", alpha=-1),
+    lambda: FamilyId("A", 2, 1, alpha=Q(1, 2)),  # alpha belongs to D(2,1;alpha) alone
+    lambda: FamilyId("F4", alpha=Q(1)),
+    lambda: FamilyId(10**5000),  # a kind that is no string, and too long to print
+]
+
+
 @pytest.mark.parametrize(
-    "fam",
-    [
-        FamilyId("A", 0, 0),
-        FamilyId("B", 0, 1),
-        FamilyId("B", 1, 0),
-        FamilyId("B0", 0, 0),
-        FamilyId("C", 0, 0),
-        FamilyId("D", 1, 1),
-        FamilyId("D", 2, 0),
-        FamilyId("D21alpha", alpha=0),
-        FamilyId("D21alpha", alpha=-1),
-        FamilyId("A", 2, 1, alpha=Q(1, 2)),  # alpha belongs to D(2,1;alpha) alone
-        FamilyId("F4", alpha=Q(1)),
-    ],
+    "make", INVALID_FAMILIES, ids=[f"fam{i}" for i in range(len(INVALID_FAMILIES))]
 )
-def test_invalid_families(fam):
+def test_invalid_families(make):
+    # FamilyId validates itself: no invalid family can be constructed
     with pytest.raises(InvalidFamily):
-        validate_family(fam)
+        make()
 
 
 @pytest.mark.parametrize(
@@ -101,7 +105,7 @@ def test_invalid_families(fam):
 )
 def test_families_that_cannot_display_or_alias_another_are_invalid(make):
     with pytest.raises(InvalidFamily):
-        validate_family(make())
+        make()
 
 
 def test_the_parameter_bound_admits_every_readable_alpha():
@@ -112,6 +116,17 @@ def test_the_parameter_bound_admits_every_readable_alpha():
     validate_family(fam)
     with pytest.raises(RankGuardExceeded):
         check_rank_guard(fam)
+
+
+@pytest.mark.parametrize(
+    "fam", [FamilyId("A", 6, 6), FamilyId("A", 10**100, 0)], ids=["A(6,6)", "A(10**100,0)"]
+)
+def test_build_diagram_refuses_families_above_the_guard_before_building(fam):
+    before = build_diagram.cache_info()
+    with pytest.raises(RankGuardExceeded, match=f"guard allows {RANK_GUARD}"):
+        build_diagram(fam)
+    after = build_diagram.cache_info()
+    assert (after.misses, after.currsize) == (before.misses, before.currsize)
 
 
 def test_node_counts():
@@ -215,8 +230,9 @@ def test_gram_cartan_and_block_inverses_hold_only_fractions():
 
 
 def test_node_count_matches_built_diagram():
+    # the unguarded builder: A(6,6) has 13 nodes
     for fam in all_families(7, 7):
-        assert node_count(fam) == len(build_diagram(fam)), fam.display()
+        assert node_count(fam) == len(build_diagram.__wrapped__(fam)), fam.display()
 
 
 def test_equal_diagrams_hash_equal():

@@ -309,3 +309,12 @@ def test_out_dot_file_roundtrip(tmp_path, capsys):
     text = target.read_text()
     assert code == 0
     assert text.count("strict graph ") == text.count("}\n")
+
+
+def test_out_to_an_unwritable_path_is_one_error_line(tmp_path, capsys):
+    # a missing directory raises FileNotFoundError, a directory IsADirectoryError
+    for target in (tmp_path / "missing" / "out.json", tmp_path):
+        code, out, err = run(capsys, "diagram", "F(4)", "--out", str(target))
+        assert code == 1 and out == ""
+        assert err.startswith(f"error: cannot write {target}: ")
+        assert err.count("\n") == 1 and "Traceback" not in err

@@ -24,6 +24,7 @@ from supervogan import (
     enumerate_real_forms,
     enumerate_vogan,
     flip_orbit,
+    node_count,
 )
 from supervogan.cli import main as cli_main
 from test_algebra import all_families
@@ -32,8 +33,8 @@ Q = Fraction
 
 
 def families_up_to(nodes):
-    diagrams = [build_diagram(fam) for fam in all_families(nodes, nodes + 1)]
-    return [d for d in diagrams if len(d) <= nodes]
+    fams = all_families(nodes, nodes + 1)
+    return [build_diagram(fam) for fam in fams if node_count(fam) <= nodes]
 
 
 def set_orbit(diagram, perm, painted):

@@ -216,6 +216,8 @@ def _as_d21_with_alpha(alpha):
         lambda d: d.__setitem__("arrows", None),
         lambda d: d.__setitem__("arrows", 5),
         lambda d: d.__setitem__("arrows", True),
+        # a kind that is no string, and too long to print
+        lambda d: d.__setitem__("family", {"kind": 10**5000, "m": 1, "n": 1}),
     ],
 )
 def test_parse_document_rejects_mangled_documents(mangle):
