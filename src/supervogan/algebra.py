@@ -8,6 +8,11 @@ Gram matrix brought to one common denominator) and hold one ``Fraction``
 per entry; block inverses and root expansions come from the fraction-free
 elimination in ``linalg``.
 
+The classical families A, B, B(0,n), C and D are built from their word in
+epsilon and delta (``_word``): simple roots and positive roots alike, each
+coordinate set from a shared ``Fraction``, not summed.  D(2,1;alpha), F(4)
+and G(3) keep hand-written weights.
+
 Data derived from a diagram is kept in a record on the ``Diagram`` by the
 ``stored`` functions, here and in ``vogan``, so it lives and dies with its
 diagram.  ``build_diagram`` interns the diagrams of the last ``STORE_BOUND``
@@ -26,6 +31,7 @@ from collections import OrderedDict, namedtuple
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import update_wrapper
+from itertools import count
 from math import lcm
 from operator import mul
 from typing import Optional, Sequence
@@ -124,7 +130,7 @@ class FamilyId:
         if self.kind == "D21alpha":
             object.__setattr__(self, "m", 2)
             object.__setattr__(self, "n", 1)
-            if self.alpha is not None and not isinstance(self.alpha, Fraction):
+            if type(self.alpha) is int:
                 object.__setattr__(self, "alpha", Fraction(self.alpha))
         elif self.kind in ("F4", "G3"):
             object.__setattr__(self, "m", 0)
@@ -150,7 +156,7 @@ class FamilyId:
             return "F(4)"
         if self.kind == "G3":
             return "G(3)"
-        raise InvalidFamily(f"unknown family kind {self.kind!r}")
+        raise InvalidFamily(f"unknown family kind {self.kind!r}")  # pragma: no cover
 
 
 ALPHA_MAX_CHARS = 64
@@ -200,9 +206,11 @@ def validate_family(fam: FamilyId) -> None:
 
     ``FamilyId`` calls it on construction.  The kind must be a ``str`` and
     ``m``, ``n`` an ``int`` (a ``bool`` or ``1.0`` equals ``1`` but would
-    display otherwise).  Parameters, and alpha's numerator and denominator,
-    must lie strictly within +-PARAMETER_BOUND, so every accepted family
-    displays; types and bound are checked before anything is formatted.
+    display otherwise), alpha a ``Fraction`` (``FamilyId`` turns an ``int``
+    into one; text goes through ``read_alpha``).  Parameters, and alpha's
+    numerator and denominator, must lie strictly within +-PARAMETER_BOUND, so
+    every accepted family displays; types and bound are checked before
+    anything is formatted.
     """
     k = fam.kind
     if type(k) is not str:
@@ -215,6 +223,8 @@ def validate_family(fam: FamilyId) -> None:
         )
     bounded = [fam.m, fam.n]
     if k == "D21alpha" and fam.alpha is not None:
+        if not isinstance(fam.alpha, Fraction):
+            raise InvalidFamily(f"alpha must be int or Fraction, got {type(fam.alpha).__name__}")
         bounded += [fam.alpha.numerator, fam.alpha.denominator]
     if any(abs(x) >= PARAMETER_BOUND for x in bounded):
         raise InvalidFamily(
@@ -403,29 +413,49 @@ def gram_matrix(diagram: Diagram) -> tuple[tuple[Fraction, ...], ...]:
 # Construction of the eight families.
 
 
-def _chain(count: int, use_d: bool, e_dim: int, d_dim: int):
-    """Difference chain x_1 - x_2, x_2 - x_3, ... with ``count`` members."""
-    out = []
-    for i in range(count):
-        e = [Q(0)] * e_dim
-        d = [Q(0)] * d_dim
-        tgt = d if use_d else e
-        tgt[i] = Q(1)
-        tgt[i + 1] = Q(-1)
-        out.append(WeightVector(tuple(e), tuple(d)))
-    return out
+# Coordinates are set from these shared values, never summed.
+_ZERO, _ONE, _MINUS_ONE, _TWO = Q(0), Q(1), Q(-1), Q(2)
 
 
-def _unit(pos: int, use_d: bool, e_dim: int, d_dim: int, value=1) -> WeightVector:
-    e = [Q(0)] * e_dim
-    d = [Q(0)] * d_dim
-    (d if use_d else e)[pos] = Q(value)
-    return WeightVector(tuple(e), tuple(d))
+def _word(fam: FamilyId) -> tuple[str, str]:
+    """The distinguished system of a classical family as a word in ``e``
+    (epsilon) and ``d`` (delta), in diagram order, and how the diagram ends:
+    ``""`` with no further root (A), ``"x"`` the short root of the last letter
+    (B, B(0,n)), ``"2x"`` its long root (C), ``"x'+x"`` the fork on the last
+    two letters (D).  The i-th ``e`` is the weight space's i-th
+    e-coordinate, the j-th ``d`` its j-th d-coordinate."""
+    m, n = fam.m, fam.n
+    if fam.kind == "A":
+        return "e" * (m + 1) + "d" * (n + 1), ""
+    if fam.kind == "C":
+        return "e" + "d" * n, "2x"
+    end = "x'+x" if fam.kind == "D" else "x"
+    return "d" * n + "e" * m, end  # m is 0 for B(0,n)
+
+
+def _weights(word: str):
+    """``w(*(letter, coeff))``: the weight of ``word``'s space with ``coeff``
+    on the coordinate of each letter (a position in ``word``), 0 elsewhere."""
+    e_dim = word.count("e")
+    places = {"e": count(0), "d": count(e_dim)}
+    place = [next(places[letter]) for letter in word]
+
+    def w(*terms: tuple[int, Fraction]) -> WeightVector:
+        coords = [_ZERO] * len(word)
+        for letter, coeff in terms:
+            coords[place[letter]] = coeff
+        return WeightVector(tuple(coords[:e_dim]), tuple(coords[e_dim:]))
+
+    return w
 
 
 @_interned
 def build_diagram(fam: FamilyId) -> Diagram:
     """Distinguished simple system of ``fam`` with exactly one odd node.
+
+    A classical family's simple roots are the differences of the neighbouring
+    letters of its word (even within one letter, odd isotropic across),
+    followed by its end root; a short delta root is odd non-isotropic.
 
     Raises RankGuardExceeded, before building, above RANK_GUARD nodes.
     Interned: equal families get the same shared ``Diagram`` object while
@@ -434,48 +464,13 @@ def build_diagram(fam: FamilyId) -> Diagram:
     builder; ``build_diagram.cache_clear()`` empties the interning and drops
     every diagram's record.
     """
-    k, m, n = fam.kind, fam.m, fam.n
+    k = fam.kind
     nodes: list[Node] = []
 
     def add(root: WeightVector, kind: str) -> None:
         nodes.append(Node(len(nodes), root, kind))
 
-    if k == "A":
-        ed, dd = m + 1, n + 1
-        for r in _chain(m, False, ed, dd):
-            add(r, EVEN)
-        add(_unit(m, False, ed, dd) - _unit(0, True, ed, dd), ODD_ISO)
-        for r in _chain(n, True, ed, dd):
-            add(r, EVEN)
-    elif k == "B":
-        ed, dd = m, n
-        for r in _chain(n - 1, True, ed, dd):
-            add(r, EVEN)
-        add(_unit(n - 1, True, ed, dd) - _unit(0, False, ed, dd), ODD_ISO)
-        for r in _chain(m - 1, False, ed, dd):
-            add(r, EVEN)
-        add(_unit(m - 1, False, ed, dd), EVEN)
-    elif k == "B0":
-        ed, dd = 0, n
-        for r in _chain(n - 1, True, ed, dd):
-            add(r, EVEN)
-        add(_unit(n - 1, True, ed, dd), ODD_NONISO)
-    elif k == "C":
-        ed, dd = 1, n
-        add(_unit(0, False, ed, dd) - _unit(0, True, ed, dd), ODD_ISO)
-        for r in _chain(n - 1, True, ed, dd):
-            add(r, EVEN)
-        add(_unit(n - 1, True, ed, dd, 2), EVEN)
-    elif k == "D":
-        ed, dd = m, n
-        for r in _chain(n - 1, True, ed, dd):
-            add(r, EVEN)
-        add(_unit(n - 1, True, ed, dd) - _unit(0, False, ed, dd), ODD_ISO)
-        for r in _chain(m - 2, False, ed, dd):
-            add(r, EVEN)
-        add(_unit(m - 2, False, ed, dd) - _unit(m - 1, False, ed, dd), EVEN)
-        add(_unit(m - 2, False, ed, dd) + _unit(m - 1, False, ed, dd), EVEN)
-    elif k == "D21alpha":
+    if k == "D21alpha":
         a = fam.alpha
         eps1, eps2, eps3 = _d21_epsilons(a)
         sign = Q(1) if 1 + a > 0 else Q(-1)
@@ -484,23 +479,27 @@ def build_diagram(fam: FamilyId) -> Diagram:
         add(eps2.scale(Q(2)), EVEN)
         add(eps3.scale(Q(2)), EVEN)
     elif k == "F4":
-        ed, dd = 3, 3
-        delta = weight((0, 0, 0), (1, 1, 1))
-        e1, e2, e3 = (_unit(i, False, ed, dd) for i in range(3))
-        add((delta - e1 - e2 - e3).scale(Q(1, 2)), ODD_ISO)
-        add(e3, EVEN)
-        add(e2 - e3, EVEN)
-        add(e1 - e2, EVEN)
+        half = Q(1, 2)
+        add(weight((-half, -half, -half), (half, half, half)), ODD_ISO)
+        add(weight((0, 0, 1), (0, 0, 0)), EVEN)
+        add(weight((0, 1, -1), (0, 0, 0)), EVEN)
+        add(weight((1, -1, 0), (0, 0, 0)), EVEN)
     elif k == "G3":
-        ed, dd = 3, 2
-        delta = weight((0, 0, 0), (1, 1))
-        e1, e2, e3 = (_unit(i, False, ed, dd) for i in range(3))
-        add(delta + e2 - e3, ODD_ISO)
-        add(e1 - e2, EVEN)
-        add(e2 + e3 - e1.scale(Q(2)), EVEN)
-    else:  # pragma: no cover - FamilyId already rejects
-        raise InvalidFamily(k)
-
+        add(weight((0, 1, -1), (1, 1)), ODD_ISO)
+        add(weight((1, -1, 0), (0, 0)), EVEN)
+        add(weight((-2, 1, 1), (0, 0)), EVEN)
+    else:
+        word, end = _word(fam)
+        w = _weights(word)
+        for b in range(1, len(word)):
+            add(w((b - 1, _ONE), (b, _MINUS_ONE)), EVEN if word[b - 1] == word[b] else ODD_ISO)
+        last = len(word) - 1
+        if end == "x":
+            add(w((last, _ONE)), EVEN if word[last] == "e" else ODD_NONISO)
+        elif end == "2x":
+            add(w((last, _TWO)), EVEN)
+        elif end == "x'+x":
+            add(w((last - 1, _ONE), (last, _ONE)), EVEN)
     return Diagram(tuple(nodes), fam)
 
 
@@ -644,63 +643,36 @@ class RootSystem:
         return self.even_1 + self.even_2 + self.odd
 
 
-def _pairs_pm(units: list[WeightVector], with_sum: bool):
-    """i<j differences (and sums when with_sum) of an orthogonal unit family."""
-    diffs, sums = [], []
-    for i in range(len(units)):
-        for j in range(i + 1, len(units)):
-            diffs.append(units[i] - units[j])
-            sums.append(units[i] + units[j])
-    return diffs + (sums if with_sum else [])
-
-
 @stored
 def generate_roots(diagram: Diagram) -> RootSystem:
-    """Positive roots of the family in the same coordinates as the diagram."""
-    fam = diagram.family
-    k, m, n = fam.kind, fam.m, fam.n
-    ed = len(diagram.root(0).e_part)
-    dd = len(diagram.root(0).d_part)
-    e = [_unit(i, False, ed, dd) for i in range(ed)]
-    d = [_unit(i, True, ed, dd) for i in range(dd)]
+    """Positive roots of the family in the same coordinates as the diagram.
 
-    if k == "A":
-        even_1 = _pairs_pm(e, with_sum=False)
-        even_2 = _pairs_pm(d, with_sum=False)
-        odd = [ei - dj for ei in e for dj in d]
-    elif k == "B":
-        even_1 = _pairs_pm(e, with_sum=True) + list(e)
-        even_2 = _pairs_pm(d, with_sum=True) + [x.scale(Q(2)) for x in d]
-        odd = list(d) + [di - ej for di in d for ej in e] + [di + ej for di in d for ej in e]
-    elif k == "B0":
-        even_1 = []
-        even_2 = _pairs_pm(d, with_sum=True) + [x.scale(Q(2)) for x in d]
-        odd = list(d)
-    elif k == "C":
-        even_1 = []
-        even_2 = _pairs_pm(d, with_sum=True) + [x.scale(Q(2)) for x in d]
-        odd = [e[0] - dj for dj in d] + [e[0] + dj for dj in d]
-    elif k == "D":
-        even_1 = _pairs_pm(e, with_sum=True)
-        even_2 = _pairs_pm(d, with_sum=True) + [x.scale(Q(2)) for x in d]
-        odd = [di - ej for di in d for ej in e] + [di + ej for di in d for ej in e]
-    elif k == "D21alpha":
+    A classical family's roots are x_a - x_b for every letter a before b of
+    its word; outside A also x_a + x_b and the long roots 2 delta_j, and for
+    B and B(0,n) the short roots x_a.
+    """
+    fam = diagram.family
+    k = fam.kind
+    if k == "D21alpha":
         eps1, eps2, eps3 = _d21_epsilons(fam.alpha)
         even_1 = [eps2.scale(Q(2)), eps3.scale(Q(2))]
         even_2 = [eps1.scale(Q(2))]
         odd = [eps1 + eps2.scale(s2) + eps3.scale(s3) for s2 in (Q(1), Q(-1)) for s3 in (Q(1), Q(-1))]
     elif k == "F4":
         delta = weight((0, 0, 0), (1, 1, 1))
-        even_1 = _pairs_pm(e, with_sum=True) + list(e)
+        e = [weight(row, (0, 0, 0)) for row in ((1, 0, 0), (0, 1, 0), (0, 0, 1))]
+        signs = (Q(1), Q(-1))
+        even_1 = e + [e[i] + e[j].scale(s) for i, j in ((0, 1), (0, 2), (1, 2)) for s in signs]
         even_2 = [delta]
         odd = [
             (delta + e[0].scale(s1) + e[1].scale(s2) + e[2].scale(s3)).scale(Q(1, 2))
-            for s1 in (Q(1), Q(-1))
-            for s2 in (Q(1), Q(-1))
-            for s3 in (Q(1), Q(-1))
+            for s1 in signs
+            for s2 in signs
+            for s3 in signs
         ]
     elif k == "G3":
         delta = weight((0, 0, 0), (1, 1))
+        e = [weight(row, (0, 0)) for row in ((1, 0, 0), (0, 1, 0), (0, 0, 1))]
         shorts = [e[0] - e[1], e[2] - e[0], e[2] - e[1]]
         longs = [
             e[1] + e[2] - e[0].scale(Q(2)),
@@ -710,8 +682,21 @@ def generate_roots(diagram: Diagram) -> RootSystem:
         even_1 = shorts + longs
         even_2 = [delta.scale(Q(2))]
         odd = [delta] + [delta + s for s in shorts] + [delta - s for s in shorts]
-    else:  # pragma: no cover
-        raise InvalidFamily(k)
+    else:
+        word, end = _word(fam)
+        w = _weights(word)
+        even_1, even_2, odd = [], [], []
+        part = {"ee": even_1, "dd": even_2}
+        for b, y in enumerate(word):
+            for a, x in enumerate(word[:b]):
+                roots = part.get(x + y, odd)
+                roots.append(w((a, _ONE), (b, _MINUS_ONE)))
+                if end:
+                    roots.append(w((a, _ONE), (b, _ONE)))
+            if end and y == "d":
+                even_2.append(w((b, _TWO)))
+            if end == "x":
+                (even_1 if y == "e" else odd).append(w((b, _ONE)))
 
     return RootSystem(
         tuple(sorted(even_1)), tuple(sorted(even_2)), tuple(sorted(odd))

@@ -313,8 +313,17 @@ def cmd_table(args) -> int:
     return 0 if report.clean() else 2
 
 
+class _Parser(argparse.ArgumentParser):
+    """An ``ArgumentParser`` whose usage errors exit 1, as input errors do;
+    exit code 2 means table mismatches.  Subparsers are of the same class."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(1, f"{self.prog}: error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="supervogan",
         description="Painted-diagram classification of real forms "
         "of the basic classical Lie superalgebras.",

@@ -100,8 +100,26 @@ def test_invalid_families(make):
         lambda: FamilyId("A", -(10**5000), 1),
         lambda: FamilyId("A", True, 1),  # equals A(1,1) but displays A(True,1)
         lambda: FamilyId("C", 0, 2.0),
+        # alpha is an int or a Fraction; text goes through read_alpha
+        lambda: FamilyId("D21alpha", alpha="x"),
+        lambda: FamilyId("D21alpha", alpha=float("nan")),
+        lambda: FamilyId("D21alpha", alpha=[1]),
+        lambda: FamilyId("D21alpha", alpha=0.1),  # would read as 3602879701896397/2**55
+        lambda: FamilyId("D21alpha", alpha=True),  # equals 1 but is no number
     ],
-    ids=["huge-alpha", "huge-alpha-denominator", "huge-m", "huge-negative-m", "bool-m", "float-n"],
+    ids=[
+        "huge-alpha",
+        "huge-alpha-denominator",
+        "huge-m",
+        "huge-negative-m",
+        "bool-m",
+        "float-n",
+        "text-alpha",
+        "nan-alpha",
+        "list-alpha",
+        "float-alpha",
+        "bool-alpha",
+    ],
 )
 def test_families_that_cannot_display_or_alias_another_are_invalid(make):
     with pytest.raises(InvalidFamily):
@@ -147,6 +165,56 @@ def test_node_kinds():
     assert [n.kind for n in d.nodes] == [EVEN, EVEN, ODD_NONISO]
     d = build_diagram(FamilyId("G3"))
     assert [n.kind for n in d.nodes] == [ODD_ISO, EVEN, EVEN]
+
+
+def textbook_simple_system(fam):
+    """Kac's distinguished simple system of a classical family, as a list of
+    ``(root, kind)``; a root is a dict from ("e", i) or ("d", j), 1-based, to
+    its coefficient.  Returns the system and the (epsilon | delta) dimensions."""
+    m, n = fam.m, fam.n
+
+    def diff(x, i, y, j):
+        return {(x, i): 1, (y, j): -1}
+
+    def chain(x, count):  # x_1 - x_2, ..., x_{count-1} - x_count
+        return [(diff(x, i, x, i + 1), EVEN) for i in range(1, count)]
+
+    if fam.kind == "A":
+        odd = [(diff("e", m + 1, "d", 1), ODD_ISO)]
+        return chain("e", m + 1) + odd + chain("d", n + 1), (m + 1, n + 1)
+    if fam.kind == "B0":
+        return chain("d", n) + [({("d", n): 1}, ODD_NONISO)], (0, n)
+    if fam.kind == "C":
+        return [(diff("e", 1, "d", 1), ODD_ISO)] + chain("d", n) + [({("d", n): 2}, EVEN)], (1, n)
+    end = {("e", m): 1} if fam.kind == "B" else {("e", m - 1): 1, ("e", m): 1}
+    return chain("d", n) + [(diff("d", n, "e", 1), ODD_ISO)] + chain("e", m) + [(end, EVEN)], (m, n)
+
+
+TEXTBOOK_FAMILIES = (
+    [FamilyId("A", m, n) for m in range(8) for n in range(8) if 1 <= m + n <= 7]
+    + [FamilyId("B", m, n) for m in range(1, 8) for n in range(1, 8) if m + n <= 8]
+    + [FamilyId("B0", 0, n) for n in range(1, 9)]
+    + [FamilyId("C", 0, n) for n in range(1, 8)]
+    + [FamilyId("D", m, n) for m in range(2, 8) for n in range(1, 7) if m + n <= 8]
+)
+
+
+@pytest.mark.parametrize("fam", TEXTBOOK_FAMILIES, ids=lambda f: f.display())
+def test_classical_simple_systems_match_the_textbook(fam):
+    system, (e_dim, d_dim) = textbook_simple_system(fam)
+    expected = [
+        (
+            weight(
+                [coeffs.get(("e", i), 0) for i in range(1, e_dim + 1)],
+                [coeffs.get(("d", j), 0) for j in range(1, d_dim + 1)],
+            ),
+            kind,
+        )
+        for coeffs, kind in system
+    ]
+    nodes = build_diagram(fam).nodes
+    assert [node.index for node in nodes] == list(range(len(expected)))
+    assert [(node.root, node.kind) for node in nodes] == expected
 
 
 # ---------------------------------------------------------- Cartan matrices

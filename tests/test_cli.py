@@ -181,6 +181,32 @@ def test_bad_spec_exit(capsys):
     assert code == 1 and "position 0" in err
 
 
+@pytest.mark.parametrize(
+    "argv,message",
+    [
+        (["bogus"], "invalid choice"),
+        (["table"], "required: family"),
+        (["table", "A(1,1)", "--nope"], "unrecognized arguments: --nope"),
+    ],
+    ids=["unknown-verb", "missing-family", "unknown-flag"],
+)
+def test_usage_errors_exit_1_not_the_mismatch_code(capsys, argv, message):
+    with pytest.raises(SystemExit) as exit_info:
+        main(argv)
+    captured = capsys.readouterr()
+    assert exit_info.value.code == 1
+    assert captured.out == ""
+    assert captured.err.startswith("usage: supervogan") and "error:" in captured.err
+    assert message in captured.err
+
+
+def test_help_still_exits_0(capsys):
+    with pytest.raises(SystemExit) as exit_info:
+        main(["--help"])
+    assert exit_info.value.code == 0
+    assert capsys.readouterr().out.startswith("usage: supervogan")
+
+
 def test_rank_guard(capsys):
     code, out, err = run(capsys, "enumerate", "A(9,9)")
     assert code == 1 and "12" in err
