@@ -5,8 +5,13 @@ inner product ``<e_i, e_j> = delta_ij``, ``<d_i, d_j> = -delta_ij`` and all
 coordinates are ``fractions.Fraction``.  The Gram and Cartan matrices are
 computed over ``int`` (each root scaled by the lcm of its denominators, the
 Gram matrix brought to one common denominator) and hold one ``Fraction``
-per entry; block inverses and root expansions come from the fraction-free
-elimination in ``linalg``.
+per entry; block inverses come from the fraction-free elimination in
+``linalg``.  Root expansions are summed over ``int`` as well: the
+elimination's transform is brought to one common denominator once per
+diagram, each weight is scaled by the lcm of its denominators, and only the
+finished coefficients are ``Fraction``s.  ``noncompact_parity`` keeps two
+node masks per even root (the nodes of its odd coefficients, and of its
+non-integer ones) and reads a painting's parity as one masked popcount.
 
 The classical families A, B, B(0,n), C and D are built from their word in
 epsilon and delta (``_word``): simple roots and positive roots alike, each
@@ -38,6 +43,7 @@ from typing import Optional, Sequence
 from weakref import WeakValueDictionary
 
 from .errors import (
+    BadIndex,
     InvalidFamily,
     InvariantViolation,
     NotAnEvenRoot,
@@ -62,12 +68,13 @@ class WeightVector:
     d_part: tuple[Fraction, ...]
 
     def __hash__(self) -> int:
-        # Roots key sets and caches; hash the Fraction tuples only once.
+        # Roots key sets and caches; hash the coordinates only once, integral
+        # ones as ints (hash(Fraction(k)) == hash(k): the value is unchanged).
         # Number hashes are the same in every process, so pickles may carry it.
         try:
             return self._hash
         except AttributeError:
-            h = hash((self.e_part, self.d_part))
+            h = hash(_exact_key(self))
             object.__setattr__(self, "_hash", h)
             return h
 
@@ -84,9 +91,10 @@ class WeightVector:
         )
 
     def __neg__(self) -> "WeightVector":
+        # a root has few nonzero coordinates, and a zero is its own negative
         return WeightVector(
-            tuple(-a for a in self.e_part),
-            tuple(-a for a in self.d_part),
+            tuple([-a if a else a for a in self.e_part]),
+            tuple([-a if a else a for a in self.d_part]),
         )
 
     def scale(self, c: Fraction) -> "WeightVector":
@@ -102,6 +110,16 @@ class WeightVector:
 
     def coords(self) -> tuple[Fraction, ...]:
         return self.e_part + self.d_part
+
+
+def _exact(part: tuple[Fraction, ...]) -> tuple:
+    # an int compares and hashes as the equal Fraction does, and is cheaper
+    return tuple([x.numerator if x.denominator == 1 else x for x in part])
+
+
+def _exact_key(v: WeightVector) -> tuple[tuple, tuple]:
+    """``(e_part, d_part)`` as ``_exact`` tuples: ``v``'s order and hash."""
+    return _exact(v.e_part), _exact(v.d_part)
 
 
 def weight(e_part: Sequence, d_part: Sequence) -> WeightVector:
@@ -138,6 +156,19 @@ class FamilyId:
         elif self.kind in ("B0", "C"):
             object.__setattr__(self, "m", 0)
         validate_family(self)
+
+    def __hash__(self) -> int:
+        # build_diagram hashes its family twice on every hit; hash it once.
+        # A str hash is salted per process, so no pickle may carry it.
+        try:
+            return self._hash
+        except AttributeError:
+            h = hash((self.kind, self.m, self.n, self.alpha))
+            object.__setattr__(self, "_hash", h)
+            return h
+
+    def __getstate__(self):
+        return {k: x for k, x in vars(self).items() if k != "_hash"}
 
     def display(self) -> str:
         if self.kind == "A":
@@ -698,21 +729,24 @@ def generate_roots(diagram: Diagram) -> RootSystem:
             if end == "x":
                 (even_1 if y == "e" else odd).append(w((b, _ONE)))
 
+    # the dataclass order, compared over ints where the coordinates allow
     return RootSystem(
-        tuple(sorted(even_1)), tuple(sorted(even_2)), tuple(sorted(odd))
+        *(tuple(sorted(part, key=_exact_key)) for part in (even_1, even_2, odd))
     )
 
 
 @stored
 def _expansion_operator(diagram: Diagram):
-    """The expansion solve, factored once per diagram.
+    """The expansion solve, factored once per diagram, over the integers.
 
     Row reduction of the matrix whose columns are the expansion basis gives a
-    transform E with E @ basis in reduced row echelon form.  For each
-    coordinate r of the weight space this returns column r of E, kept
-    sparse and split in two: ``(node, weight)`` pairs for the rows that give
-    the coefficient of a pivot node, and ``(row, weight)`` pairs for the rows
-    that vanish exactly on the span.  Non-pivot basis nodes get coefficient 0.
+    transform E with E @ basis in reduced row echelon form; ``den`` times E
+    is an integer matrix.  For each coordinate r of the weight space this
+    returns column r of ``den`` E, kept sparse and split in two: ``(node,
+    weight)`` pairs for the rows that give the coefficient of a pivot node,
+    and ``(row, weight)`` pairs for the rows that vanish exactly on the
+    span.  Non-pivot basis nodes get coefficient 0.  Also returned: ``den``
+    and the weight space's shape, ``(len(e_part), len(d_part))``.
     """
     # The four-node star of D(2,1;alpha) is dependent: its odd node is half a
     # signed sum of the three even ones, which span the weight space of the
@@ -725,12 +759,15 @@ def _expansion_operator(diagram: Diagram):
         basis = tuple(range(len(diagram)))
     mat = [list(row) for row in zip(*(diagram.root(i).coords() for i in basis))]
     pivots, e = row_reduce(mat)
+    den = lcm(*(x.denominator for row in e for x in row))
+    e = [[x.numerator * (den // x.denominator) for x in row] for row in e]
     rank = len(pivots)
     solve, vanish = [], []
     for r in range(len(mat)):
         solve.append(tuple((basis[pivots[k]], e[k][r]) for k in range(rank) if e[k][r]))
         vanish.append(tuple((k, e[k][r]) for k in range(rank, len(mat)) if e[k][r]))
-    return tuple(solve), tuple(vanish)
+    root = diagram.root(0)
+    return tuple(solve), tuple(vanish), den, (len(root.e_part), len(root.d_part))
 
 
 def root_expansion(diagram: Diagram, v: WeightVector) -> tuple[Fraction, ...]:
@@ -739,29 +776,42 @@ def root_expansion(diagram: Diagram, v: WeightVector) -> tuple[Fraction, ...]:
     For D(2,1;alpha) the expansion is over the even nodes, so the odd node
     gets 0 and the odd roots get half-integer coefficients.
 
-    Raises ValueError when ``v`` is outside the span of the simple roots.
+    Summed in ``int``s, ``v`` scaled by the lcm s of its denominators.
+    Raises ValueError when ``v`` is outside the span of the simple roots,
+    or is not a weight of the diagram's shape.
     """
-    solve, vanish = _expansion_operator(diagram)
-    out = [Q(0)] * len(diagram)
-    residual: dict[int, Fraction] = {}
-    for r, x in enumerate(v.coords()):
-        if x:
-            for i, w in solve[r]:
-                out[i] += w * x
-            for k, w in vanish[r]:
-                residual[k] = residual.get(k, 0) + w * x
-    if any(residual.values()):
+    solve, vanish, den, shape = _expansion_operator(diagram)
+    if (len(v.e_part), len(v.d_part)) != shape:
+        raise ValueError(f"{v} is not a weight of the {shape[0]}|{shape[1]} space")
+    terms = [(r, x) for r, x in enumerate(v.coords()) if x]
+    s = lcm(*(x.denominator for _, x in terms))
+    out = [0] * len(diagram)
+    residual = [0] * len(vanish)
+    for r, x in terms:
+        x = x.numerator * (s // x.denominator)
+        for i, w in solve[r]:
+            out[i] += w * x
+        for k, w in vanish[r]:
+            residual[k] += w * x
+    if any(residual):
         raise ValueError(f"{v} is outside the span of the simple roots")
-    return tuple(out)
+    return tuple([Q(c, den * s) if c else _ZERO for c in out])
 
 
 @stored
-def _even_root_expansions(diagram: Diagram) -> dict[WeightVector, tuple[Fraction, ...]]:
-    """Every even root, and its negative, mapped to its ``root_expansion``."""
+def _even_root_masks(diagram: Diagram) -> dict[WeightVector, tuple[int, int]]:
+    """Every even root, and its negative, mapped to two node masks over its
+    ``root_expansion``: the nodes with an odd integer coefficient, and the
+    nodes with a non-integer one."""
     table = {}
     for r in generate_roots(diagram).even():
-        table[r] = root_expansion(diagram, r)
-        table[-r] = tuple(-c for c in table[r])
+        odd = frac = 0
+        for i, c in enumerate(root_expansion(diagram, r)):
+            if c.denominator != 1:
+                frac |= 1 << i
+            elif c.numerator & 1:
+                odd |= 1 << i
+        table[r] = table[-r] = (odd, frac)
     return table
 
 
@@ -770,16 +820,21 @@ def noncompact_parity(diagram: Diagram, painted: frozenset[int], v: WeightVector
 
     The parity is the painted-coefficient sum mod 2, which makes it additive:
     for even roots a, b, a+b with a+b a root, parities satisfy the XOR law.
+    Raises NotAnEvenRoot unless ``v`` is an even root or the negative of one,
+    and BadIndex for a painted index outside ``0..len(diagram)-1``.
     """
-    coeffs = _even_root_expansions(diagram).get(v)
-    if coeffs is None:
+    masks = _even_root_masks(diagram).get(v)
+    if masks is None:
         raise NotAnEvenRoot(f"{v} is not an even root of {diagram.family.display()}")
-    total = 0
+    odd, frac = masks
+    size = len(diagram.nodes)
+    mask = 0
     for i in painted:
-        c = coeffs[i]
-        if c.denominator != 1:
-            raise InvariantViolation(
-                f"{v} has the non-integer coefficient {c} at node {i}"
-            )
-        total += int(c)
-    return total % 2
+        if not 0 <= i < size:
+            raise BadIndex(f"node {i} is out of range 0..{size - 1} of {diagram.family.display()}")
+        mask |= 1 << i
+    if mask & frac:
+        coeffs = root_expansion(diagram, v)
+        i = next(i for i in painted if coeffs[i].denominator != 1)
+        raise InvariantViolation(f"{v} has the non-integer coefficient {coeffs[i]} at node {i}")
+    return (mask & odd).bit_count() & 1

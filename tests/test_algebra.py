@@ -11,6 +11,7 @@ from supervogan import (
     EVEN,
     ODD_ISO,
     ODD_NONISO,
+    BadIndex,
     Diagram,
     FamilyId,
     InvalidFamily,
@@ -661,6 +662,29 @@ def test_noncompact_parity_rejects_every_odd_root_and_a_non_root(fam):
             noncompact_parity(diagram, painted, v)
     with pytest.raises(NotAnEvenRoot):
         noncompact_parity(diagram, painted, rs.even()[0].scale(Q(3)))
+
+
+def test_noncompact_parity_rejects_painted_indices_outside_the_diagram():
+    """B(1,1) has nodes 0 and 1: -1 must not read the last node, and 2 or 7
+    must not fall through to an IndexError."""
+    diagram = build_diagram(FamilyId("B", 1, 1))
+    for v in generate_roots(diagram).even():
+        for painted in ({-1}, {2}, {7}, {0, 7}, {-1, 1}):
+            with pytest.raises(BadIndex):
+                noncompact_parity(diagram, frozenset(painted), v)
+        assert noncompact_parity(diagram, frozenset({0, 1}), v) in (0, 1)
+
+
+def test_root_expansion_rejects_weights_of_another_shape():
+    """B(2,1) has a 2|1 weight space; a 1|1 or 3|1 weight is no weight of it,
+    even where its coordinates, run together, would expand."""
+    diagram = build_diagram(FamilyId("B", 2, 1))
+    assert root_expansion(diagram, weight([1, 0], [0])) == (Q(0), Q(1), Q(1))
+    for v in (weight([1], [0]), weight([1, 0, 0], [0]), weight([1, 0], []), weight([1, 0], [0, 0])):
+        with pytest.raises(ValueError):
+            root_expansion(diagram, v)
+        with pytest.raises(NotAnEvenRoot):
+            noncompact_parity(diagram, frozenset(), v)
 
 
 @pytest.mark.parametrize(

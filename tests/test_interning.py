@@ -6,14 +6,18 @@ a diagram equal to the interned one but built apart gets the same answers.
 """
 
 import gc
+import os
 import pickle
+import subprocess
 import sys
 import tracemalloc
 import weakref
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+import supervogan
 from supervogan import (
     FamilyId,
     VoganDiagram,
@@ -151,3 +155,34 @@ def test_a_pickle_carries_no_record():
     clone = pickle.loads(pickle.dumps(diagram))
     assert clone == diagram and vars(clone).keys() == {"nodes", "family"}
     assert generate_roots(clone) == roots and generate_roots(clone) is not roots
+
+
+PICKLE_A_FAMILY = """
+import pickle, sys
+from fractions import Fraction
+from supervogan import FamilyId
+fam = FamilyId("D21alpha", alpha=Fraction(3, 5))
+hash(fam)
+sys.stdout.buffer.write(pickle.dumps(fam))
+"""
+
+
+@pytest.mark.parametrize("seed", ["1", "2"])
+def test_a_pickled_family_carries_no_hash(seed):
+    """A family caches its hash, but a str hash is salted per process, so
+    the cache must not travel: a family pickled in a process with another
+    hash seed hashes, compares and interns as a fresh one does here."""
+    fam = FamilyId("D21alpha", alpha=Q(3, 5))
+    hash(fam)
+    assert "_hash" in vars(fam)
+    assert "_hash" not in vars(pickle.loads(pickle.dumps(fam)))
+    src = str(Path(supervogan.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=src)
+    data = subprocess.run(
+        [sys.executable, "-c", PICKLE_A_FAMILY], env=env, capture_output=True, check=True
+    ).stdout
+    back = pickle.loads(data)
+    assert "_hash" not in vars(back)
+    assert back == fam and hash(back) == hash(fam) == hash(FamilyId("D21alpha", alpha=Q(3, 5)))
+    assert build_diagram(back) is build_diagram(fam)
+    assert pickle.loads(pickle.dumps(build_diagram(fam))).family == back
