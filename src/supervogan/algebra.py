@@ -2,11 +2,15 @@
 
 Every quantity is exact: weights live in a split coordinate space with
 inner product ``<e_i, e_j> = delta_ij``, ``<d_i, d_j> = -delta_ij`` and all
-coordinates are ``fractions.Fraction``.  The Gram and Cartan matrices are
-computed over ``int`` (each root scaled by the lcm of its denominators, the
-Gram matrix brought to one common denominator) and hold one ``Fraction``
-per entry; block inverses come from the fraction-free elimination in
-``linalg``.  Root expansions are summed over ``int`` as well: the
+coordinates are ``fractions.Fraction``.  Each diagram keeps one integer
+Gram record (``gram_record``): every simple root scaled by one lcm s of their
+coordinates' denominators, the Gram matrix as ``int`` rows over den = s**2,
+and each row's Cartan scale.  The flip and naming path reads only that
+record: even blocks, diagram symmetries, flip masks and, through the
+integer transform of ``linalg.bareiss``, the block inverses behind
+dual-basis minimality.  ``gram_matrix``, ``cartan_matrix`` and the block
+inverse behind ``dual_basis`` are read off it too and hold one ``Fraction``
+per entry.  Root expansions are summed over ``int`` as well: the
 elimination's transform is brought to one common denominator once per
 diagram, each weight is scaled by the lcm of its denominators, and only the
 finished coefficients are ``Fraction``s.  ``noncompact_parity`` keeps two
@@ -52,7 +56,7 @@ from .errors import (
     SingularBlock,
     SingularNormalization,
 )
-from .linalg import Q, invert, row_reduce
+from .linalg import Q, bareiss, row_reduce
 
 # Node kinds, also used verbatim in the JSON document schema.
 EVEN = "even"
@@ -414,30 +418,40 @@ def _interned(build):
     return update_wrapper(build_interned, build)
 
 
-def _integer_coords(root: WeightVector) -> tuple[list[int], list[int], int]:
-    """``(e, d, s)`` with ``root = (e | d) / s`` over integers, s the lcm of
-    the root's coordinate denominators."""
-    s = lcm(*(x.denominator for x in root.coords()))
-    return (
-        [x.numerator * (s // x.denominator) for x in root.e_part],
-        [x.numerator * (s // x.denominator) for x in root.d_part],
-        s,
+GramRecord = namedtuple("GramRecord", "rows den scales")
+
+
+@stored
+def gram_record(diagram: Diagram) -> GramRecord:
+    """The simple roots' Gram matrix over ``int``: ``rows`` n with G = n / den.
+
+    Every root is scaled by the same s, the lcm of the denominators of all
+    the simple roots' coordinates, so ``den`` is s**2.  ``scales`` holds the Cartan reading of each row,
+    ``(c, q)`` with ``a_ij = c n_ij / q``: ``(2, n_ii)`` for a non-isotropic
+    node, ``(1, max_j |n_ij|)`` for an isotropic one (``q`` is 0 when that
+    row is zero; ``cartan_scales`` rejects it).
+    """
+    roots = [node.root for node in diagram.nodes]
+    s = lcm(*(x.denominator for root in roots for x in root.coords()))
+    e = [[x.numerator * (s // x.denominator) for x in root.e_part] for root in roots]
+    d = [[x.numerator * (s // x.denominator) for x in root.d_part] for root in roots]
+    size = len(roots)
+    rows = [[0] * size for _ in range(size)]
+    for i in range(size):
+        for j in range(i, size):
+            rows[i][j] = rows[j][i] = sum(map(mul, e[i], e[j])) - sum(map(mul, d[i], d[j]))
+    scales = tuple(
+        (2, row[i]) if row[i] else (1, max(map(abs, row))) for i, row in enumerate(rows)
     )
+    return GramRecord(tuple(map(tuple, rows)), s * s, scales)
 
 
 @stored
 def gram_matrix(diagram: Diagram) -> tuple[tuple[Fraction, ...], ...]:
-    """Inner products of the simple roots: signed integer dot products over
-    each pair's common denominator, one ``Fraction`` per entry."""
-    coords = [_integer_coords(node.root) for node in diagram.nodes]
-    size = len(coords)
-    rows = [[Q(0)] * size for _ in range(size)]
-    for i, (ei, di, si) in enumerate(coords):
-        for j in range(i, size):
-            ej, dj, sj = coords[j]
-            dot = sum(map(mul, ei, ej)) - sum(map(mul, di, dj))
-            rows[i][j] = rows[j][i] = Q(dot, si * sj)
-    return tuple(map(tuple, rows))
+    """Inner products of the simple roots, read off ``gram_record``: one
+    ``Fraction`` per entry."""
+    record = gram_record(diagram)
+    return tuple(tuple(Q(x, record.den) for x in row) for row in record.rows)
 
 
 # ----------------------------------------------------------------------------
@@ -559,42 +573,43 @@ class CartanData:
     symmetrized: tuple[tuple[Fraction, ...], ...]
 
 
+def cartan_scales(diagram: Diagram) -> tuple[tuple[int, int], ...]:
+    """Per node i, ``(c, q)`` with Cartan entry ``a_ij = c n_ij / q`` over
+    the rows n of ``gram_record``.
+
+    Raises SingularNormalization for an isotropic node orthogonal to the
+    whole diagram, whose row has no entry to normalize by.
+    """
+    scales = gram_record(diagram).scales
+    for i, (_, q) in enumerate(scales):
+        if not q:
+            raise SingularNormalization(f"isotropic node {i} is orthogonal to the whole diagram")
+    return scales
+
+
 @stored
 def cartan_matrix(diagram: Diagram) -> CartanData:
     """Cartan matrix normalized so that diag(eps) @ matrix equals the Gram matrix.
 
     Rows of non-isotropic nodes are the usual ``2<a_i,a_j>/<a_i,a_i>``; rows of
     isotropic nodes are scaled so the largest entry in absolute value is 1.
+    Built from ``gram_record``; ``cartan_scales`` gives each row's scale.
     """
     g = gram_matrix(diagram)
-    size = len(g)
-    # n / den is the Gram matrix over one common denominator
-    den = lcm(*(x.denominator for row in g for x in row))
-    n = [[x.numerator * (den // x.denominator) for x in row] for row in g]
-    a_rows: list[tuple[Fraction, ...]] = []
-    eps: list[Fraction] = []
-    for i, row in enumerate(n):
-        if row[i]:
-            a_rows.append(tuple(Q(2 * x, row[i]) for x in row))
-            eps.append(Q(row[i], 2 * den))
-        else:
-            scale = max(map(abs, row))
-            if scale == 0:
-                raise SingularNormalization(
-                    f"isotropic node {i} is orthogonal to the whole diagram"
-                )
-            a_rows.append(tuple(Q(x, scale) for x in row))
-            eps.append(Q(scale, den))
-    # eps_i a_ij == n_ij / den, cross-multiplied over the integers
-    if any(n[i][j] != n[j][i] for i in range(size) for j in range(i)) or any(
-        e.numerator * x.numerator * den != nij * e.denominator * x.denominator
-        for e, a_row, n_row in zip(eps, a_rows, n)
-        for x, nij in zip(a_row, n_row)
+    record = gram_record(diagram)
+    scales = cartan_scales(diagram)
+    a_rows = tuple(tuple(Q(c * x, q) for x in row) for row, (c, q) in zip(record.rows, scales))
+    eps = tuple(Q(q, c * record.den) for c, q in scales)
+    # eps_i a_ij == g_ij, cross-multiplied over the integers
+    if any(g[i][j] != g[j][i] for i in range(len(g)) for j in range(i)) or any(
+        e.numerator * x.numerator * y.denominator != y.numerator * e.denominator * x.denominator
+        for e, a_row, g_row in zip(eps, a_rows, g)
+        for x, y in zip(a_row, g_row)
     ):
         raise InvariantViolation(
             "diag(eps) times the Cartan matrix is not the symmetric Gram matrix"
         )
-    return CartanData(tuple(a_rows), tuple(eps), g)
+    return CartanData(a_rows, eps, g)
 
 
 # ----------------------------------------------------------------------------
@@ -605,7 +620,7 @@ def cartan_matrix(diagram: Diagram) -> CartanData:
 def even_blocks(diagram: Diagram) -> tuple[tuple[int, ...], ...]:
     """Connected components of the subdiagram spanned by the even nodes,
     two nodes joined when their simple roots are non-orthogonal."""
-    g = gram_matrix(diagram)
+    g = gram_record(diagram).rows
     even = set(diagram.even_indices())
     seen: set[int] = set()
     blocks: list[tuple[int, ...]] = []
@@ -619,7 +634,7 @@ def even_blocks(diagram: Diagram) -> tuple[tuple[int, ...], ...]:
             i = stack.pop()
             comp.append(i)
             for j in even:
-                if g[i][j] != 0 and j not in seen:
+                if g[i][j] and j not in seen:
                     seen.add(j)
                     stack.append(j)
         blocks.append(tuple(sorted(comp)))
@@ -628,18 +643,30 @@ def even_blocks(diagram: Diagram) -> tuple[tuple[int, ...], ...]:
 
 def block_sign(diagram: Diagram, component: Sequence[int]) -> int:
     """+1 on the positive-definite side, -1 on the negative-definite side."""
-    return 1 if gram_matrix(diagram)[component[0]][component[0]] > 0 else -1
+    return 1 if gram_record(diagram).rows[component[0]][component[0]] > 0 else -1
+
+
+def integer_block_inverse(diagram: Diagram, component: Sequence[int]):
+    """``(n, r, d)``: the component's block n of ``gram_record``'s rows, and
+    the integer transform r and last pivot d of ``linalg.bareiss`` on it, so
+    that ``n @ r`` is d times the identity.  Raises SingularBlock when n is
+    singular."""
+    rows = gram_record(diagram).rows
+    n = [[rows[i][j] for j in component] for i in component]
+    pivots, r, d = bareiss(n, [1] * len(n))
+    if len(pivots) < len(n):
+        raise SingularBlock(f"block {tuple(component)} has singular Gram matrix")
+    return n, r, d
 
 
 def _block_gram_inverse(diagram: Diagram, component: Sequence[int]):
     """G^-1 for the component's Gram matrix G, and eps_i = G_ii / 2.  The dual
-    basis is w_j = sum_i (G^-1)_ji a_i / eps_j, so <w_i, w_j> = (G^-1)_ij / (eps_i eps_j)."""
-    g = gram_matrix(diagram)
-    try:
-        inv = invert([[g[i][j] for j in component] for i in component])
-    except ValueError as exc:
-        raise SingularBlock(f"block {tuple(component)} has singular Gram matrix") from exc
-    return inv, [g[i][i] / 2 for i in component]
+    basis is w_j = sum_i (G^-1)_ji a_i / eps_j, so <w_i, w_j> = (G^-1)_ij / (eps_i eps_j).
+    With G = n / den and n r = d I (``integer_block_inverse``), G^-1 = den r / d."""
+    n, r, d = integer_block_inverse(diagram, component)
+    den = gram_record(diagram).den
+    eps = [Q(row[k], 2 * den) for k, row in enumerate(n)]
+    return [[Q(den * x, d) for x in row] for row in r], eps
 
 
 def dual_basis(diagram: Diagram, component: Sequence[int]) -> tuple[WeightVector, ...]:

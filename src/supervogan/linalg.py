@@ -1,10 +1,10 @@
 """Exact linear algebra over the rationals.
 
 Matrices are plain lists of lists of ``fractions.Fraction`` and vectors are
-tuples; no floating point anywhere.  The one elimination loop,
-``row_reduce``, clears each row's denominators and runs fraction-free
-(Bareiss) Gauss-Jordan on ``int``s, so its only ``Fraction``s are the ones
-it returns.
+tuples; no floating point anywhere.  The one elimination loop, ``bareiss``,
+runs fraction-free Gauss-Jordan on ``int``s and returns the integer transform
+and the last pivot; ``row_reduce`` clears each row's denominators before it
+and divides after it, so its only ``Fraction``s are the ones it returns.
 """
 
 from __future__ import annotations
@@ -19,41 +19,37 @@ Q = Fraction
 Matrix = list[list[Fraction]]
 
 
-def row_reduce(a: Matrix) -> tuple[list[int], Matrix]:
-    """Gauss-Jordan elimination with exact pivoting.
+def bareiss(rows: list[list[int]], scales: list[int]) -> tuple[list[int], list[list[int]], int]:
+    """Fraction-free (Bareiss) Gauss-Jordan elimination of ``[rows | diag(scales)]``
+    over ``int``; the one elimination loop.
 
-    Returns the pivot columns of ``a`` and an invertible transform ``e`` with
-    ``e @ a`` in reduced row echelon form: its first ``len(pivots)`` rows hold
-    the pivots, in order, and its remaining rows are zero.
-
-    Row i is scaled to integers by the lcm s_i of its denominators, and the
-    identity beside it by the same s_i, so ``[s a | s]`` keeps the transform
-    exact.  Every Bareiss step divides exactly by the previous pivot; at the
-    end each pivot row is divided by the last pivot d, and each zero row by
-    d times its own scale, which gives the transform Gauss-Jordan over
-    ``Fraction`` gives.
+    Returns the pivot columns, the eliminated right-hand block ``t`` and the
+    last pivot ``d``.  The left-hand block ends as ``d`` times the reduced
+    row echelon form of ``rows`` in its first ``len(pivots)`` rows and zero
+    below, and ``t`` is the transform that made it times ``diag(scales)``:
+    for unit scales and a square nonsingular ``rows``, ``rows @ t`` is ``d``
+    times the identity.  Every step divides exactly by the previous pivot.
+    ``scales`` is permuted in place along with the rows.
     """
-    rows, cols = len(a), len(a[0]) if a else 0
-    scales = [lcm(*(x.denominator for x in row)) for row in a]
+    count, cols = len(rows), len(rows[0]) if rows else 0
     aug = [
-        [x.numerator * (s // x.denominator) for x in row]
-        + [s if i == j else 0 for j in range(rows)]
-        for i, (row, s) in enumerate(zip(a, scales))
+        [*row, *(s if i == j else 0 for j in range(count))]
+        for i, (row, s) in enumerate(zip(rows, scales))
     ]
     pivots: list[int] = []
     prev = 1
     for c in range(cols):
         r = len(pivots)
-        if r == rows:
+        if r == count:
             break
-        pivot = next((k for k in range(r, rows) if aug[k][c]), None)
+        pivot = next((k for k in range(r, count) if aug[k][c]), None)
         if pivot is None:
             continue
         aug[r], aug[pivot] = aug[pivot], aug[r]
         scales[r], scales[pivot] = scales[pivot], scales[r]
         top = aug[r]
         p = top[c]
-        for k in range(rows):
+        for k in range(count):
             if k != r:
                 f = aug[k][c]
                 new = [p * x - f * y for x, y in zip(aug[k], top)]
@@ -66,10 +62,30 @@ def row_reduce(a: Matrix) -> tuple[list[int], Matrix]:
                 aug[k] = new
         prev = p
         pivots.append(c)
+    return pivots, [row[cols:] for row in aug], prev
+
+
+def row_reduce(a: Matrix) -> tuple[list[int], Matrix]:
+    """Gauss-Jordan elimination with exact pivoting.
+
+    Returns the pivot columns of ``a`` and an invertible transform ``e`` with
+    ``e @ a`` in reduced row echelon form: its first ``len(pivots)`` rows hold
+    the pivots, in order, and its remaining rows are zero.
+
+    Row i is scaled to integers by the lcm s_i of its denominators, and the
+    identity beside it by the same s_i, so ``bareiss`` on ``[s a | s]`` keeps
+    the transform exact.  Each pivot row of its transform is divided by the
+    last pivot d, and each zero row by d times its own scale, which gives the
+    transform Gauss-Jordan over ``Fraction`` gives.
+    """
+    scales = [lcm(*(x.denominator for x in row)) for row in a]
+    pivots, t, d = bareiss(
+        [[x.numerator * (s // x.denominator) for x in row] for row, s in zip(a, scales)],
+        scales,
+    )
     rank = len(pivots)
     return pivots, [
-        [Q(x, prev if k < rank else prev * scales[k]) for x in row[cols:]]
-        for k, row in enumerate(aug)
+        [Q(x, d if k < rank else d * scales[k]) for x in row] for k, row in enumerate(t)
     ]
 
 

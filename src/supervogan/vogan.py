@@ -8,9 +8,12 @@ painted node per even block, chosen by the dual-basis minimality rule.
 
 One kernel does every flip.  Inside it a painting is an ``int`` bitmask, bit
 i for node i, and a flip at node i is one XOR with node i's toggle mask.  The
-masks are derived once per (diagram, fixed nodes) from the Cartan matrix, and
-the orbit BFS expands flips in ascending node order, so every trail is a
-shortest one and its tie-breaks are deterministic.
+masks are derived once per (diagram, fixed nodes) from the integer Gram rows
+of ``algebra.gram_record``, each Cartan entry read as an exact integer
+quotient, and the orbit BFS expands flips in ascending node order, so every
+trail is a shortest one and its tie-breaks are deterministic.  Dual-basis
+minimality is read over the integers too, off the block's Gram rows and the
+transform of one fraction-free elimination.
 """
 
 from __future__ import annotations
@@ -23,11 +26,10 @@ from typing import Iterable, Iterator, Optional
 from .algebra import (
     EVEN,
     Diagram,
-    _block_gram_inverse,
-    block_sign,
-    cartan_matrix,
+    cartan_scales,
     even_blocks,
-    gram_matrix,
+    gram_record,
+    integer_block_inverse,
     stored,
 )
 from .errors import (
@@ -61,7 +63,7 @@ def _preserves_diagram(diagram: Diagram, perm: tuple[int, ...]) -> bool:
         return False
     if any(perm[perm[i]] != i for i in range(size)):
         return False
-    g = gram_matrix(diagram)
+    g = gram_record(diagram).rows
     for i in range(size):
         if diagram.nodes[perm[i]].kind != diagram.nodes[i].kind:
             return False
@@ -127,10 +129,6 @@ def enumerate_vogan(diagram: Diagram) -> tuple[VoganDiagram, ...]:
     return tuple(out)
 
 
-def _odd_integer(x) -> bool:
-    return x.denominator == 1 and x.numerator % 2 != 0
-
-
 # ----------------------------------------------------------------------------
 # The flip kernel (see the module docstring).
 
@@ -159,12 +157,15 @@ def _sort_key(mask: int) -> tuple[int, list[int]]:
 @stored
 def _toggle_masks(diagram: Diagram, fixed: frozenset[int]) -> tuple[int, ...]:
     """Per node, the fixed even nodes paired with it by an odd integer in its
-    Cartan row, as a mask: exactly what a flip there toggles."""
-    a = cartan_matrix(diagram).matrix
+    Cartan row, as a mask: exactly what a flip there toggles.  The entry
+    a_ij = c n_ij / q is read off the integer Gram rows n (``cartan_scales``):
+    it is an odd integer, q (2k + 1), exactly when c n_ij = q mod 2q (for
+    either sign of q, as Python's ``%`` takes the sign of the modulus)."""
+    rows = gram_record(diagram).rows
     even = [j for j in diagram.even_indices() if j in fixed]
     return tuple(
-        _mask(j for j in even if j != at and _odd_integer(a[at][j]))
-        for at in range(len(diagram))
+        _mask(j for j in even if j != at and c * row[j] % (2 * q) == q)
+        for at, (row, (c, q)) in enumerate(zip(rows, cartan_scales(diagram)))
     )
 
 
@@ -238,17 +239,27 @@ def orbit_representatives(diagram: Diagram) -> Iterator[VoganDiagram]:
 @stored
 def _admissible_vertices(diagram: Diagram, block: tuple[int, ...]) -> frozenset[int]:
     """Block vertices i whose dual-basis vector is minimal:
-    sign * <w_i - w_j, w_j> <= 0 for every j in the block, the sign making
-    the comparison definite on both sides of the weight space.  The inner
-    products are read off the inverse block Gram matrix, scaled by eps."""
-    inv, eps = _block_gram_inverse(diagram, block)
-    s = block_sign(diagram, block)
+    s <w_i - w_j, w_j> <= 0 for every j in the block, the block sign s making
+    the comparison definite on both sides of the weight space.
+
+    Read over the integers.  The block's Gram matrix is G = N / den, so
+    eps_i = N_ii / (2 den), and N R = d I (``integer_block_inverse``) gives
+    G^-1 = den R / d.  Then <w_i, w_j> = (G^-1)_ij / (eps_i eps_j) is
+    4 den^3 R_ij / (d N_ii N_jj), and
+
+        s <w_i - w_j, w_j> = s 4 den^3 / (d N_ii N_jj^2) * (R_ij N_jj - R_jj N_ii).
+
+    N_ii has the block's sign s and den > 0, so the factor in front has the
+    sign of d: i is admissible iff sign(d) (R_ij N_jj - R_jj N_ii) <= 0 for
+    every j in the block.
+    """
+    n, r, d = integer_block_inverse(diagram, block)
+    sign = 1 if d > 0 else -1
     k = range(len(block))
-    inner = [[inv[a][b] / (eps[a] * eps[b]) for b in k] for a in k]
     return frozenset(
         i
-        for ki, i in enumerate(block)
-        if all(s * (inner[ki][kj] - inner[kj][kj]) <= 0 for kj in k)
+        for a, i in enumerate(block)
+        if all(sign * (r[a][b] * n[b][b] - r[b][b] * n[a][a]) <= 0 for b in k)
     )
 
 

@@ -18,14 +18,18 @@ from supervogan import (
     InvariantViolation,
     NotAnEvenRoot,
     SingularBlock,
+    SingularNormalization,
     build_diagram,
     block_sign,
     cartan_matrix,
     dual_basis,
+    enumerate_real_forms,
     even_blocks,
+    flip_orbit,
     generate_roots,
     node_count,
     noncompact_parity,
+    reduce,
     root_expansion,
     validate_family,
     weight,
@@ -442,6 +446,33 @@ def test_singular_block_raises():
         dual_basis(singular, (0, 1, 2))
     with pytest.raises(SingularBlock):
         canonical_block_painting(singular, (0, 1, 2), frozenset({0}))
+
+
+def isolated_isotropic_node():
+    """A(1,1) with its odd node's root replaced by e1 + e2 + d1 + d2: still
+    isotropic, and orthogonal to e1 - e2 and d1 - d2, so its Cartan row has
+    no entry to normalize by."""
+    diagram = build_diagram(FamilyId("A", 1, 1))
+    root = weight((1, 1), (1, 1))
+    assert root.inner(root) == 0
+    assert all(root.inner(diagram.root(i)) == 0 for i in (0, 2))
+    nodes = (diagram.nodes[0], dataclasses.replace(diagram.nodes[1], root=root), diagram.nodes[2])
+    return Diagram(nodes, diagram.family)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        cartan_matrix,
+        lambda d: flip_orbit(VoganDiagram(d, identity_involution(len(d)), frozenset({0}))),
+        lambda d: reduce(VoganDiagram(d, identity_involution(len(d)), frozenset({0, 2}))),
+        enumerate_real_forms,
+    ],
+    ids=["cartan_matrix", "flip_orbit", "reduce", "enumerate_real_forms"],
+)
+def test_isolated_isotropic_node_raises_singular_normalization(call):
+    with pytest.raises(SingularNormalization):
+        call(isolated_isotropic_node())
 
 
 # ----------------------------------------------------------------- roots

@@ -3,6 +3,7 @@
 import importlib
 import itertools
 from fractions import Fraction
+from time import perf_counter
 
 import pytest
 
@@ -23,6 +24,7 @@ from supervogan import (
 )
 from supervogan.vogan import orbit_representatives
 from test_acceptance import families
+from test_algebra import guard_families
 
 Q = Fraction
 
@@ -290,6 +292,24 @@ def test_table_a_unequal_reports_unreachable_rows():
     report = table_report(build_diagram(FamilyId("A", 3, 1)))
     assert set(report.missing) == {"sl(4|2;R)", "sl(4|2;H)"}
     assert report.unexpected == ()
+
+
+def test_every_guard_family_finishes_its_table_in_under_a_second():
+    """One cold store, then ``table`` on every family the rank guard admits
+    (9 to 12 nodes included).  Only A(m,n) with m != n is unclean, and only
+    by the rows its distinguished diagram cannot reach."""
+    build_diagram.cache_clear()
+    for fam in guard_families():
+        start = perf_counter()
+        report = table_report(build_diagram(fam))
+        assert perf_counter() - start < 1, fam.display()
+        assert report.unexpected == () and report.even_mismatches == (), fam.display()
+        if fam.kind == "A" and fam.m != fam.n:
+            M, N = fam.m + 1, fam.n + 1
+            missing = [f"sl({M}|{N};R)"] + ([f"sl({M}|{N};H)"] if M % 2 == N % 2 == 0 else [])
+            assert report.missing == tuple(missing), fam.display()
+        else:
+            assert report.clean(), fam.display()
 
 
 def test_table_complex_names():

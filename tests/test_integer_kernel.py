@@ -1,4 +1,5 @@
-"""The integer root layer against a plain ``Fraction`` oracle.
+"""The integer root layer, and the integer Gram readings of the flip and
+naming path, against plain ``Fraction`` oracles.
 
 ``root_expansion`` sums over ``int`` and ``noncompact_parity`` reads two node
 masks per even root.  Here every root and its negative, on every family of
@@ -7,16 +8,36 @@ masks per even root.  Here every root and its negative, on every family of
 each parity is the painted coefficients' sum mod 2 over that expansion.
 Root hashes and the order of ``generate_roots`` are checked against the
 plain dataclass definitions they shortcut.
+
+The Gram record, the flip toggle masks and the diagram symmetries are read
+over ``int``; here they are checked against inner products of the simple
+roots, the ``Fraction`` Cartan matrix, and a permutation check written over
+the ``Fraction`` Gram matrix.  The naming path builds no ``Fraction``
+inverse and no ``Fraction`` Cartan matrix at all.
 """
 
 import random
+import sys
 from itertools import combinations
 
 import pytest
 
 from matrix_helpers import fraction_gauss_jordan
-from supervogan import build_diagram, generate_roots, noncompact_parity, root_expansion
-from test_algebra import EXPANSION_GRID, Q
+from supervogan import (
+    EVEN,
+    FamilyId,
+    automorphisms,
+    build_diagram,
+    cartan_matrix,
+    generate_roots,
+    noncompact_parity,
+    root_expansion,
+    table_report,
+)
+from supervogan.algebra import gram_matrix, gram_record
+from supervogan.vogan import _toggle_masks
+from test_algebra import EXPANSION_GRID, Q, guard_families
+from test_vogan import ADMISSIBLE_ALPHAS
 
 SAMPLED_PAINTINGS = 64
 
@@ -83,3 +104,122 @@ def test_root_hashes_and_order_are_the_dataclass_ones(fam):
             assert hash(v) == hash((v.e_part, v.d_part))
     for part in (rs.even_1, rs.even_2, rs.odd):
         assert list(part) == sorted(part)
+
+
+# ----------------------------------------------------- integer Gram readings
+
+# 60 digits above and below the line; 1 + alpha < 0
+LONG_ALPHA = Q(-(7 * 10**59 + 3), 3 * 10**59 + 1)
+
+
+def gram_families():
+    fams = guard_families() + [FamilyId("D21alpha", alpha=a) for a in ADMISSIBLE_ALPHAS]
+    fams.append(FamilyId("D21alpha", alpha=LONG_ALPHA))
+    return list(dict.fromkeys(fams))
+
+
+def fraction_gram(diagram):
+    return [[a.root.inner(b.root) for b in diagram.nodes] for a in diagram.nodes]
+
+
+@pytest.mark.parametrize("fam", gram_families(), ids=lambda f: f.display())
+def test_integer_readings_match_fraction_oracles(fam):
+    diagram = build_diagram(fam)
+    g = fraction_gram(diagram)
+    size = len(diagram)
+
+    # the integer Gram matrix over its denominator
+    record = gram_record(diagram)
+    assert all(type(x) is int for row in record.rows for x in row)
+    over_den = [[Q(x, record.den) for x in row] for row in record.rows]
+    assert over_den == g == [list(row) for row in gram_matrix(diagram)]
+
+    # toggle masks: the odd-integer entries of each Fraction Cartan row
+    a = cartan_matrix(diagram).matrix
+    for inv in automorphisms(diagram):
+        fixed = frozenset(inv.fixed())
+        even = [j for j in fixed if diagram.nodes[j].kind == EVEN]
+        want = tuple(
+            sum(
+                1 << j
+                for j in even
+                if j != i and a[i][j].denominator == 1 and a[i][j].numerator % 2
+            )
+            for i in range(size)
+        )
+        assert _toggle_masks(diagram, fixed) == want, inv.name
+
+    # symmetries: each candidate relabeling kept iff it is an involution
+    # that keeps node kinds and the Fraction Gram matrix up to sign
+    def symmetric(perm):
+        return (
+            all(perm[perm[i]] == i for i in range(size))
+            and all(diagram.nodes[perm[i]].kind == diagram.nodes[i].kind for i in range(size))
+            and all(
+                abs(g[perm[i]][perm[j]]) == abs(g[i][j]) for i in range(size) for j in range(size)
+            )
+        )
+
+    def swap(a, b):
+        perm = list(range(size))
+        perm[a], perm[b] = b, a
+        return tuple(perm)
+
+    candidates = []
+    if fam.kind == "A":
+        candidates = [("reversal", tuple(reversed(range(size))))]
+    elif fam.kind == "D":
+        candidates = [("swap", swap(size - 2, size - 1))]
+    elif fam.kind == "D21alpha":
+        candidates = [("swap", swap(a, b)) for a, b in ((0, 2), (0, 3), (2, 3))]
+    want = [("identity", tuple(range(size)))] + [c for c in candidates if symmetric(c[1])]
+    assert [(inv.name, inv.perm) for inv in automorphisms(diagram)] == want
+
+
+def pin_family_kinds():
+    return [
+        FamilyId("A", 2, 2),
+        FamilyId("A", 2, 1),
+        FamilyId("B", 2, 2),
+        FamilyId("B0", 0, 3),
+        FamilyId("C", 0, 4),
+        FamilyId("D", 3, 2),
+        FamilyId("D21alpha", alpha=1),
+        FamilyId("D21alpha", alpha=Q(3, 2)),
+        FamilyId("F4"),
+        FamilyId("G3"),
+    ]
+
+
+def test_the_naming_path_builds_no_fraction_inverse_or_cartan_matrix(monkeypatch):
+    """With ``linalg.invert``, ``algebra.cartan_matrix`` and the ``Fraction``
+    block inverse behind ``dual_basis`` raising wherever the package binds
+    them, ``table_report`` still runs on a fresh store for a family of every
+    kind."""
+    from supervogan import algebra, linalg
+
+    def forbidden(*args):
+        raise AssertionError("the naming path called a Fraction kernel")
+
+    kernels = [
+        ("invert", linalg.invert),
+        ("cartan_matrix", algebra.cartan_matrix),
+        ("_block_gram_inverse", algebra._block_gram_inverse),
+    ]
+    patched = set()
+    for name, module in list(sys.modules.items()):
+        if name != "supervogan" and not name.startswith("supervogan."):
+            continue
+        for attr, original in kernels:
+            if getattr(module, attr, None) is original:
+                monkeypatch.setattr(module, attr, forbidden)
+                patched.add(f"{name}.{attr}")
+    assert {f"{original.__module__}.{attr}" for attr, original in kernels} <= patched
+    build_diagram.cache_clear()
+    try:
+        for fam in pin_family_kinds():
+            report = table_report(build_diagram(fam))
+            assert report.computed, fam.display()
+            assert report.clean() or fam.kind == "A" and fam.m != fam.n, fam.display()
+    finally:
+        build_diagram.cache_clear()

@@ -18,7 +18,7 @@ from supervogan import (
     noncompact_parity,
 )
 from matrix_helpers import fraction_gauss_jordan, identity, is_rref, mat_mul, matrix_rank
-from supervogan.linalg import invert, row_reduce, solve_exact
+from supervogan.linalg import bareiss, invert, row_reduce, solve_exact
 
 Q = Fraction
 
@@ -44,6 +44,27 @@ def test_invert_roundtrip(m):
     inv = invert(m)
     assert mat_mul(inv, m) == identity(n)
     assert mat_mul(m, inv) == identity(n)
+
+
+@st.composite
+def integer_matrices(draw, max_size=4):
+    n = draw(st.integers(min_value=1, max_value=max_size))
+    return [[draw(st.integers(min_value=-9, max_value=9)) for _ in range(n)] for _ in range(n)]
+
+
+@settings(max_examples=60, deadline=None)
+@given(integer_matrices())
+def test_bareiss_gives_an_integer_inverse_up_to_its_last_pivot(n):
+    """On an integer matrix with unit scales, ``n @ r`` is d times the
+    identity exactly when the matrix is nonsingular."""
+    size = len(n)
+    pivots, r, d = bareiss([row[:] for row in n], [1] * size)
+    assert all(type(x) is int for row in r for x in row)
+    rank = matrix_rank([[Q(x) for x in row] for row in n])
+    assert len(pivots) == rank
+    if rank == size:
+        product = [[sum(map(int.__mul__, row, col)) for col in zip(*r)] for row in n]
+        assert product == [[d if i == j else 0 for j in range(size)] for i in range(size)]
 
 
 @settings(max_examples=60, deadline=None)

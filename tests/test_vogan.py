@@ -29,6 +29,7 @@ from supervogan import (
 )
 from supervogan.vogan import _admissible_vertices
 from test_acceptance import families
+from test_algebra import guard_families
 
 Q = Fraction
 
@@ -239,6 +240,18 @@ def test_admissible_vertices_match_dual_basis_inner_products(fam):
             if all(s * (w[a] - w[b]).inner(w[b]) <= 0 for b in range(len(block)))
         )
         assert _admissible_vertices(diagram, block) == expect
+
+
+@pytest.mark.parametrize(
+    "fam",
+    [f for f in guard_families() if f not in families(6, 6, ADMISSIBLE_ALPHAS)],
+    ids=lambda f: f.display(),
+)
+def test_admissible_vertices_match_dual_basis_on_the_rest_of_the_guard(fam):
+    """The same oracle on every guard family with m or n above 6: even
+    blocks of up to 11 nodes, whose names do not show which admissible
+    vertex won."""
+    test_admissible_vertices_match_dual_basis_inner_products(fam)
 
 
 def test_reduce_worked_example():
