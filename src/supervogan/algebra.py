@@ -3,19 +3,19 @@
 Every quantity is exact: weights live in a split coordinate space with
 inner product ``<e_i, e_j> = delta_ij``, ``<d_i, d_j> = -delta_ij`` and all
 coordinates are ``fractions.Fraction``.  Each diagram keeps one integer
-Gram record (``gram_record``): every simple root scaled by one lcm s of their
-coordinates' denominators, the Gram matrix as ``int`` rows over den = s**2,
-and each row's Cartan scale.  The flip and naming path reads only that
-record: even blocks, diagram symmetries, flip masks and, through the
-integer transform of ``linalg.bareiss``, the block inverses behind
-dual-basis minimality.  ``gram_matrix``, ``cartan_matrix`` and the block
-inverse behind ``dual_basis`` are read off it too and hold one ``Fraction``
-per entry.  Root expansions are summed over ``int`` as well: the
-elimination's transform is brought to one common denominator once per
-diagram, each weight is scaled by the lcm of its denominators, and only the
-finished coefficients are ``Fraction``s.  ``noncompact_parity`` keeps two
-node masks per even root (the nodes of its odd coefficients, and of its
-non-integer ones) and reads a painting's parity as one masked popcount.
+Gram record (``gram_record``), the one place where its coordinates become
+integers: every simple root scaled by one lcm s of their coordinates'
+denominators, the Gram matrix as ``int`` rows over den = s**2, and each
+row's Cartan scale.  Every package path reads that record: even blocks,
+diagram symmetries, flip masks, rendered bonds and, through the integer
+transform of ``linalg.bareiss``, the block inverses behind dual-basis
+minimality and the root expansions.  An expansion is summed over ``int``,
+each weight scaled by the lcm of its denominators; ``root_expansion``
+wraps it in ``Fraction``s, and ``noncompact_parity`` keeps two node masks
+per even root over its numerators (the nodes of its odd coefficients, and
+of its non-integer ones) and reads a painting's parity as one masked
+popcount.  ``gram_matrix``, ``cartan_matrix`` and ``dual_basis`` hold
+``Fraction``s read off the record; no package path calls them.
 
 The classical families A, B, B(0,n), C and D are built from their word in
 epsilon and delta (``_word``): simple roots and positive roots alike, each
@@ -56,7 +56,7 @@ from .errors import (
     SingularBlock,
     SingularNormalization,
 )
-from .linalg import Q, bareiss, row_reduce
+from .linalg import Q, bareiss
 
 # Node kinds, also used verbatim in the JSON document schema.
 EVEN = "even"
@@ -418,15 +418,15 @@ def _interned(build):
     return update_wrapper(build_interned, build)
 
 
-GramRecord = namedtuple("GramRecord", "rows den scales")
+GramRecord = namedtuple("GramRecord", "rows den scales s coords")
 
 
 @stored
 def gram_record(diagram: Diagram) -> GramRecord:
-    """The simple roots' Gram matrix over ``int``: ``rows`` n with G = n / den.
-
-    Every root is scaled by the same s, the lcm of the denominators of all
-    the simple roots' coordinates, so ``den`` is s**2.  ``scales`` holds the Cartan reading of each row,
+    """The simple roots over ``int``: ``coords`` holds each root's
+    coordinates times s, the lcm of the denominators of all the simple roots'
+    coordinates, and ``rows`` their Gram matrix n, with G = n / den and den =
+    s**2.  ``scales`` holds the Cartan reading of each row,
     ``(c, q)`` with ``a_ij = c n_ij / q``: ``(2, n_ii)`` for a non-isotropic
     node, ``(1, max_j |n_ij|)`` for an isotropic one (``q`` is 0 when that
     row is zero; ``cartan_scales`` rejects it).
@@ -443,7 +443,8 @@ def gram_record(diagram: Diagram) -> GramRecord:
     scales = tuple(
         (2, row[i]) if row[i] else (1, max(map(abs, row))) for i, row in enumerate(rows)
     )
-    return GramRecord(tuple(map(tuple, rows)), s * s, scales)
+    coords = tuple(tuple(a + b) for a, b in zip(e, d))
+    return GramRecord(tuple(map(tuple, rows)), s * s, scales, s, coords)
 
 
 @stored
@@ -766,14 +767,13 @@ def generate_roots(diagram: Diagram) -> RootSystem:
 def _expansion_operator(diagram: Diagram):
     """The expansion solve, factored once per diagram, over the integers.
 
-    Row reduction of the matrix whose columns are the expansion basis gives a
-    transform E with E @ basis in reduced row echelon form; ``den`` times E
-    is an integer matrix.  For each coordinate r of the weight space this
-    returns column r of ``den`` E, kept sparse and split in two: ``(node,
-    weight)`` pairs for the rows that give the coefficient of a pivot node,
-    and ``(row, weight)`` pairs for the rows that vanish exactly on the
-    span.  Non-pivot basis nodes get coefficient 0.  Also returned: ``den``
-    and the weight space's shape, ``(len(e_part), len(d_part))``.
+    ``linalg.bareiss`` on the expansion basis as columns, scaled by s in
+    ``gram_record``, gives an integer transform t and last pivot d: the k-th
+    pivot node's coefficient of v is s (t v)_k / d, and rows past the rank
+    vanish on the span.  Per coordinate r this returns column r of t, sparse
+    and split in two: ``(node, s t_kr)`` pairs for the pivot rows and ``(k,
+    t_kr)`` pairs for the vanishing ones; non-pivot basis nodes get 0.  Also
+    returned: d and the weight space's shape, ``(len(e_part), len(d_part))``.
     """
     # The four-node star of D(2,1;alpha) is dependent: its odd node is half a
     # signed sum of the three even ones, which span the weight space of the
@@ -784,30 +784,24 @@ def _expansion_operator(diagram: Diagram):
         basis = diagram.even_indices()
     else:
         basis = tuple(range(len(diagram)))
-    mat = [list(row) for row in zip(*(diagram.root(i).coords() for i in basis))]
-    pivots, e = row_reduce(mat)
-    den = lcm(*(x.denominator for row in e for x in row))
-    e = [[x.numerator * (den // x.denominator) for x in row] for row in e]
+    record = gram_record(diagram)
+    mat = [list(row) for row in zip(*(record.coords[i] for i in basis))]
+    pivots, t, d = bareiss(mat, [1] * len(mat))
     rank = len(pivots)
+    s = record.s
     solve, vanish = [], []
     for r in range(len(mat)):
-        solve.append(tuple((basis[pivots[k]], e[k][r]) for k in range(rank) if e[k][r]))
-        vanish.append(tuple((k, e[k][r]) for k in range(rank, len(mat)) if e[k][r]))
+        solve.append(tuple((basis[pivots[k]], s * t[k][r]) for k in range(rank) if t[k][r]))
+        vanish.append(tuple((k, t[k][r]) for k in range(rank, len(mat)) if t[k][r]))
     root = diagram.root(0)
-    return tuple(solve), tuple(vanish), den, (len(root.e_part), len(root.d_part))
+    return tuple(solve), tuple(vanish), d, (len(root.e_part), len(root.d_part))
 
 
-def root_expansion(diagram: Diagram, v: WeightVector) -> tuple[Fraction, ...]:
-    """Coefficients of ``v`` over the nodes (dependent nodes get coefficient 0).
-
-    For D(2,1;alpha) the expansion is over the even nodes, so the odd node
-    gets 0 and the odd roots get half-integer coefficients.
-
-    Summed in ``int``s, ``v`` scaled by the lcm s of its denominators.
-    Raises ValueError when ``v`` is outside the span of the simple roots,
-    or is not a weight of the diagram's shape.
-    """
-    solve, vanish, den, shape = _expansion_operator(diagram)
+def _integer_expansion(diagram: Diagram, v: WeightVector) -> tuple[tuple[int, ...], int]:
+    """``(c, den)``: ``v``'s coefficient at node i is ``c[i] / den``, summed in
+    ``int``s over ``v`` scaled by the lcm s of its denominators.  Raises as
+    ``root_expansion`` does."""
+    solve, vanish, d, shape = _expansion_operator(diagram)
     if (len(v.e_part), len(v.d_part)) != shape:
         raise ValueError(f"{v} is not a weight of the {shape[0]}|{shape[1]} space")
     terms = [(r, x) for r, x in enumerate(v.coords()) if x]
@@ -822,21 +816,35 @@ def root_expansion(diagram: Diagram, v: WeightVector) -> tuple[Fraction, ...]:
             residual[k] += w * x
     if any(residual):
         raise ValueError(f"{v} is outside the span of the simple roots")
-    return tuple([Q(c, den * s) if c else _ZERO for c in out])
+    return tuple(out), d * s
+
+
+def root_expansion(diagram: Diagram, v: WeightVector) -> tuple[Fraction, ...]:
+    """Coefficients of ``v`` over the nodes (dependent nodes get coefficient 0).
+
+    For D(2,1;alpha) the expansion is over the even nodes, so the odd node
+    gets 0 and the odd roots get half-integer coefficients.
+
+    Raises ValueError when ``v`` is outside the span of the simple roots,
+    or is not a weight of the diagram's shape.
+    """
+    coeffs, den = _integer_expansion(diagram, v)
+    return tuple([Q(c, den) if c else _ZERO for c in coeffs])
 
 
 @stored
 def _even_root_masks(diagram: Diagram) -> dict[WeightVector, tuple[int, int]]:
     """Every even root, and its negative, mapped to two node masks over its
-    ``root_expansion``: the nodes with an odd integer coefficient, and the
+    integer expansion: the nodes with an odd integer coefficient, and the
     nodes with a non-integer one."""
     table = {}
     for r in generate_roots(diagram).even():
         odd = frac = 0
-        for i, c in enumerate(root_expansion(diagram, r)):
-            if c.denominator != 1:
+        coeffs, den = _integer_expansion(diagram, r)
+        for i, c in enumerate(coeffs):
+            if c % den:
                 frac |= 1 << i
-            elif c.numerator & 1:
+            elif (c // den) & 1:
                 odd |= 1 << i
         table[r] = table[-r] = (odd, frac)
     return table
@@ -861,7 +869,7 @@ def noncompact_parity(diagram: Diagram, painted: frozenset[int], v: WeightVector
             raise BadIndex(f"node {i} is out of range 0..{size - 1} of {diagram.family.display()}")
         mask |= 1 << i
     if mask & frac:
-        coeffs = root_expansion(diagram, v)
-        i = next(i for i in painted if coeffs[i].denominator != 1)
-        raise InvariantViolation(f"{v} has the non-integer coefficient {coeffs[i]} at node {i}")
+        c, den = _integer_expansion(diagram, v)
+        i = next(i for i in painted if c[i] % den)
+        raise InvariantViolation(f"{v} has the non-integer coefficient {Q(c[i], den)} at node {i}")
     return (mask & odd).bit_count() & 1

@@ -225,7 +225,10 @@ def _classify_f4(vd: VoganDiagram, fam: FamilyId) -> RealFormDescriptor:
     # block positions run away from the odd node; the Bourbaki count is reversed
     pos = _chain_position(vd, (1, 2, 3))
     pair, so = _side("so", 7, None if pos is None else 4 - pos)
-    return RealFormDescriptor(fam, "identity", f"F(4;{_F4_LEVEL[pair]})", ("sl(2,R)", so))
+    # g1 = C^2 (x) S is of real type, so C^2 has the type of the spinor S of
+    # so(p,q): real, sl(2,R), for p - q = +-1 mod 8; quaternionic, su(2), for +-3
+    sl2 = "sl(2,R)" if (pair[1] - pair[0]) % 8 in (1, 7) else "su(2)"
+    return RealFormDescriptor(fam, "identity", f"F(4;{_F4_LEVEL[pair]})", (sl2, so))
 
 
 def _classify_g3(vd: VoganDiagram, fam: FamilyId) -> RealFormDescriptor:
@@ -385,8 +388,8 @@ def _expected_rows(fam: FamilyId, diagram: Diagram) -> list[tuple[str, tuple[str
             add(f"D(2,1;{a};2)", ("sl(2,C)", "sl(2,R)"))
     elif k == "F4":
         add("F(4;0)", ("sl(2,R)", "so(7)"))
-        add("F(4;3)", ("sl(2,R)", "so(1,6)"))
-        add("F(4;2)", ("sl(2,R)", "so(2,5)"))
+        add("F(4;3)", ("su(2)", "so(1,6)"))
+        add("F(4;2)", ("su(2)", "so(2,5)"))
         add("F(4;1)", ("sl(2,R)", "so(3,4)"))
     elif k == "G3":
         add("G(3,0)", ("sl(2,R)", "G2,0"))

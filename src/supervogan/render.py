@@ -2,22 +2,24 @@
 
 Node glyphs: ``o`` even, ``*`` even painted, ``(x)`` odd isotropic,
 ``(*)`` odd non-isotropic.  Multiple bonds carry an arrow pointing at the
-node whose Cartan row holds the larger entry in absolute value.
+node whose Cartan row holds the larger entry in absolute value, read over
+``int`` off ``algebra.gram_record`` and ``cartan_scales``.
 """
 
 from __future__ import annotations
 
 import json
-from fractions import Fraction
 from typing import Optional, Union
 
 from .algebra import (
     EVEN,
     ODD_ISO,
     ODD_NONISO,
+    Diagram,
     FamilyId,
     build_diagram,
-    cartan_matrix,
+    cartan_scales,
+    gram_record,
     read_alpha,
 )
 from .errors import BadIndex, InvalidFamily, ParseError
@@ -41,23 +43,30 @@ def _glyph(vd: VoganDiagram, i: int) -> str:
     return "*" if i in vd.painted else "o"
 
 
-def _bond(a: tuple[tuple[Fraction, ...], ...], i: int, j: int) -> str:
-    left, right = abs(a[i][j]), abs(a[j][i])
-    strength = max(left, right)
+def _strength(diagram: Diagram, i: int, j: int) -> tuple[int, bool]:
+    """The floor of max(|a_ij|, |a_ji|), and whether |a_ji| is the larger:
+    both entries over the common denominator |q_i q_j|, in ``int``s."""
+    n = abs(gram_record(diagram).rows[i][j])
+    scales = cartan_scales(diagram)
+    (ci, qi), (cj, qj) = scales[i], scales[j]
+    left, right = ci * n * abs(qj), cj * n * abs(qi)
+    return max(left, right) // abs(qi * qj), right > left
+
+
+def _bond(diagram: Diagram, i: int, j: int) -> str:
+    strength, at_right = _strength(diagram, i, j)
     if strength < 2:
         return "---"
     # the larger entry sits in the row of the shorter root; point at it
-    at_right = right > left
     if strength >= 3:
         return "=>>" if at_right else "<<="
     return "=>" if at_right else "<="
 
 
 def _linear_ascii(vd: VoganDiagram, order: list[int]) -> str:
-    a = cartan_matrix(vd.diagram).matrix
     parts = [_glyph(vd, order[0])]
     for prev, cur in zip(order, order[1:]):
-        parts.append(_bond(a, prev, cur))
+        parts.append(_bond(vd.diagram, prev, cur))
         parts.append(_glyph(vd, cur))
     return "".join(parts)
 
@@ -97,7 +106,6 @@ def render_ascii(vd: VoganDiagram) -> str:
 def render_dot(vd: VoganDiagram, name: str = "diagram") -> str:
     """Strict undirected DOT graph with node kinds and bond multiplicities."""
     diagram = vd.diagram
-    a = cartan_matrix(diagram).matrix
     lines = [f"strict graph {name} {{", '  node [shape="circle"];']
     for node in diagram.nodes:
         i = node.index
@@ -113,9 +121,9 @@ def render_dot(vd: VoganDiagram, name: str = "diagram") -> str:
     size = len(diagram)
     for i in range(size):
         for j in range(i + 1, size):
-            if a[i][j] == 0:
+            if not gram_record(diagram).rows[i][j]:
                 continue
-            strength = int(max(abs(a[i][j]), abs(a[j][i])))
+            strength, _ = _strength(diagram, i, j)
             attrs = [f'label="{max(strength, 1)}"']
             lines.append(f"  n{i + 1} -- n{j + 1} [{' '.join(attrs)}];")
     for i, j in enumerate(vd.involution.perm):

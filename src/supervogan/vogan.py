@@ -267,9 +267,10 @@ def canonical_block_painting(
     diagram: Diagram,
     block: tuple[int, ...],
     painted: frozenset[int],
-    fixed: Optional[frozenset[int]] = None,
+    fixed: frozenset[int],
 ) -> frozenset[int]:
-    """Canonical representative of a block painting's flip orbit.
+    """Canonical representative of a block painting's flip orbit, flips
+    toggling only the even nodes in ``fixed`` (the involution's fixed set).
 
     Prefers a reachable single painted vertex that is admissible (see
     ``_admissible_vertices``), the lowest such; failing that the lowest
@@ -277,8 +278,6 @@ def canonical_block_painting(
     """
     if not painted:
         return frozenset()
-    if fixed is None:
-        fixed = frozenset(block)
     orbit = _painting_orbit(diagram, fixed, _mask(painted))
     singles = sorted(p.bit_length() - 1 for p in orbit if p.bit_count() == 1)
     if not singles:

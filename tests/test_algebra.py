@@ -346,8 +346,9 @@ def test_noncompact_parity_rejects_fractional_coefficient(monkeypatch):
     module = importlib.import_module("supervogan.algebra")
     diagram = build_diagram(FamilyId("B", 1, 1))
     root = generate_roots(diagram).even()[0]
+    # every coefficient 1/2, as (numerators, denominator)
     monkeypatch.setattr(
-        module, "root_expansion", lambda d, v: tuple(Q(1, 2) for _ in d.nodes)
+        module, "_integer_expansion", lambda d, v: (tuple(1 for _ in d.nodes), 2)
     )
     build_diagram.cache_clear()
     try:
@@ -445,7 +446,7 @@ def test_singular_block_raises():
     with pytest.raises(SingularBlock):
         dual_basis(singular, (0, 1, 2))
     with pytest.raises(SingularBlock):
-        canonical_block_painting(singular, (0, 1, 2), frozenset({0}))
+        canonical_block_painting(singular, (0, 1, 2), frozenset({0}), frozenset(range(4)))
 
 
 def isolated_isotropic_node():

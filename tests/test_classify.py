@@ -146,8 +146,8 @@ def test_f4_names():
     }
     assert got == {
         "F(4;0)": ("sl(2,R)", "so(7)"),
-        "F(4;3)": ("sl(2,R)", "so(1,6)"),
-        "F(4;2)": ("sl(2,R)", "so(2,5)"),
+        "F(4;3)": ("su(2)", "so(1,6)"),
+        "F(4;2)": ("su(2)", "so(2,5)"),
         "F(4;1)": ("sl(2,R)", "so(3,4)"),
     }
 
@@ -351,11 +351,12 @@ def test_symplectic_long_root_keeps_its_paint_under_flips(k):
     diagram = build_diagram(FamilyId("C", 0, k - 1))
     block = tuple(range(1, k))
     long_root = k - 1
+    fixed = frozenset(range(k))  # the identity involution fixes every node
     for r in range(len(block) + 1):
         for combo in itertools.combinations(block, r):
             vd = VoganDiagram(diagram, identity_involution(k), frozenset(combo))
             painted = long_root in vd.painted
             assert all((long_root in w.painted) == painted for w in flip_orbit(vd))
             if painted:
-                canon = canonical_block_painting(diagram, block, vd.painted)
+                canon = canonical_block_painting(diagram, block, vd.painted, fixed)
                 assert canon == frozenset({long_root})

@@ -12,8 +12,10 @@ plain dataclass definitions they shortcut.
 The Gram record, the flip toggle masks and the diagram symmetries are read
 over ``int``; here they are checked against inner products of the simple
 roots, the ``Fraction`` Cartan matrix, and a permutation check written over
-the ``Fraction`` Gram matrix.  The naming path builds no ``Fraction``
-inverse and no ``Fraction`` Cartan matrix at all.
+the ``Fraction`` Gram matrix.  No package path touches the ``Fraction``
+layer: with ``row_reduce``, ``invert``, ``solve_exact``, ``gram_matrix``,
+``cartan_matrix`` and the block inverse behind ``dual_basis`` raising, every
+CLI verb and a root census still run.
 """
 
 import random
@@ -191,18 +193,20 @@ def pin_family_kinds():
     ]
 
 
-def test_the_naming_path_builds_no_fraction_inverse_or_cartan_matrix(monkeypatch):
-    """With ``linalg.invert``, ``algebra.cartan_matrix`` and the ``Fraction``
-    block inverse behind ``dual_basis`` raising wherever the package binds
-    them, ``table_report`` still runs on a fresh store for a family of every
-    kind."""
+def forbid_the_fraction_layer(monkeypatch):
+    """Make ``linalg.row_reduce``, ``invert`` and ``solve_exact``,
+    ``algebra.gram_matrix``, ``cartan_matrix`` and the ``Fraction`` block
+    inverse behind ``dual_basis`` raise, wherever the package binds them."""
     from supervogan import algebra, linalg
 
     def forbidden(*args):
-        raise AssertionError("the naming path called a Fraction kernel")
+        raise AssertionError("a package path called the Fraction layer")
 
     kernels = [
+        ("row_reduce", linalg.row_reduce),
         ("invert", linalg.invert),
+        ("solve_exact", linalg.solve_exact),
+        ("gram_matrix", algebra.gram_matrix),
         ("cartan_matrix", algebra.cartan_matrix),
         ("_block_gram_inverse", algebra._block_gram_inverse),
     ]
@@ -215,11 +219,54 @@ def test_the_naming_path_builds_no_fraction_inverse_or_cartan_matrix(monkeypatch
                 monkeypatch.setattr(module, attr, forbidden)
                 patched.add(f"{name}.{attr}")
     assert {f"{original.__module__}.{attr}" for attr, original in kernels} <= patched
+
+
+def test_the_naming_path_builds_no_fraction_inverse_or_cartan_matrix(monkeypatch):
+    """With the ``Fraction`` layer raising, ``table_report`` still runs on a
+    fresh store for a family of every kind."""
+    forbid_the_fraction_layer(monkeypatch)
     build_diagram.cache_clear()
     try:
         for fam in pin_family_kinds():
             report = table_report(build_diagram(fam))
             assert report.computed, fam.display()
             assert report.clean() or fam.kind == "A" and fam.m != fam.n, fam.display()
+    finally:
+        build_diagram.cache_clear()
+
+
+def test_no_cli_verb_or_root_census_touches_the_fraction_layer(monkeypatch, capsys):
+    """With the ``Fraction`` layer raising, every CLI verb runs in every
+    format it takes, and so does a root census (``generate_roots``,
+    ``root_expansion`` on every root and its negative, ``noncompact_parity``
+    on every even root), on a fresh store for a family of every kind."""
+    from supervogan.cli import main
+
+    forbid_the_fraction_layer(monkeypatch)
+    build_diagram.cache_clear()
+    try:
+        for fam in pin_family_kinds():
+            spec = fam.display()
+            painted = str(build_diagram(fam).even_indices()[0] + 1)
+            runs = [["table", spec, "--format", f] for f in ("ascii", "json")]
+            for f in ("ascii", "dot", "json"):
+                runs += [
+                    ["diagram", spec, "--format", f],
+                    ["enumerate", spec, "--reduce", "--classify", "--format", f],
+                    ["reduce", spec, "--painted", painted, "--format", f],
+                    ["classify", spec, "--painted", painted, "--format", f],
+                ]
+            for argv in runs:
+                code = main(argv)
+                out, err = capsys.readouterr()
+                assert code == 0 or argv[0] == "table" and code == 2, (argv, err)
+                assert out and not err, argv
+        for fam in pin_family_kinds():
+            diagram = build_diagram(fam)
+            roots = generate_roots(diagram)
+            for r in roots.all_positive():
+                assert root_expansion(diagram, r) == tuple(-c for c in root_expansion(diagram, -r))
+            painted = frozenset(diagram.even_indices())
+            assert {noncompact_parity(diagram, painted, r) for r in roots.even()} <= {0, 1}
     finally:
         build_diagram.cache_clear()

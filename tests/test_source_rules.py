@@ -3,14 +3,17 @@ keeps them, and arithmetic stays exact, so no float enters.  Every
 ``functools`` cache decorates a module-level function, where the benchmark's
 cold rounds find and clear it; ``cached_property`` is not used.  The CLI's
 parser is the only such cache: data derived from a diagram is kept in the
-store of ``algebra``, which ``build_diagram.cache_clear()`` clears."""
+store of ``algebra``, which ``build_diagram.cache_clear()`` clears.  Every
+function the benchmark's tracer wraps exists in the package."""
 
 import ast
+import importlib
 from pathlib import Path
 
 import pytest
 
-SOURCES = sorted((Path(__file__).resolve().parents[1] / "src" / "supervogan").glob("*.py"))
+ROOT = Path(__file__).resolve().parents[1]
+SOURCES = sorted((ROOT / "src" / "supervogan").glob("*.py"))
 
 
 def violations(tree: ast.AST) -> list[str]:
@@ -101,6 +104,20 @@ def test_the_cli_parser_is_the_only_functools_cache():
         for name in cached_functions(ast.parse(path.read_text(), str(path)))
     ]
     assert found == ["cli._parser"]
+
+
+def test_every_traced_function_exists(monkeypatch):
+    """``bench/spans.py``'s ``Tracer`` raises on a missing name, so removing a
+    public function it wraps would break only the traced benchmark runs."""
+    monkeypatch.syspath_prepend(str(ROOT / "bench"))
+    traced = importlib.import_module("spans").TRACED
+    assert traced
+    missing = [
+        f"{module}.{name}"
+        for module, name in traced
+        if not callable(getattr(importlib.import_module(f"supervogan.{module}"), name, None))
+    ]
+    assert missing == []
 
 
 def test_the_rules_catch_each_kind():

@@ -211,14 +211,12 @@ def test_canonical_block_painting_prefers_interior():
     # 2-node symplectic-style block: canonical singleton is the long end
     diagram = build_diagram(FamilyId("C", 0, 2))
     block = (1, 2)
-    assert canonical_block_painting(diagram, block, frozenset({1, 2})) == frozenset(
-        {2}
-    )
+    every = frozenset(range(len(diagram)))
+    assert canonical_block_painting(diagram, block, frozenset({1, 2}), every) == frozenset({2})
     # 3-node linear block: {0,2} collapses to the middle
     diagram = build_diagram(FamilyId("A", 3, 0))
-    assert canonical_block_painting(diagram, (0, 1, 2), frozenset({0, 2})) == frozenset(
-        {1}
-    )
+    every = frozenset(range(len(diagram)))
+    assert canonical_block_painting(diagram, (0, 1, 2), frozenset({0, 2}), every) == frozenset({1})
 
 
 ADMISSIBLE_ALPHAS = (Q(1), Q(2), Q(1, 2), Q(-2), Q(-1, 2), Q(3, 7), Q(-3, 5), Q(5))
