@@ -12,10 +12,12 @@ transform of ``linalg.bareiss``, the block inverses behind dual-basis
 minimality and the root expansions.  An expansion is summed over ``int``,
 each weight scaled by the lcm of its denominators; ``root_expansion``
 wraps it in ``Fraction``s, and ``noncompact_parity`` keeps two node masks
-per even root over its numerators (the nodes of its odd coefficients, and
-of its non-integer ones) and reads a painting's parity as one masked
-popcount.  ``gram_matrix``, ``cartan_matrix`` and ``dual_basis`` hold
-``Fraction``s read off the record; no package path calls them.
+per positive even root over its numerators (the nodes of its odd
+coefficients, and of its non-integer ones), reads a negative root through
+its negation and a painting's parity as one masked popcount.  Each root's
+hash is set from the key that sorts it.  ``gram_matrix``, ``cartan_matrix``
+and ``dual_basis`` hold ``Fraction``s read off the record; no package path
+calls them.
 
 The classical families A, B, B(0,n), C and D are built from their word in
 epsilon and delta (``_word``): simple roots and positive roots alike, each
@@ -42,7 +44,7 @@ from fractions import Fraction
 from functools import update_wrapper
 from itertools import count
 from math import lcm
-from operator import mul
+from operator import itemgetter, mul
 from typing import Optional, Sequence
 from weakref import WeakValueDictionary
 
@@ -75,6 +77,7 @@ class WeightVector:
         # Roots key sets and caches; hash the coordinates only once, integral
         # ones as ints (hash(Fraction(k)) == hash(k): the value is unchanged).
         # Number hashes are the same in every process, so pickles may carry it.
+        # generate_roots presets it from its sort key: change the two together.
         try:
             return self._hash
         except AttributeError:
@@ -757,10 +760,16 @@ def generate_roots(diagram: Diagram) -> RootSystem:
             if end == "x":
                 (even_1 if y == "e" else odd).append(w((b, _ONE)))
 
-    # the dataclass order, compared over ints where the coordinates allow
-    return RootSystem(
-        *(tuple(sorted(part, key=_exact_key)) for part in (even_1, even_2, odd))
-    )
+    # the dataclass order, compared over ints where the coordinates allow; each
+    # root's key is made once and also sets its hash, the value __hash__ gives,
+    # so the parity table keys these positive roots without hashing them again
+    parts = []
+    for part in (even_1, even_2, odd):
+        keyed = sorted(zip(map(_exact_key, part), part), key=itemgetter(0))
+        for key, r in keyed:
+            object.__setattr__(r, "_hash", hash(key))
+        parts.append(tuple(r for _, r in keyed))
+    return RootSystem(*parts)
 
 
 @stored
@@ -834,9 +843,10 @@ def root_expansion(diagram: Diagram, v: WeightVector) -> tuple[Fraction, ...]:
 
 @stored
 def _even_root_masks(diagram: Diagram) -> dict[WeightVector, tuple[int, int]]:
-    """Every even root, and its negative, mapped to two node masks over its
-    integer expansion: the nodes with an odd integer coefficient, and the
-    nodes with a non-integer one."""
+    """Every positive even root mapped to two node masks over its integer
+    expansion: the nodes with an odd integer coefficient, and the nodes with
+    a non-integer one.  A negative root has the same masks, so
+    ``noncompact_parity`` reads it through its negation."""
     table = {}
     for r in generate_roots(diagram).even():
         odd = frac = 0
@@ -846,7 +856,7 @@ def _even_root_masks(diagram: Diagram) -> dict[WeightVector, tuple[int, int]]:
                 frac |= 1 << i
             elif (c // den) & 1:
                 odd |= 1 << i
-        table[r] = table[-r] = (odd, frac)
+        table[r] = (odd, frac)
     return table
 
 
@@ -855,10 +865,15 @@ def noncompact_parity(diagram: Diagram, painted: frozenset[int], v: WeightVector
 
     The parity is the painted-coefficient sum mod 2, which makes it additive:
     for even roots a, b, a+b with a+b a root, parities satisfy the XOR law.
+    A positive root is looked up directly and a negative one through its
+    negation, which has the same parity.
     Raises NotAnEvenRoot unless ``v`` is an even root or the negative of one,
     and BadIndex for a painted index outside ``0..len(diagram)-1``.
     """
-    masks = _even_root_masks(diagram).get(v)
+    table = _even_root_masks(diagram)
+    masks = table.get(v)
+    if masks is None and isinstance(v, WeightVector):
+        masks = table.get(-v)
     if masks is None:
         raise NotAnEvenRoot(f"{v} is not an even root of {diagram.family.display()}")
     odd, frac = masks

@@ -692,8 +692,35 @@ def test_noncompact_parity_rejects_every_odd_root_and_a_non_root(fam):
     for v in rs.odd + tuple(-r for r in rs.odd):
         with pytest.raises(NotAnEvenRoot):
             noncompact_parity(diagram, painted, v)
-    with pytest.raises(NotAnEvenRoot):
-        noncompact_parity(diagram, painted, rs.even()[0].scale(Q(3)))
+    non_root = rs.even()[0].scale(Q(3))
+    # a hashable that is no weight is not negated, and a non-root's negation
+    # is no root either
+    for v in (non_root, -non_root, rs.even()[0].coords()):
+        with pytest.raises(NotAnEvenRoot):
+            noncompact_parity(diagram, painted, v)
+
+
+@pytest.mark.parametrize(
+    "fam",
+    # guard_families holds F(4), G(3) and D(2,1;1/2) already
+    guard_families() + [FamilyId("D21alpha", alpha=a) for a in (Q(-3, 5), Q(7))],
+    ids=lambda f: f.display(),
+)
+def test_roots_hash_as_rebuilt_weights_and_read_parity_through_negation(fam):
+    """``generate_roots`` sets each root's hash from its sort key: a weight
+    rebuilt from the same coordinates must hash and compare equal.  The
+    parity table holds positive roots only; a root, its rebuilt copy and
+    both negations read the same parity."""
+    diagram = build_diagram(fam)
+    rs = generate_roots(diagram)
+    for r in rs.all_positive():
+        rebuilt = weight(r.e_part, r.d_part)
+        assert rebuilt == r and hash(rebuilt) == hash(r)
+    for painted in (frozenset(), frozenset(diagram.even_indices())):
+        for r in rs.even():
+            rebuilt = weight(r.e_part, r.d_part)
+            parities = {noncompact_parity(diagram, painted, v) for v in (r, rebuilt, -r, -rebuilt)}
+            assert len(parities) == 1
 
 
 def test_noncompact_parity_rejects_painted_indices_outside_the_diagram():
