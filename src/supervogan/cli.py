@@ -4,13 +4,19 @@ Verbs: ``diagram``, ``enumerate``, ``reduce``, ``classify``, ``table``.
 Family specs follow the grammar ``A(m,n) | B(m,n) | B(0,n) | C(k) | D(m,n) |
 D(2,1;p/q) | F(4) | G(3)``; node indices on the command line are 1-based.
 Exit codes: 0 success, 1 usage or input error, 2 table mismatches.
+
+``argparse`` is the only parser.  A request whose first argument names a
+verb is parsed by that verb's subparser alone, which gives the full parse's
+namespace at half its cost; anything left over, and an argument list that
+starts with no verb, goes through the full parse, so ``--help`` and every
+usage error read exactly as the top-level parser writes them.  JSON replies
+are written by ``render.to_json``.
 """
 
 from __future__ import annotations
 
 import argparse
 import functools
-import json
 import sys
 from typing import Optional
 
@@ -23,11 +29,12 @@ from .algebra import (
 )
 from .classify import RealFormDescriptor, TableReport, classify, enumerate_real_forms, table_report
 from .errors import BadIndex, ParseError, SupervoganError
-from .render import document_json, emit_document, render_ascii, render_dot
+from .render import document_json, emit_document, render_ascii, render_dot, to_json
 from .vogan import (
     VoganDiagram,
     automorphisms,
     enumerate_vogan,
+    flip_orbit,
     identity_involution,
     reduce_with_trail,
 )
@@ -167,23 +174,38 @@ def cmd_diagram(args) -> int:
     return 0
 
 
+def _orbit_names(items: tuple[VoganDiagram, ...]) -> dict:
+    """``classify`` of every painting, keyed by (involution, painted) and run
+    once per flip orbit, on its first painting: it is constant on orbits."""
+    names: dict = {}
+    for vd in items:
+        if (vd.involution, vd.painted) not in names:
+            desc = classify(vd)
+            for member in flip_orbit(vd):
+                names[member.involution, member.painted] = desc
+    return names
+
+
 def cmd_enumerate(args) -> int:
     diagram = build_diagram(parse_family_spec(args.family))
     items = enumerate_vogan(diagram)
+    if args.format == "dot":
+        graphs = [render_dot(vd, name=f"diagram{k}") for k, vd in enumerate(items, 1)]
+        _emit(args, "\n\n".join(graphs))
+        return 0
+    names = _orbit_names(items) if args.classify else {}
     if args.format == "json":
         docs = []
         for vd in items:
-            realform = _realform_dict(classify(vd)) if args.classify else None
+            realform = None
+            if args.classify:
+                realform = _realform_dict(names[vd.involution, vd.painted])
             if args.reduce:
                 reduced, trail = reduce_with_trail(vd)
                 docs.append(emit_document(reduced, realform, trail))
             else:
                 docs.append(emit_document(vd, realform))
-        _emit(args, json.dumps(docs, indent=2))
-        return 0
-    if args.format == "dot":
-        graphs = [render_dot(vd, name=f"diagram{k}") for k, vd in enumerate(items, 1)]
-        _emit(args, "\n\n".join(graphs))
+        _emit(args, to_json(docs))
         return 0
     lines = [f"{diagram.family.display()}: {len(items)} painted diagrams"]
     for k, vd in enumerate(items, 1):
@@ -199,7 +221,7 @@ def cmd_enumerate(args) -> int:
                 f"reduced painted={_painted_display(reduced)} (flips: {flips})"
             )
         if args.classify:
-            desc = classify(vd)
+            desc = names[vd.involution, vd.painted]
             lines.append(f"g = {desc.super_name}   g0 = {desc.even_display()}")
     _emit(args, "\n".join(lines))
     return 0
@@ -307,7 +329,7 @@ def cmd_table(args) -> int:
             "notes": list(report.notes),
             "clean": report.clean(),
         }
-        _emit(args, json.dumps(payload, indent=2))
+        _emit(args, to_json(payload))
     else:
         _emit(args, _render_table(report))
     return 0 if report.clean() else 2
@@ -337,6 +359,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     common.add_argument("--out", help="write output to this file instead of stdout")
     sub = parser.add_subparsers(dest="verb", required=True)
+    # each verb's subparser, by name: argparse's own table of them
+    parser.verbs = sub.choices
 
     p = sub.add_parser("diagram", parents=[common], help="draw the distinguished diagram")
     p.add_argument("family", help="family spec, e.g. A(2,1) or D(2,1;1/2)")
@@ -373,8 +397,28 @@ def _parser() -> argparse.ArgumentParser:
     return build_parser()
 
 
+def _parse_args(argv=None) -> argparse.Namespace:
+    """``_parser().parse_args(argv)``, entered at the verb's subparser.
+
+    The full parse hands every argument after the verb to the verb's
+    subparser, so when ``argv[0]`` names a verb and its subparser leaves
+    nothing over, the namespaces agree, and a usage error the subparser
+    finds reads as it does inside the full parse.  Anything else takes the
+    full parse: ``--help``, an unknown verb, and left-over arguments, which
+    the top-level parser reports.
+    """
+    parser = _parser()
+    argv = sys.argv[1:] if argv is None else argv
+    verb = parser.verbs.get(argv[0]) if argv else None
+    if verb is not None:
+        args, rest = verb.parse_known_args(argv[1:], argparse.Namespace(verb=argv[0]))
+        if not rest:
+            return args
+    return parser.parse_args(argv)
+
+
 def main(argv=None) -> int:
-    args = _parser().parse_args(argv)
+    args = _parse_args(argv)
     try:
         return args.func(args)
     except SupervoganError as exc:

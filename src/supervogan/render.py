@@ -4,11 +4,16 @@ Node glyphs: ``o`` even, ``*`` even painted, ``(x)`` odd isotropic,
 ``(*)`` odd non-isotropic.  Multiple bonds carry an arrow pointing at the
 node whose Cartan row holds the larger entry in absolute value, read over
 ``int`` off ``algebra.gram_record`` and ``cartan_scales``.
+
+JSON text is written by ``to_json``, byte-equal to ``json.dumps(value,
+indent=2)`` on the types a document holds; ``json`` itself only parses
+documents and quotes values in error messages.
 """
 
 from __future__ import annotations
 
 import json
+from json.encoder import encode_basestring_ascii
 from typing import Optional, Union
 
 from .algebra import (
@@ -177,6 +182,50 @@ def _family_from_dict(data: dict) -> FamilyId:
         raise ParseError(str(exc), _as_json(data), 0) from exc
 
 
+def to_json(value) -> str:
+    """``json.dumps(value, indent=2)``, byte for byte, for what a document
+    holds: dicts with ``str`` keys, lists, ``str``, ``int``, ``bool`` and
+    ``None``; any other type raises ``TypeError``.  With ``indent`` set,
+    CPython's ``json`` (up to 3.13) leaves its C encoder for a pure-Python
+    one; here strings still go through the C ``encode_basestring_ascii``."""
+    out: list[str] = []
+    _write(value, "\n", out)
+    return "".join(out)
+
+
+def _write(value, newline: str, out: list[str]) -> None:
+    """Append ``value``'s JSON text to ``out``; ``newline`` is the line break
+    plus the indent of the line ``value`` starts on."""
+    if isinstance(value, str):
+        out.append(encode_basestring_ascii(value))
+    elif value is None:
+        out.append("null")
+    elif value is True:
+        out.append("true")
+    elif value is False:
+        out.append("false")
+    elif isinstance(value, int):
+        out.append(int.__repr__(value))
+    elif isinstance(value, list):
+        inner, sep = newline + "  ", "["
+        for item in value:
+            out.append(sep + inner)
+            _write(item, inner, out)
+            sep = ","
+        out.append(newline + "]" if value else "[]")
+    elif isinstance(value, dict):
+        inner, sep = newline + "  ", "{"
+        for key, item in value.items():
+            if not isinstance(key, str):
+                raise TypeError(f"keys must be str, not {type(key).__name__}")
+            out.append(sep + inner + encode_basestring_ascii(key) + ": ")
+            _write(item, inner, out)
+            sep = ","
+        out.append(newline + "}" if value else "{}")
+    else:
+        raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+
+
 def emit_document(
     vd: VoganDiagram,
     realform: Optional[dict] = None,
@@ -209,7 +258,7 @@ def document_json(
     realform: Optional[dict] = None,
     trail: Optional[tuple[FlipMove, ...]] = None,
 ) -> str:
-    return json.dumps(emit_document(vd, realform, trail), indent=2)
+    return to_json(emit_document(vd, realform, trail))
 
 
 def parse_document(source: Union[str, dict]) -> VoganDiagram:

@@ -1,12 +1,15 @@
 """Command-line interface: spec grammar, verbs, formats, exit codes."""
 
 import json
+import sys
 from fractions import Fraction
 from time import perf_counter
 
 import pytest
+from test_algebra import guard_families
 
-from supervogan import FamilyId, ParseError
+from supervogan import FamilyId, ParseError, build_diagram, classify, cli, parse_document
+from supervogan.algebra import node_count
 from supervogan.cli import main, parse_family_spec
 
 Q = Fraction
@@ -16,6 +19,14 @@ def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def exit_of(parse, argv, capsys):
+    """(exit code, stdout, stderr) of a parse that exits."""
+    with pytest.raises(SystemExit) as exit_info:
+        parse(argv)
+    captured = capsys.readouterr()
+    return exit_info.value.code, captured.out, captured.err
 
 
 # ----------------------------------------------------------------- grammar
@@ -187,24 +198,36 @@ def test_bad_spec_exit(capsys):
         (["bogus"], "invalid choice"),
         (["table"], "required: family"),
         (["table", "A(1,1)", "--nope"], "unrecognized arguments: --nope"),
+        ([], "required: verb"),
+        (["classify", "B(2,2)", "--format", "xml"], "argument --format: invalid choice"),
+        (["classify", "B(2,2)", "--painted"], "expected one argument"),
+        (["classify", "B(2,2)", "extra"], "unrecognized arguments: extra"),
     ],
-    ids=["unknown-verb", "missing-family", "unknown-flag"],
+    ids=[
+        "unknown-verb",
+        "missing-family",
+        "unknown-flag",
+        "no-arguments",
+        "bad-choice",
+        "missing-value",
+        "extra-positional",
+    ],
 )
 def test_usage_errors_exit_1_not_the_mismatch_code(capsys, argv, message):
-    with pytest.raises(SystemExit) as exit_info:
-        main(argv)
-    captured = capsys.readouterr()
-    assert exit_info.value.code == 1
-    assert captured.out == ""
-    assert captured.err.startswith("usage: supervogan") and "error:" in captured.err
-    assert message in captured.err
+    code, out, err = exit_of(main, argv, capsys)
+    assert code == 1
+    assert out == ""
+    assert err.startswith("usage: supervogan") and "error:" in err
+    assert message in err
+    # verb entry leaves every usage error to the parser that reports it
+    assert (code, out, err) == exit_of(cli.build_parser().parse_args, argv, capsys)
 
 
 def test_help_still_exits_0(capsys):
-    with pytest.raises(SystemExit) as exit_info:
-        main(["--help"])
-    assert exit_info.value.code == 0
-    assert capsys.readouterr().out.startswith("usage: supervogan")
+    for argv in (["--help"], ["table", "--help"]):
+        code, out, err = exit_of(main, argv, capsys)
+        assert code == 0 and out.startswith("usage: supervogan")
+        assert (code, out, err) == exit_of(cli.build_parser().parse_args, argv, capsys)
 
 
 def test_rank_guard(capsys):
@@ -312,6 +335,81 @@ def test_main_builds_its_parser_once(capsys, monkeypatch):
     assert [run(capsys, *argv) for argv in verbs] == fresh
     assert len(built) == 1
     assert cli._parser.cache_info().hits == len(verbs) - 1
+
+
+# -------------------------------------------------------------- verb entry
+
+
+PARSE_GRID = [
+    ["classify", "B(2,2)", "--format=json", "--painted", "3"],
+    ["classify", "B(2,2)", "--form", "json", "--painted", "3"],
+    ["reduce", "--format", "dot", "--painted", "2,4", "C(4)"],
+    ["reduce", "C(4)", "--painted", "2", "--painted", "2,4", "--format", "dot", "--format", "json"],
+    ["classify", "A(3,0)", "--painted", ""],
+    ["classify", "D(2,1;-3/5)", "--painted", "1", "--involution", "identity"],
+    ["enumerate", "A(1,1)", "--classify", "--reduce", "--reduce", "--format", "json"],
+    ["table", "F(4)", "--out", "table.txt"],
+    ["diagram", "G(3)"],
+]
+
+
+@pytest.mark.parametrize("argv", PARSE_GRID, ids=" ".join)
+def test_verb_entry_parses_as_the_full_parser(monkeypatch, argv):
+    expected = vars(cli.build_parser().parse_args(argv))
+
+    def full_parse(args=None, namespace=None):
+        raise AssertionError("took the full parse")
+
+    monkeypatch.setattr(cli._parser(), "parse_args", full_parse)
+    assert vars(cli._parse_args(argv)) == expected
+
+
+def test_main_without_argv_reads_sys_argv(capsys, monkeypatch):
+    argv = ["reduce", "C(4)", "--painted", "2,4", "--format", "json"]
+    expected = run(capsys, *argv)
+    monkeypatch.setattr(sys, "argv", ["supervogan"] + argv)
+    code = main()
+    captured = capsys.readouterr()
+    assert (code, captured.out, captured.err) == expected
+    assert json.loads(expected[1])["trail"] == [2, 3, 4]
+
+
+# ------------------------------------------------------------ json replies
+
+
+def stdlib_encoding(out: str) -> str:
+    """The printed document as ``json.dumps(document, indent=2)`` writes it."""
+    return json.dumps(json.loads(out), indent=2) + "\n"
+
+
+@pytest.mark.parametrize("fam", guard_families(), ids=lambda fam: fam.display())
+def test_json_replies_are_the_stdlib_encoding(capsys, fam):
+    spec = fam.display()
+    even = ",".join(str(i + 1) for i in build_diagram(fam).even_indices())
+    for argv in (
+        ["table", spec],
+        ["diagram", spec],
+        ["classify", spec, "--painted", even],
+        ["reduce", spec, "--painted", even],
+    ):
+        code, out, err = run(capsys, *argv, "--format", "json")
+        assert err == "" and out == stdlib_encoding(out)
+
+
+@pytest.mark.parametrize(
+    "fam",
+    [fam for fam in guard_families() if node_count(fam) <= 8],
+    ids=lambda fam: fam.display(),
+)
+def test_enumerate_json_is_the_stdlib_encoding(capsys, fam):
+    argv = ["enumerate", fam.display(), "--reduce", "--classify", "--format", "json"]
+    code, out, err = run(capsys, *argv)
+    assert code == 0 and out == stdlib_encoding(out)
+    # each painting is named once per flip orbit; its reduced form is in it
+    for doc in json.loads(out):
+        desc = classify(parse_document(doc))
+        assert doc["realform"]["name"] == desc.super_name
+        assert doc["realform"]["even_parts"] == list(desc.even_parts)
 
 
 # ---------------------------------------------------------------------- out

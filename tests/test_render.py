@@ -20,6 +20,7 @@ from supervogan import (
     render_ascii,
     render_dot,
 )
+from supervogan.render import to_json
 
 Q = Fraction
 
@@ -141,6 +142,34 @@ def test_document_shape():
 def test_document_alpha_serialized_as_string():
     doc = emit_document(vd_of(FamilyId("D21alpha", alpha=Q(-1, 2))))
     assert doc["family"]["alpha"] == "-1/2"
+
+
+@pytest.mark.parametrize(
+    "value",
+    [
+        [],
+        {},
+        [[], {}, [[]], {"a": {}}],
+        {"a": {"b": [1, [2, [3, {"c": None}]]]}, "d": []},
+        "sp(2|1) \u2202 \u00e9 \U0001f600 \"q\" \\ \n\t\x00",
+        {"\u00e9": "\u00e9"},
+        [True, 1, False, 0, None],
+        {"t": True, "one": 1},
+        None,
+        -7,
+        10**40,
+    ],
+)
+def test_to_json_is_json_dumps_with_indent_2(value):
+    assert to_json(value) == json.dumps(value, indent=2)
+
+
+@pytest.mark.parametrize(
+    "value", [Q(1, 2), 1.5, (1, 2), [1, (2,)], {"a": Q(3)}, {1: "a"}, {None: 1}, set()]
+)
+def test_to_json_refuses_other_types(value):
+    with pytest.raises(TypeError):
+        to_json(value)
 
 
 def test_roundtrip():
