@@ -1,9 +1,9 @@
 """Naming the real form determined by a painted diagram.
 
 Every even block of the diagram is first driven to its canonical painting
-(at most one painted vertex) with the same flip machinery used by
-reduction; the canonical vertex's position along its side is then named by
-``_side``, the one dictionary of su, so, sp and G2 forms.
+by ``canonical_block_painting``, the reduction's own choice of one painted
+vertex per painted block; that vertex's position along its side is then
+named by ``_side``, the one dictionary of su, so, sp and G2 forms.
 
 The symplectic side of B(m,n), B(0,n) and D(m,n) is the chain of nodes
 0 .. n-2 plus the long root 2 delta_n, which no diagram node carries.  No
@@ -20,8 +20,8 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .algebra import Diagram, FamilyId
-from .errors import InvalidFamily, InvariantViolation
-from .vogan import VoganDiagram, canonical_block_painting, orbit_representatives
+from .errors import InvalidFamily
+from .vogan import VoganDiagram, automorphisms, canonical_block_painting, orbit_representatives
 
 Pair = Optional[tuple[int, int]]
 
@@ -80,26 +80,15 @@ def _osp(so_size: int, so_pair: Pair, n: int, sp_pair: Pair) -> str:
     return f"osp({left}|{2 * sp_pair[0]},{2 * sp_pair[1]};H)"
 
 
-def _single_vertex(canon: frozenset[int]) -> int:
-    """The one vertex of a block's canonical painting (Borel-de Siebenthal)."""
-    if len(canon) != 1:
-        raise InvariantViolation(
-            f"canonical block painting {sorted(canon)} is not a single vertex"
-        )
-    return next(iter(canon))
-
-
 def _chain_position(vd: VoganDiagram, block: tuple[int, ...]) -> Optional[int]:
     """Canonical painted vertex of a block, as a 1-based position from block[0].
 
     Flips only toggle even neighbours, which lie in the flipped node's own
     block, so the involution's whole fixed set gives the block's orbit.
     """
-    part = frozenset(vd.painted & set(block))
-    canon = canonical_block_painting(vd.diagram, block, part, frozenset(vd.involution.fixed()))
-    if not canon:
-        return None
-    return _single_vertex(canon) - block[0] + 1
+    part = vd.painted & set(block)
+    canon = canonical_block_painting(vd.diagram, block, part, vd.involution.fixed_set)
+    return min(canon) - block[0] + 1 if canon else None
 
 
 def _sp_side(vd: VoganDiagram, n: int, long_painted: bool) -> tuple[Pair, str]:
@@ -313,8 +302,6 @@ def _expected_rows(fam: FamilyId, diagram: Diagram) -> list[tuple[str, tuple[str
     """Reference rows, spelled here with their own signature arithmetic and
     f-strings.  They share no code with the namer ``classify`` uses, so
     ``table`` checks that namer rather than repeating it."""
-    from .vogan import automorphisms
-
     k, m, n = fam.kind, fam.m, fam.n
     rows: list[tuple[str, tuple[str, ...]]] = []
 

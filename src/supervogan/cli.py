@@ -27,7 +27,7 @@ from .algebra import (
     build_diagram,
     read_alpha,
 )
-from .classify import RealFormDescriptor, TableReport, classify, enumerate_real_forms, table_report
+from .classify import RealFormDescriptor, TableReport, classify, table_report
 from .errors import BadIndex, ParseError, SupervoganError
 from .render import document_json, emit_document, render_ascii, render_dot, to_json
 from .vogan import (
@@ -114,7 +114,7 @@ def _make_vogan(diagram: Diagram, painted_arg: Optional[str], inv_name: str) -> 
         )
     painted = set()
     if painted_arg:
-        fixed = set(inv.fixed())
+        fixed = inv.fixed_set
         for token in painted_arg.split(","):
             token = token.strip()
             if not token:

@@ -28,13 +28,7 @@ from .algebra import (
     read_alpha,
 )
 from .errors import BadIndex, InvalidFamily, ParseError
-from .vogan import (
-    DiagramInvolution,
-    FlipMove,
-    VoganDiagram,
-    automorphisms,
-    identity_involution,
-)
+from .vogan import FlipMove, VoganDiagram, automorphisms
 
 SCHEMA_VERSION = "1"
 

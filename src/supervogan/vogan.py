@@ -3,8 +3,9 @@
 A painting marks even nodes whose root vectors act noncompactly; a flip at a
 painted node re-chooses the Cartan involution through that node's reflection
 and toggles exactly the fixed even neighbours paired with it by an odd
-integer.  Reduction walks the flip orbit to a painting with at most one
-painted node per even block, chosen by the dual-basis minimality rule.
+integer.  Reduction walks the flip orbit once and reads each even block's
+orbit off that walk; ``_block_target``, the Borel-de Siebenthal step, picks
+a painted block's one painted node by the dual-basis minimality rule.
 
 One kernel does every flip.  Inside it a painting is an ``int`` bitmask, bit
 i for node i, and a flip at node i is one XOR with node i's toggle mask.  The
@@ -19,9 +20,9 @@ transform of one fraction-free elimination.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import combinations
-from typing import Iterable, Iterator, Optional
+from typing import Collection, Iterable, Iterator, Optional
 
 from .algebra import (
     EVEN,
@@ -47,9 +48,14 @@ class DiagramInvolution:
 
     name: str
     perm: tuple[int, ...]
+    fixed_set: frozenset[int] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        fixed = frozenset(i for i, j in enumerate(self.perm) if i == j)
+        object.__setattr__(self, "fixed_set", fixed)
 
     def fixed(self) -> tuple[int, ...]:
-        return tuple(i for i, j in enumerate(self.perm) if i == j)
+        return tuple(sorted(self.fixed_set))
 
 
 def identity_involution(size: int) -> DiagramInvolution:
@@ -106,7 +112,7 @@ class VoganDiagram:
     painted: frozenset[int]
 
     def __post_init__(self):
-        fixed = set(self.involution.fixed())
+        fixed = self.involution.fixed_set
         for i in self.painted:
             if not 0 <= i < len(self.diagram):
                 raise BadIndex(f"painted index {i} out of range")
@@ -120,9 +126,7 @@ def enumerate_vogan(diagram: Diagram) -> tuple[VoganDiagram, ...]:
     """All paintings of all involutions, identity first, in deterministic order."""
     out = []
     for inv in automorphisms(diagram):
-        fixed_even = [
-            i for i in diagram.even_indices() if inv.perm[i] == i
-        ]
+        fixed_even = [i for i in diagram.even_indices() if i in inv.fixed_set]
         for r in range(len(fixed_even) + 1):
             for combo in combinations(fixed_even, r):
                 out.append(VoganDiagram(diagram, inv, frozenset(combo)))
@@ -177,7 +181,7 @@ def flip(vd: VoganDiagram, at: int) -> VoganDiagram:
         raise FlipAtOddNode(f"node {at} is odd; flips act on even nodes")
     if at not in vd.painted:
         raise FlipAtUnpainted(f"node {at} is not painted")
-    masks = _toggle_masks(vd.diagram, frozenset(vd.involution.fixed()))
+    masks = _toggle_masks(vd.diagram, vd.involution.fixed_set)
     new = _mask(vd.painted) ^ masks[at]
     return VoganDiagram(vd.diagram, vd.involution, _nodes(new))
 
@@ -210,8 +214,7 @@ def _painting_orbit(
 
 def flip_orbit(vd: VoganDiagram) -> tuple[VoganDiagram, ...]:
     """Every Vogan diagram reachable from ``vd`` by flips, deterministically ordered."""
-    fixed = frozenset(vd.involution.fixed())
-    parents = _painting_orbit(vd.diagram, fixed, _mask(vd.painted))
+    parents = _painting_orbit(vd.diagram, vd.involution.fixed_set, _mask(vd.painted))
     return tuple(
         VoganDiagram(vd.diagram, vd.involution, _nodes(p))
         for p in sorted(parents, key=_sort_key)
@@ -225,7 +228,7 @@ def orbit_representatives(diagram: Diagram) -> Iterator[VoganDiagram]:
     painting that no earlier orbit of its involution covered.
     """
     for inv in automorphisms(diagram):
-        fixed = frozenset(inv.fixed())
+        fixed = inv.fixed_set
         bits = [1 << i for i in diagram.even_indices() if i in fixed]
         covered: set[int] = set()
         for r in range(len(bits) + 1):
@@ -263,6 +266,23 @@ def _admissible_vertices(diagram: Diagram, block: tuple[int, ...]) -> frozenset[
     )
 
 
+def _block_target(diagram: Diagram, block: tuple[int, ...], orbit: Collection[int]) -> int:
+    """The Borel-de Siebenthal step: the canonical painting, as a mask, of an
+    even block with flip orbit ``orbit`` (masks).  It is the lowest admissible
+    single vertex (``_admissible_vertices``), failing that the lowest single
+    vertex, and 0 for the unpainted block.  Every nonempty block orbit holds
+    a single vertex; one that does not raises ``InvariantViolation``."""
+    singles = sorted(p for p in orbit if p.bit_count() == 1)
+    if not singles:
+        if any(orbit):
+            raise InvariantViolation(
+                f"the flip orbit of block {list(block)} holds no single vertex"
+            )
+        return 0
+    admissible = _admissible_vertices(diagram, block)
+    return next((p for p in singles if p.bit_length() - 1 in admissible), singles[0])
+
+
 def canonical_block_painting(
     diagram: Diagram,
     block: tuple[int, ...],
@@ -270,39 +290,28 @@ def canonical_block_painting(
     fixed: frozenset[int],
 ) -> frozenset[int]:
     """Canonical representative of a block painting's flip orbit, flips
-    toggling only the even nodes in ``fixed`` (the involution's fixed set).
-
-    Prefers a reachable single painted vertex that is admissible (see
-    ``_admissible_vertices``), the lowest such; failing that the lowest
-    reachable single vertex, and failing that the smallest painting.
-    """
+    toggling only the even nodes in ``fixed`` (the involution's fixed set):
+    the one vertex ``_block_target`` chooses, or the empty painting."""
     if not painted:
         return frozenset()
     orbit = _painting_orbit(diagram, fixed, _mask(painted))
-    singles = sorted(p.bit_length() - 1 for p in orbit if p.bit_count() == 1)
-    if not singles:
-        return _nodes(min(orbit, key=_sort_key))
-    admissible = _admissible_vertices(diagram, tuple(block))
-    winners = [i for i in singles if i in admissible]
-    return frozenset({winners[0] if winners else singles[0]})
+    return _nodes(_block_target(diagram, tuple(block), orbit))
 
 
 def reduce_with_trail(vd: VoganDiagram) -> tuple[VoganDiagram, tuple[FlipMove, ...]]:
     """Reduce to the canonical painting; also return the flip sequence used.
 
-    Flips never mix blocks, so the canonical target is assembled per block and
-    then located inside the full orbit.
+    Flips never mix blocks, so the orbit is the product of its blocks' orbits:
+    each block's orbit, and the trail, are read off one walk.
     """
-    fixed = frozenset(vd.involution.fixed())
-    target: set[int] = set()
+    parents = _painting_orbit(vd.diagram, vd.involution.fixed_set, _mask(vd.painted))
+    goal = 0
     for block in even_blocks(vd.diagram):
-        part = vd.painted & set(block)
-        target |= canonical_block_painting(vd.diagram, block, frozenset(part), fixed)
-    goal = _mask(target)
-    parents = _painting_orbit(vd.diagram, fixed, _mask(vd.painted))
+        block_mask = _mask(block)
+        goal |= _block_target(vd.diagram, block, {p & block_mask for p in parents})
     if goal not in parents:
         raise InvariantViolation(
-            f"canonical painting {sorted(target)} is not in the flip orbit "
+            f"canonical painting {sorted(_bits(goal))} is not in the flip orbit "
             f"of {sorted(vd.painted)}"
         )
     moves: list[FlipMove] = []
@@ -311,7 +320,7 @@ def reduce_with_trail(vd: VoganDiagram) -> tuple[VoganDiagram, tuple[FlipMove, .
         cur, at = parents[cur]
         moves.append(FlipMove(at))
     moves.reverse()
-    return VoganDiagram(vd.diagram, vd.involution, frozenset(target)), tuple(moves)
+    return VoganDiagram(vd.diagram, vd.involution, _nodes(goal)), tuple(moves)
 
 
 def reduce(vd: VoganDiagram) -> VoganDiagram:

@@ -17,6 +17,7 @@ from supervogan import (
     classify,
     enumerate_real_forms,
     enumerate_vogan,
+    even_blocks,
     flip,
     flip_orbit,
     identity_involution,
@@ -329,18 +330,27 @@ def test_table_complex_names():
     ],
 )
 def test_classify_rejects_a_canonical_painting_of_two_vertices(fam, painted, monkeypatch):
-    module = importlib.import_module("supervogan.classify")
-    real = module.canonical_block_painting
-    first = min(painted)  # the block under test starts at the lowest painted node
+    module = importlib.import_module("supervogan.vogan")
+    real = module._painting_orbit
 
-    def two_vertices(d, block, *rest):
-        if block[0] == first:
-            return frozenset(block[:2])
-        return real(d, block, *rest)
+    def two_vertices(diagram, fixed, start):
+        """The real orbit with every painted block's first two vertices added,
+        so no block's orbit holds a single vertex."""
+        blocks = [(sum(1 << i for i in b), sum(1 << i for i in b[:2])) for b in even_blocks(diagram)]
+        out = {}
+        for p in real(diagram, fixed, start):
+            for mask, first_two in blocks:
+                if p & mask:
+                    p |= first_two
+            out[p] = None
+        return out
 
-    monkeypatch.setattr(module, "canonical_block_painting", two_vertices)
-    with pytest.raises(InvariantViolation, match="not a single vertex"):
-        module.classify(vd_of(fam, painted))
+    monkeypatch.setattr(module, "_painting_orbit", two_vertices)
+    vd = vd_of(fam, painted)
+    with pytest.raises(InvariantViolation, match="no single vertex"):
+        classify(vd)
+    with pytest.raises(InvariantViolation, match="no single vertex"):
+        module.reduce_with_trail(vd)
 
 
 @pytest.mark.parametrize("k", range(2, 9))

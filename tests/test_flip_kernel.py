@@ -12,22 +12,27 @@ import io
 import json
 from collections import deque
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 
 from supervogan import (
     EVEN,
     FamilyId,
+    automorphisms,
     build_diagram,
+    canonical_block_painting,
     cartan_matrix,
     classify,
     enumerate_real_forms,
     enumerate_vogan,
+    even_blocks,
     flip_orbit,
     node_count,
 )
 from supervogan.cli import main as cli_main
-from test_algebra import all_families
+from test_acceptance import ALPHAS
+from test_algebra import all_families, guard_families
 
 Q = Fraction
 
@@ -69,6 +74,33 @@ def orbit_count(diagram):
         count += 1
         covered |= {(vd.involution.perm, p) for p in set_orbit(diagram, *key)}
     return count
+
+
+@pytest.mark.parametrize(
+    "fam",
+    list(dict.fromkeys(guard_families() + [FamilyId("D21alpha", alpha=a) for a in ALPHAS])),
+    ids=lambda fam: fam.display(),
+)
+def test_every_block_orbit_holds_a_single_vertex(fam):
+    """The Borel-de Siebenthal step on set orbits: under every involution,
+    every nonempty painting of an even block is flip-equivalent to a single
+    painted vertex, and ``canonical_block_painting`` returns one of them."""
+    diagram = build_diagram(fam)
+    for inv in automorphisms(diagram):
+        fixed = frozenset(inv.fixed())
+        for block in even_blocks(diagram):
+            nodes = [i for i in block if i in fixed]
+            covered = set()
+            for r in range(1, len(nodes) + 1):
+                for painted in map(frozenset, combinations(nodes, r)):
+                    if painted in covered:
+                        continue
+                    orbit = set_orbit(diagram, inv.perm, painted)
+                    covered |= orbit
+                    singles = {p for p in orbit if len(p) == 1}
+                    assert singles, (inv.name, block, sorted(painted))
+                    canon = canonical_block_painting(diagram, block, painted, fixed)
+                    assert canon in singles, (inv.name, block, sorted(painted))
 
 
 def test_flip_orbit_matches_set_bfs():

@@ -4,7 +4,8 @@ keeps them, and arithmetic stays exact, so no float enters.  Every
 cold rounds find and clear it; ``cached_property`` is not used.  The CLI's
 parser is the only such cache: data derived from a diagram is kept in the
 store of ``algebra``, which ``build_diagram.cache_clear()`` clears.  Every
-function the benchmark's tracer wraps exists in the package."""
+function the benchmark's tracer wraps exists in the package, and every name
+a module imports is used there (``__init__.py`` re-exports are exempt)."""
 
 import ast
 import importlib
@@ -26,6 +27,22 @@ def violations(tree: ast.AST) -> list[str]:
         elif isinstance(node, ast.Name) and node.id == "float":
             out.append(f"line {node.lineno}: use of float")
     return out
+
+
+def unused_imports(tree: ast.Module) -> list[str]:
+    """Every name an import binds that the module never reads."""
+    imported = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported.update((a.asname or a.name.split(".")[0], node.lineno) for a in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            imported.update((a.asname or a.name, node.lineno) for a in node.names)
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return [
+        f"line {line}: {name} imported but unused"
+        for name, line in sorted(imported.items(), key=lambda item: item[1])
+        if name not in used
+    ]
 
 
 CACHES = {"lru_cache", "cache", "cached_property"}
@@ -92,6 +109,13 @@ def test_no_assert_and_no_float(path):
     assert violations(ast.parse(path.read_text(), str(path))) == []
 
 
+@pytest.mark.parametrize(
+    "path", [p for p in SOURCES if p.name != "__init__.py"], ids=lambda p: p.name
+)
+def test_no_unused_imports(path):
+    assert unused_imports(ast.parse(path.read_text(), str(path))) == []
+
+
 @pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
 def test_caches_are_module_level_and_clearable(path):
     assert cache_violations(ast.parse(path.read_text(), str(path))) == []
@@ -123,6 +147,25 @@ def test_every_traced_function_exists(monkeypatch):
 def test_the_rules_catch_each_kind():
     source = "assert x\ny = 0.5\nz = float(y)\nw = 1j\n"
     assert len(violations(ast.parse(source))) == 4
+
+
+def test_the_import_rule_catches_each_kind():
+    source = (
+        "from __future__ import annotations\n"
+        "import os.path\n"
+        "import sys as system\n"
+        "from json import dumps, loads as load\n"
+        "from .vogan import flip\n"
+        "import re\n"
+        "def f(x: Optional[int]) -> None:\n"
+        "    return re.compile(dumps(x))\n"
+    )
+    assert unused_imports(ast.parse(source)) == [
+        "line 2: os imported but unused",
+        "line 3: system imported but unused",
+        "line 4: load imported but unused",
+        "line 5: flip imported but unused",
+    ]
 
 
 def test_the_cache_rule_catches_each_kind():

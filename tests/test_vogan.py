@@ -358,6 +358,28 @@ def test_equivalent_is_equivalence_relation():
 def test_reduce_rejects_a_target_outside_the_orbit(monkeypatch):
     module = importlib.import_module("supervogan.vogan")
     # a flip keeps the flipped node painted, so no orbit holds the empty painting
-    monkeypatch.setattr(module, "canonical_block_painting", lambda *args: frozenset())
-    with pytest.raises(InvariantViolation):
+    monkeypatch.setattr(module, "_block_target", lambda *args: 0)
+    with pytest.raises(InvariantViolation, match="not in the flip orbit"):
         module.reduce_with_trail(vd_of(FamilyId("C", 0, 3), painted=(1, 2)))
+
+
+@pytest.mark.parametrize(
+    "fam",
+    [FamilyId("A", 3, 3), FamilyId("B", 3, 3), FamilyId("D", 4, 3)],
+    ids=lambda fam: fam.display(),
+)
+def test_reduce_walks_the_orbit_once(fam, monkeypatch):
+    """Each block's orbit is read off the one walk of the whole orbit."""
+    module = importlib.import_module("supervogan.vogan")
+    real = module._painting_orbit
+    walks = []
+
+    def counted(*args):
+        walks.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(module, "_painting_orbit", counted)
+    for vd in enumerate_vogan(build_diagram(fam)):
+        walks.clear()
+        module.reduce_with_trail(vd)
+        assert len(walks) == 1, sorted(vd.painted)
