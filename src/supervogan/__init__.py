@@ -5,8 +5,10 @@ The pieces fit together in one pipeline: ``build_diagram`` turns a
 ``FamilyId`` into the distinguished simple-root diagram, ``enumerate_vogan``
 lists its painted diagrams, ``reduce`` normalizes a painting by flips,
 ``classify`` names the corresponding real form, and ``table_report`` checks a
-whole family against the reference classification.  Everything is computed
-over ``fractions.Fraction``; no floating point is involved anywhere.
+whole family against the reference classification.  Arithmetic is exact:
+weights carry ``fractions.Fraction`` coordinates, while the pipeline itself
+runs on ``int``, read off one integer Gram record per diagram, with
+paintings as bitmasks; no floating point is involved anywhere.
 """
 
 from .algebra import (

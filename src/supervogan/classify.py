@@ -21,7 +21,7 @@ from typing import Optional
 
 from .algebra import Diagram, FamilyId
 from .errors import InvalidFamily
-from .vogan import VoganDiagram, automorphisms, canonical_block_painting, orbit_representatives
+from .vogan import VoganDiagram, automorphisms, canonical_block_painting, flip_orbits
 
 Pair = Optional[tuple[int, int]]
 
@@ -235,7 +235,7 @@ def enumerate_real_forms(diagram: Diagram) -> tuple[RealFormDescriptor, ...]:
     the orbit's first painting in enumeration order.
     """
     seen: dict[str, RealFormDescriptor] = {}
-    for vd in orbit_representatives(diagram):
+    for vd, _ in flip_orbits(diagram):
         desc = classify(vd)
         seen.setdefault(desc.super_name, desc)
     return tuple(seen.values())

@@ -9,8 +9,10 @@ Exit codes: 0 success, 1 usage or input error, 2 table mismatches.
 verb is parsed by that verb's subparser alone, which gives the full parse's
 namespace at half its cost; anything left over, and an argument list that
 starts with no verb, goes through the full parse, so ``--help`` and every
-usage error read exactly as the top-level parser writes them.  JSON replies
-are written by ``render.to_json``.
+usage error read exactly as the top-level parser writes them.  ``diagram``,
+``reduce`` and ``classify`` share one reply writer, and ``enumerate`` names
+paintings once per flip orbit, off ``vogan.flip_orbits``.  JSON replies are
+written by ``render.to_json``.
 """
 
 from __future__ import annotations
@@ -34,7 +36,7 @@ from .vogan import (
     VoganDiagram,
     automorphisms,
     enumerate_vogan,
-    flip_orbit,
+    flip_orbits,
     identity_involution,
     reduce_with_trail,
 )
@@ -162,28 +164,36 @@ def _painted_display(vd: VoganDiagram) -> str:
     return "[" + ",".join(str(i + 1) for i in sorted(vd.painted)) + "]"
 
 
-def cmd_diagram(args) -> int:
-    diagram = build_diagram(parse_family_spec(args.family))
-    vd = VoganDiagram(diagram, identity_involution(len(diagram)), frozenset())
+def _flips(trail) -> str:
+    return ", ".join(str(move.at + 1) for move in trail) or "none"
+
+
+def _heading(vd: VoganDiagram) -> list[str]:
+    """The opening ASCII lines of a reply about one asked-for painting."""
+    return [
+        f"{vd.diagram.family.display()} painted={_painted_display(vd)} "
+        f"involution={vd.involution.name}",
+        render_ascii(vd),
+        "",
+    ]
+
+
+def _reply(args, shown: VoganDiagram, text, realform=None, trail=None) -> int:
+    """Write a single-painting reply: the JSON document or DOT graph of
+    ``shown``, or the ASCII lines ``text()`` builds, only when asked for."""
     if args.format == "json":
-        _emit(args, document_json(vd))
+        _emit(args, document_json(shown, realform, trail))
     elif args.format == "dot":
-        _emit(args, render_dot(vd))
+        _emit(args, render_dot(shown))
     else:
-        _emit(args, f"{diagram.family.display()}\n{render_ascii(vd)}")
+        _emit(args, "\n".join(text()))
     return 0
 
 
-def _orbit_names(items: tuple[VoganDiagram, ...]) -> dict:
-    """``classify`` of every painting, keyed by (involution, painted) and run
-    once per flip orbit, on its first painting: it is constant on orbits."""
-    names: dict = {}
-    for vd in items:
-        if (vd.involution, vd.painted) not in names:
-            desc = classify(vd)
-            for member in flip_orbit(vd):
-                names[member.involution, member.painted] = desc
-    return names
+def cmd_diagram(args) -> int:
+    diagram = build_diagram(parse_family_spec(args.family))
+    vd = VoganDiagram(diagram, identity_involution(len(diagram)), frozenset())
+    return _reply(args, vd, lambda: [diagram.family.display(), render_ascii(vd)])
 
 
 def cmd_enumerate(args) -> int:
@@ -193,37 +203,32 @@ def cmd_enumerate(args) -> int:
         graphs = [render_dot(vd, name=f"diagram{k}") for k, vd in enumerate(items, 1)]
         _emit(args, "\n\n".join(graphs))
         return 0
-    names = _orbit_names(items) if args.classify else {}
-    if args.format == "json":
-        docs = []
-        for vd in items:
-            realform = None
-            if args.classify:
-                realform = _realform_dict(names[vd.involution, vd.painted])
-            if args.reduce:
-                reduced, trail = reduce_with_trail(vd)
-                docs.append(emit_document(reduced, realform, trail))
-            else:
-                docs.append(emit_document(vd, realform))
-        _emit(args, to_json(docs))
-        return 0
+    # classify is constant on flip orbits: run it once per orbit
+    names = {}
+    if args.classify:
+        for first, orbit in flip_orbits(diagram):
+            desc = classify(first)
+            for painted in orbit:
+                names[first.involution, painted] = desc
+    docs = []
     lines = [f"{diagram.family.display()}: {len(items)} painted diagrams"]
     for k, vd in enumerate(items, 1):
-        lines.append("")
-        lines.append(
-            f"[{k}] involution={vd.involution.name} painted={_painted_display(vd)}"
-        )
-        lines.append(render_ascii(vd))
+        desc = names.get((vd.involution, vd.painted))
+        reduced, trail = reduce_with_trail(vd) if args.reduce else (vd, None)
+        if args.format == "json":
+            realform = _realform_dict(desc) if desc else None
+            docs.append(emit_document(reduced, realform, trail))
+            continue
+        lines += [
+            "",
+            f"[{k}] involution={vd.involution.name} painted={_painted_display(vd)}",
+            render_ascii(vd),
+        ]
         if args.reduce:
-            reduced, trail = reduce_with_trail(vd)
-            flips = ", ".join(str(move.at + 1) for move in trail) or "none"
-            lines.append(
-                f"reduced painted={_painted_display(reduced)} (flips: {flips})"
-            )
-        if args.classify:
-            desc = names[vd.involution, vd.painted]
+            lines.append(f"reduced painted={_painted_display(reduced)} (flips: {_flips(trail)})")
+        if desc:
             lines.append(f"g = {desc.super_name}   g0 = {desc.even_display()}")
-    _emit(args, "\n".join(lines))
+    _emit(args, to_json(docs) if args.format == "json" else "\n".join(lines))
     return 0
 
 
@@ -231,46 +236,26 @@ def cmd_reduce(args) -> int:
     diagram = build_diagram(parse_family_spec(args.family))
     vd = _make_vogan(diagram, args.painted, args.involution)
     reduced, trail = reduce_with_trail(vd)
-    if args.format == "json":
-        _emit(args, document_json(reduced, trail=trail))
-        return 0
-    if args.format == "dot":
-        _emit(args, render_dot(reduced))
-        return 0
-    flips = ", ".join(str(move.at + 1) for move in trail) or "none"
-    lines = [
-        f"{diagram.family.display()} painted={_painted_display(vd)} "
-        f"involution={vd.involution.name}",
-        render_ascii(vd),
-        "",
-        f"flips: {flips}",
-        f"reduced painted={_painted_display(reduced)}",
-        render_ascii(reduced),
-    ]
-    _emit(args, "\n".join(lines))
-    return 0
+
+    def text():
+        return _heading(vd) + [
+            f"flips: {_flips(trail)}",
+            f"reduced painted={_painted_display(reduced)}",
+            render_ascii(reduced),
+        ]
+
+    return _reply(args, reduced, text, trail=trail)
 
 
 def cmd_classify(args) -> int:
     diagram = build_diagram(parse_family_spec(args.family))
     vd = _make_vogan(diagram, args.painted, args.involution)
     desc = classify(vd)
-    if args.format == "json":
-        _emit(args, document_json(vd, realform=_realform_dict(desc)))
-        return 0
-    if args.format == "dot":
-        _emit(args, render_dot(vd))
-        return 0
-    lines = [
-        f"{diagram.family.display()} painted={_painted_display(vd)} "
-        f"involution={vd.involution.name}",
-        render_ascii(vd),
-        "",
-        f"g = {desc.super_name}",
-        f"g0 = {desc.even_display()}",
-    ]
-    _emit(args, "\n".join(lines))
-    return 0
+
+    def text():
+        return _heading(vd) + [f"g = {desc.super_name}", f"g0 = {desc.even_display()}"]
+
+    return _reply(args, vd, text, realform=_realform_dict(desc))
 
 
 def _render_table(report: TableReport) -> str:
@@ -294,12 +279,9 @@ def _render_table(report: TableReport) -> str:
         else:
             mark = "MISSING"
         lines.append(f"  g = {name:<{width}}   g0 = {' + '.join(evens):<30} [{mark}]")
-    for d in report.computed:
-        if d.super_name in {n for n, _ in report.expected}:
-            continue
-        lines.append(
-            f"  g = {d.super_name:<{width}}   g0 = {d.even_display():<30} [UNEXPECTED]"
-        )
+    for name in report.unexpected:
+        got = computed_by_name[name]
+        lines.append(f"  g = {name:<{width}}   g0 = {got.even_display():<30} [UNEXPECTED]")
     lines.append("")
     for note in report.notes:
         lines.append(f"note: {note}")

@@ -1,5 +1,10 @@
 """Painted diagrams, their flip calculus, and reduction to canonical form.
 
+The painting order is kept here alone: under each involution, identity
+first, ``_paintings`` lists fewest painted nodes first, then lexicographic.
+``enumerate_vogan``, ``flip_orbit`` and ``flip_orbits`` (each orbit once,
+by its first painting) read it.
+
 A painting marks even nodes whose root vectors act noncompactly; a flip at a
 painted node re-chooses the Cartan involution through that node's reflection
 and toggles exactly the fixed even neighbours paired with it by an odd
@@ -21,7 +26,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
-from itertools import combinations
+from itertools import chain, combinations
 from typing import Collection, Iterable, Iterator, Optional
 
 from .algebra import (
@@ -112,25 +117,41 @@ class VoganDiagram:
     painted: frozenset[int]
 
     def __post_init__(self):
-        fixed = self.involution.fixed_set
+        if type(self.painted) is not frozenset:
+            object.__setattr__(self, "painted", frozenset(self.painted))
+        inv, nodes = self.involution, self.diagram.nodes
+        # the identity is a symmetry of every diagram; any other is looked up
+        identity = inv.name == "identity" and len(inv.fixed_set) == len(inv.perm) == len(nodes)
+        if not identity and inv not in automorphisms(self.diagram):
+            family = self.diagram.family.display()
+            raise BadIndex(f"{inv.name} {list(inv.perm)} is not a symmetry of {family}")
+        fixed = inv.fixed_set
         for i in self.painted:
-            if not 0 <= i < len(self.diagram):
+            if type(i) is not int:
+                raise BadIndex(f"painted index {i!r} is not an integer")
+            if not 0 <= i < len(nodes):
                 raise BadIndex(f"painted index {i} out of range")
-            if self.diagram.nodes[i].kind != EVEN:
+            if nodes[i].kind != EVEN:
                 raise BadIndex(f"painted index {i} is not an even node")
             if i not in fixed:
                 raise BadIndex(f"painted index {i} is not fixed by the involution")
 
 
+def _paintings(diagram: Diagram, inv: DiagramInvolution) -> Iterator[int]:
+    """The painting order: every painting of the involution's fixed even
+    nodes, as a mask, fewest painted nodes first, then lexicographic on the
+    sorted nodes."""
+    bits = [1 << i for i in diagram.even_indices() if i in inv.fixed_set]
+    return map(sum, chain.from_iterable(combinations(bits, r) for r in range(len(bits) + 1)))
+
+
 def enumerate_vogan(diagram: Diagram) -> tuple[VoganDiagram, ...]:
-    """All paintings of all involutions, identity first, in deterministic order."""
-    out = []
-    for inv in automorphisms(diagram):
-        fixed_even = [i for i in diagram.even_indices() if i in inv.fixed_set]
-        for r in range(len(fixed_even) + 1):
-            for combo in combinations(fixed_even, r):
-                out.append(VoganDiagram(diagram, inv, frozenset(combo)))
-    return tuple(out)
+    """All paintings of all involutions, identity first, in painting order."""
+    return tuple(
+        VoganDiagram(diagram, inv, _nodes(mask))
+        for inv in automorphisms(diagram)
+        for mask in _paintings(diagram, inv)
+    )
 
 
 # ----------------------------------------------------------------------------
@@ -151,11 +172,6 @@ def _bits(mask: int) -> Iterable[int]:
 
 def _nodes(mask: int) -> frozenset[int]:
     return frozenset(_bits(mask))
-
-
-def _sort_key(mask: int) -> tuple[int, list[int]]:
-    """Fewest painted nodes first, then lexicographic on the sorted nodes."""
-    return mask.bit_count(), list(_bits(mask))
 
 
 @stored
@@ -213,30 +229,25 @@ def _painting_orbit(
 
 
 def flip_orbit(vd: VoganDiagram) -> tuple[VoganDiagram, ...]:
-    """Every Vogan diagram reachable from ``vd`` by flips, deterministically ordered."""
+    """Every Vogan diagram reachable from ``vd`` by flips, in painting order."""
     parents = _painting_orbit(vd.diagram, vd.involution.fixed_set, _mask(vd.painted))
     return tuple(
         VoganDiagram(vd.diagram, vd.involution, _nodes(p))
-        for p in sorted(parents, key=_sort_key)
+        for p in _paintings(vd.diagram, vd.involution)
+        if p in parents
     )
 
 
-def orbit_representatives(diagram: Diagram) -> Iterator[VoganDiagram]:
-    """The first painting of every flip orbit, in ``enumerate_vogan`` order.
-
-    Paintings are walked as masks; a Vogan diagram is built only for a
-    painting that no earlier orbit of its involution covered.
-    """
+def flip_orbits(diagram: Diagram) -> Iterator[tuple[VoganDiagram, Iterator[frozenset[int]]]]:
+    """Every flip orbit once, in ``enumerate_vogan`` order: its first painting
+    as a Vogan diagram, and its paintings as node sets, produced on demand."""
     for inv in automorphisms(diagram):
-        fixed = inv.fixed_set
-        bits = [1 << i for i in diagram.even_indices() if i in fixed]
         covered: set[int] = set()
-        for r in range(len(bits) + 1):
-            for combo in combinations(bits, r):
-                mask = sum(combo)
-                if mask not in covered:
-                    covered.update(_painting_orbit(diagram, fixed, mask))
-                    yield VoganDiagram(diagram, inv, _nodes(mask))
+        for mask in _paintings(diagram, inv):
+            if mask not in covered:
+                orbit = _painting_orbit(diagram, inv.fixed_set, mask)
+                covered.update(orbit)
+                yield VoganDiagram(diagram, inv, _nodes(mask)), map(_nodes, orbit)
 
 
 @stored
@@ -341,6 +352,8 @@ def equivalent(vd1: VoganDiagram, vd2: VoganDiagram) -> bool:
         raise FamilyMismatch(f"cannot compare {a} with {b}")
     diagram = vd1.diagram
     autos = automorphisms(diagram)
+    # the toggle masks of each involution; conjugates of one are in the list
+    masks_of = {g.perm: _toggle_masks(diagram, g.fixed_set) for g in autos}
     start = (vd1.involution.perm, _mask(vd1.painted))
     goal = (vd2.involution.perm, _mask(vd2.painted))
     seen = {start}
@@ -349,8 +362,7 @@ def equivalent(vd1: VoganDiagram, vd2: VoganDiagram) -> bool:
         perm, painted = queue.popleft()
         if (perm, painted) == goal:
             return True
-        fixed = frozenset(i for i, j in enumerate(perm) if i == j)
-        masks = _toggle_masks(diagram, fixed)
+        masks = masks_of[perm]
         states = [(perm, painted ^ masks[at]) for at in _bits(painted)]
         states += [
             (_conjugate(g.perm, perm), _mask(g.perm[i] for i in _bits(painted)))

@@ -1,8 +1,11 @@
 """Command-line interface: spec grammar, verbs, formats, exit codes."""
 
 import json
+import re
+import shlex
 import sys
 from fractions import Fraction
+from pathlib import Path
 from time import perf_counter
 
 import pytest
@@ -442,3 +445,44 @@ def test_out_to_an_unwritable_path_is_one_error_line(tmp_path, capsys):
         assert code == 1 and out == ""
         assert err.startswith(f"error: cannot write {target}: ")
         assert err.count("\n") == 1 and "Traceback" not in err
+
+
+# ------------------------------------------------------------------- readme
+
+
+def readme_sessions():
+    """Each README ```text block that starts with a ``$ supervogan`` line,
+    as (arguments, expected output lines)."""
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    sessions = []
+    for block in re.findall(r"^```text\n(.*?)^```$", text, re.M | re.S):
+        command, *lines = block.splitlines()
+        if command.startswith("$ supervogan "):
+            sessions.append((shlex.split(command)[2:], lines))
+    return sessions
+
+
+README_SESSIONS = readme_sessions()
+
+
+def test_the_readme_has_a_session_for_every_verb():
+    verbs = {argv[0] for argv, _ in README_SESSIONS}
+    assert verbs == {"diagram", "enumerate", "reduce", "classify", "table"}
+
+
+@pytest.mark.parametrize(
+    "argv, expected", README_SESSIONS, ids=[" ".join(argv) for argv, _ in README_SESSIONS]
+)
+def test_readme_sessions_match_the_cli(capsys, argv, expected):
+    """The output shown in the README is the CLI's; a ``...`` line stands for
+    any run of lines between the lines shown before and after it."""
+    code, out, err = run(capsys, *argv)
+    assert (code, err) == (0, "")
+    got = out.splitlines()
+    if "..." in expected:
+        cut = expected.index("...")
+        head, tail = expected[:cut], expected[cut + 1 :]
+        assert len(got) >= len(head) + len(tail)
+        assert got[: len(head)] == head and got[len(got) - len(tail) :] == tail
+    else:
+        assert got == expected

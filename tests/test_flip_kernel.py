@@ -31,6 +31,7 @@ from supervogan import (
     node_count,
 )
 from supervogan.cli import main as cli_main
+from supervogan.vogan import flip_orbits
 from test_acceptance import ALPHAS
 from test_algebra import all_families, guard_families
 
@@ -114,6 +115,33 @@ def test_flip_orbit_matches_set_bfs():
             assert all(w.involution == vd.involution for w in got)
             checked += 1
     assert checked > 2000
+
+
+def test_flip_orbits_partition_the_enumeration():
+    """``flip_orbits`` puts each painting of ``enumerate_vogan`` in exactly
+    one orbit, names each orbit by its first painting in enumeration order,
+    and each orbit is the set-based BFS orbit of that painting."""
+    checked = 0
+    for diagram in families_up_to(8):
+        position = {
+            (vd.involution, vd.painted): k for k, vd in enumerate(enumerate_vogan(diagram))
+        }
+        owner = {}
+        firsts = []
+        for first, orbit in flip_orbits(diagram):
+            orbit = list(orbit)
+            assert len(set(orbit)) == len(orbit)
+            assert set(orbit) == set_orbit(diagram, first.involution.perm, first.painted)
+            keys = [(first.involution, painted) for painted in orbit]
+            assert min(position[key] for key in keys) == position[first.involution, first.painted]
+            for key in keys:
+                assert key not in owner
+                owner[key] = first
+            firsts.append(position[first.involution, first.painted])
+        assert owner.keys() == position.keys()
+        assert firsts == sorted(firsts)
+        checked += len(position)
+    assert checked > 5000
 
 
 def test_enumerate_real_forms_is_first_seen_dedup_of_classify():

@@ -4,8 +4,9 @@ keeps them, and arithmetic stays exact, so no float enters.  Every
 cold rounds find and clear it; ``cached_property`` is not used.  The CLI's
 parser is the only such cache: data derived from a diagram is kept in the
 store of ``algebra``, which ``build_diagram.cache_clear()`` clears.  Every
-function the benchmark's tracer wraps exists in the package, and every name
-a module imports is used there (``__init__.py`` re-exports are exempt)."""
+function the benchmark's tracer wraps exists in the package, every name
+a module imports is used there (``__init__.py`` re-exports are exempt), and
+every private module-level function or class is used somewhere in it."""
 
 import ast
 import importlib
@@ -42,6 +43,28 @@ def unused_imports(tree: ast.Module) -> list[str]:
         f"line {line}: {name} imported but unused"
         for name, line in sorted(imported.items(), key=lambda item: item[1])
         if name not in used
+    ]
+
+
+def unreferenced_private_definitions(trees: dict[str, ast.Module]) -> list[str]:
+    """Every private module-level function or class that no code outside its
+    own body names, in any of ``trees`` (by module name)."""
+    top = [(name, node) for name, tree in trees.items() for node in tree.body]
+    names = {
+        id(node): {
+            sub.id if isinstance(sub, ast.Name) else sub.attr
+            for sub in ast.walk(node)
+            if isinstance(sub, (ast.Name, ast.Attribute))
+        }
+        for _, node in top
+    }
+    return [
+        f"{module}.{node.name} is never used"
+        for module, node in top
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+        and node.name.startswith("_")
+        and not node.name.startswith("__")
+        and not any(node.name in names[id(other)] for _, other in top if other is not node)
     ]
 
 
@@ -116,6 +139,11 @@ def test_no_unused_imports(path):
     assert unused_imports(ast.parse(path.read_text(), str(path))) == []
 
 
+def test_every_private_definition_is_used():
+    trees = {path.stem: ast.parse(path.read_text(), str(path)) for path in SOURCES}
+    assert unreferenced_private_definitions(trees) == []
+
+
 @pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
 def test_caches_are_module_level_and_clearable(path):
     assert cache_violations(ast.parse(path.read_text(), str(path))) == []
@@ -165,6 +193,24 @@ def test_the_import_rule_catches_each_kind():
         "line 3: system imported but unused",
         "line 4: load imported but unused",
         "line 5: flip imported but unused",
+    ]
+
+
+def test_the_private_definition_rule_catches_each_kind():
+    trees = {
+        "a": ast.parse(
+            "def _used(): pass\n"
+            "def _recursive(): return _recursive()\n"
+            "class _Unused: pass\n"
+            "def _by_attribute(): pass\n"
+            "def public(): return _used()\n"
+            "def __dunder__(): pass\n"
+        ),
+        "b": ast.parse("import a\nx = a._by_attribute\n"),
+    }
+    assert unreferenced_private_definitions(trees) == [
+        "a._recursive is never used",
+        "a._Unused is never used",
     ]
 
 

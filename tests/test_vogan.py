@@ -7,6 +7,7 @@ import pytest
 
 from supervogan import (
     BadIndex,
+    DiagramInvolution,
     FamilyId,
     FamilyMismatch,
     FlipAtOddNode,
@@ -132,6 +133,35 @@ def test_vogan_rejects_bad_paintings():
     rev = next(g for g in automorphisms(diagram) if g.name == "reversal")
     with pytest.raises(BadIndex):
         VoganDiagram(diagram, rev, frozenset({0}))  # moved by the involution
+
+
+def test_vogan_normalizes_the_painting_and_rejects_foreign_input():
+    """A painting given as any collection of node indices is stored as a
+    frozenset; non-integer indices and involutions that are not symmetries
+    of the diagram are ``BadIndex``, never a bare ``TypeError`` or a wrong
+    answer further on."""
+    diagram = build_diagram(FamilyId("B", 2, 2))
+    ident = identity_involution(len(diagram))
+    for painted in [(0, 0), [0], {0}]:
+        vd = VoganDiagram(diagram, ident, painted)
+        assert vd.painted == frozenset({0}) and type(vd.painted) is frozenset
+        assert hash(vd) == hash(VoganDiagram(diagram, ident, frozenset({0})))
+        assert reduce(vd) == reduce(VoganDiagram(diagram, ident, frozenset({0})))
+    for painted in [{1.0}, {"0"}, {True}]:
+        with pytest.raises(BadIndex, match="not an integer"):
+            VoganDiagram(diagram, ident, painted)
+    foreign = [
+        DiagramInvolution("x", (1, 0, 2, 3)),  # swaps the odd node with an even one
+        DiagramInvolution("reversal", tuple(range(len(diagram)))),
+        identity_involution(len(diagram) + 1),
+    ]
+    for inv in foreign:
+        with pytest.raises(BadIndex, match="not a symmetry"):
+            VoganDiagram(diagram, inv, frozenset())
+    # an equal copy of a listed symmetry is that symmetry
+    diagram = build_diagram(FamilyId("A", 2, 2))
+    rev = DiagramInvolution("reversal", tuple(reversed(range(len(diagram)))))
+    assert VoganDiagram(diagram, rev, frozenset()).involution in automorphisms(diagram)
 
 
 def test_enumerate_counts():
