@@ -14,10 +14,12 @@ each weight scaled by the lcm of its denominators; ``root_expansion``
 wraps it in ``Fraction``s, and ``noncompact_parity`` keeps two node masks
 per positive even root over its numerators (the nodes of its odd
 coefficients, and of its non-integer ones), reads a negative root through
-its negation and a painting's parity as one masked popcount.  Each root's
-hash is set from the key that sorts it.  ``gram_matrix``, ``cartan_matrix``
-and ``dual_basis`` hold ``Fraction``s read off the record; no package path
-calls them.
+its negation and a painting's parity as one masked popcount.  It checks a
+painting once per ``frozenset`` object: the diagram's record keeps the last
+one and its node mask, and any other iterable is checked on every call.
+Each root's hash is set from the key that sorts it.  ``gram_matrix``,
+``cartan_matrix`` and ``dual_basis`` hold ``Fraction``s read off the record;
+no package path calls them.
 
 The classical families A, B, B(0,n), C and D are built from their word in
 epsilon and delta (``_word``): simple roots and positive roots alike, each
@@ -841,12 +843,25 @@ def root_expansion(diagram: Diagram, v: WeightVector) -> tuple[Fraction, ...]:
     return tuple([Q(c, den) if c else _ZERO for c in coeffs])
 
 
+class _ParityTable:
+    """``masks``: every positive even root mapped to its two node masks.
+    ``last``: the last frozenset painting that ``noncompact_parity`` checked,
+    with its node mask, as one ``(painting, mask)`` tuple."""
+
+    __slots__ = ("masks", "last")
+
+    def __init__(self, masks: dict[WeightVector, tuple[int, int]]):
+        self.masks = masks
+        self.last = (frozenset(), 0)
+
+
 @stored
-def _even_root_masks(diagram: Diagram) -> dict[WeightVector, tuple[int, int]]:
+def _even_root_masks(diagram: Diagram) -> _ParityTable:
     """Every positive even root mapped to two node masks over its integer
     expansion: the nodes with an odd integer coefficient, and the nodes with
     a non-integer one.  A negative root has the same masks, so
-    ``noncompact_parity`` reads it through its negation."""
+    ``noncompact_parity`` reads it through its negation.  The returned
+    table's ``last`` starts as the empty painting."""
     table = {}
     for r in generate_roots(diagram).even():
         odd = frac = 0
@@ -857,7 +872,26 @@ def _even_root_masks(diagram: Diagram) -> dict[WeightVector, tuple[int, int]]:
             elif (c // den) & 1:
                 odd |= 1 << i
         table[r] = (odd, frac)
-    return table
+    return _ParityTable(table)
+
+
+def _painted_mask(diagram: Diagram, painted) -> int:
+    """The node mask of ``painted``, an iterable of node indices.  Raises
+    BadIndex for a painting that is not iterable, and for an index that is
+    not an ``int`` (a ``bool`` included) or is outside ``0..len(diagram)-1``."""
+    size = len(diagram.nodes)
+    try:
+        nodes = iter(painted)
+    except TypeError:
+        raise BadIndex(f"painting {painted!r} is not an iterable of node indices") from None
+    mask = 0
+    for i in nodes:
+        if type(i) is not int:
+            raise BadIndex(f"painted index {i!r} is not an integer")
+        if not 0 <= i < size:
+            raise BadIndex(f"node {i} is out of range 0..{size - 1} of {diagram.family.display()}")
+        mask |= 1 << i
+    return mask
 
 
 def noncompact_parity(diagram: Diagram, painted: frozenset[int], v: WeightVector) -> int:
@@ -868,23 +902,34 @@ def noncompact_parity(diagram: Diagram, painted: frozenset[int], v: WeightVector
     A positive root is looked up directly and a negative one through its
     negation, which has the same parity.
     Raises NotAnEvenRoot unless ``v`` is an even root or the negative of one,
-    and BadIndex for a painted index outside ``0..len(diagram)-1``.
+    then BadIndex for a painting that is not an iterable of ``int`` node
+    indices in ``0..len(diagram)-1``.
+
+    A census passes one painting for all its roots, so each diagram keeps
+    the last ``frozenset`` painting it checked, and its node mask: the same
+    frozenset object is checked once, however many roots follow.  Any other
+    painting, an equal frozenset built apart or an iterable of another type
+    included, is checked on every call.
     """
     table = _even_root_masks(diagram)
-    masks = table.get(v)
+    masks = table.masks.get(v)
     if masks is None and isinstance(v, WeightVector):
-        masks = table.get(-v)
+        masks = table.masks.get(-v)
     if masks is None:
         raise NotAnEvenRoot(f"{v} is not an even root of {diagram.family.display()}")
     odd, frac = masks
-    size = len(diagram.nodes)
-    mask = 0
-    for i in painted:
-        if not 0 <= i < size:
-            raise BadIndex(f"node {i} is out of range 0..{size - 1} of {diagram.family.display()}")
-        mask |= 1 << i
-    if mask & frac:
+    last = table.last
+    # by identity: equal paintings (a set changed since, or {True} for {1})
+    # compare and hash equal, and only a frozenset cannot have changed
+    if last[0] is painted:
+        mask = last[1]
+    else:
+        mask = _painted_mask(diagram, painted)
+        if type(painted) is frozenset:
+            table.last = (painted, mask)
+    bad = mask & frac
+    if bad:
         c, den = _integer_expansion(diagram, v)
-        i = next(i for i in painted if c[i] % den)
+        i = (bad & -bad).bit_length() - 1
         raise InvariantViolation(f"{v} has the non-integer coefficient {Q(c[i], den)} at node {i}")
     return (mask & odd).bit_count() & 1

@@ -118,8 +118,13 @@ class VoganDiagram:
 
     def __post_init__(self):
         if type(self.painted) is not frozenset:
-            object.__setattr__(self, "painted", frozenset(self.painted))
+            try:
+                object.__setattr__(self, "painted", frozenset(self.painted))
+            except TypeError:  # not iterable, or an index that is not hashable
+                raise BadIndex(f"painting {self.painted!r} is not a set of node indices") from None
         inv, nodes = self.involution, self.diagram.nodes
+        if not isinstance(inv, DiagramInvolution):
+            raise BadIndex(f"involution {inv!r} is not a DiagramInvolution")
         # the identity is a symmetry of every diagram; any other is looked up
         identity = inv.name == "identity" and len(inv.fixed_set) == len(inv.perm) == len(nodes)
         if not identity and inv not in automorphisms(self.diagram):
@@ -191,6 +196,8 @@ def _toggle_masks(diagram: Diagram, fixed: frozenset[int]) -> tuple[int, ...]:
 
 def flip(vd: VoganDiagram, at: int) -> VoganDiagram:
     """Flip at a painted node: it stays painted, eligible neighbours toggle."""
+    if type(at) is not int:  # not isinstance(): a bool is an int to isinstance
+        raise BadIndex(f"flip index {at!r} is not an integer")
     if not 0 <= at < len(vd.diagram):
         raise BadIndex(f"flip index {at} out of range")
     if vd.diagram.nodes[at].kind != EVEN:

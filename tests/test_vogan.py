@@ -164,6 +164,26 @@ def test_vogan_normalizes_the_painting_and_rejects_foreign_input():
     assert VoganDiagram(diagram, rev, frozenset()).involution in automorphisms(diagram)
 
 
+def test_vogan_and_flip_reject_malformed_arguments_with_bad_index():
+    """A painting that is no collection of hashable indices, an involution
+    that is no ``DiagramInvolution`` and a flip index that is no ``int`` are
+    ``BadIndex``: before, ``TypeError`` or ``AttributeError`` escaped, and
+    ``flip(vd, True)`` flipped at node 1."""
+    diagram = build_diagram(FamilyId("B", 2, 2))
+    ident = identity_involution(len(diagram))
+    for painted in [None, 3, [[0]]]:
+        with pytest.raises(BadIndex, match="not a set of node indices"):
+            VoganDiagram(diagram, ident, painted)
+    with pytest.raises(BadIndex, match="not a DiagramInvolution"):
+        VoganDiagram(diagram, "identity", frozenset())
+    vd = VoganDiagram(diagram, ident, frozenset({0, 2}))
+    for at in ["a", 2.0, True, None]:
+        with pytest.raises(BadIndex, match="not an integer"):
+            flip(vd, at)
+    with pytest.raises(FlipAtOddNode):  # the int 1 still reaches the odd node
+        flip(vd, 1)
+
+
 def test_enumerate_counts():
     # one involution: 2^(fixed even nodes); reversal of A(2,2) fixes no even node
     assert len(enumerate_vogan(build_diagram(FamilyId("A", 2, 1)))) == 2**3
