@@ -647,9 +647,23 @@ def even_blocks(diagram: Diagram) -> tuple[tuple[int, ...], ...]:
     return tuple(blocks)
 
 
+def _component(diagram: Diagram, component: Sequence[int]) -> tuple[int, ...]:
+    """``component`` as a tuple.  Raises BadIndex unless it is a nonempty
+    iterable of ``int`` node indices in ``0..len(diagram)-1`` (the indices
+    checked by ``_painted_mask``)."""
+    try:
+        nodes = tuple(component)
+    except TypeError:
+        raise BadIndex(f"component {component!r} is not an iterable of node indices") from None
+    if not _painted_mask(diagram, nodes):
+        raise BadIndex(f"component {component!r} holds no node")
+    return nodes
+
+
 def block_sign(diagram: Diagram, component: Sequence[int]) -> int:
     """+1 on the positive-definite side, -1 on the negative-definite side."""
-    return 1 if gram_record(diagram).rows[component[0]][component[0]] > 0 else -1
+    first = _component(diagram, component)[0]
+    return 1 if gram_record(diagram).rows[first][first] > 0 else -1
 
 
 def integer_block_inverse(diagram: Diagram, component: Sequence[int]):
@@ -677,6 +691,7 @@ def _block_gram_inverse(diagram: Diagram, component: Sequence[int]):
 
 def dual_basis(diagram: Diagram, component: Sequence[int]) -> tuple[WeightVector, ...]:
     """Vectors w_j in the span of the component with <w_j, a_k> = delta_jk / eps_k."""
+    component = _component(diagram, component)
     inv, eps = _block_gram_inverse(diagram, component)
     zero = diagram.root(0).scale(Q(0))
     return tuple(

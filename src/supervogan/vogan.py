@@ -11,6 +11,9 @@ and toggles exactly the fixed even neighbours paired with it by an odd
 integer.  Reduction walks the flip orbit once and reads each even block's
 orbit off that walk; ``_block_target``, the Borel-de Siebenthal step, picks
 a painted block's one painted node by the dual-basis minimality rule.
+``_painting_orbit`` is the one walk: ``equivalent`` walks nothing itself,
+it compares the canonical paintings ``reduce`` gives after each diagram
+relabeling.
 
 One kernel does every flip.  Inside it a painting is an ``int`` bitmask, bit
 i for node i, and a flip at node i is one XOR with node i's toggle mask.  The
@@ -56,7 +59,15 @@ class DiagramInvolution:
     fixed_set: frozenset[int] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        fixed = frozenset(i for i, j in enumerate(self.perm) if i == j)
+        try:
+            perm = tuple(self.perm)
+        except TypeError:
+            raise BadIndex(f"perm {self.perm!r} is not an iterable of node indices") from None
+        # type(), not isinstance(): a bool is an int to isinstance
+        if not perm or any(type(i) is not int for i in perm) or sorted(perm) != [*range(len(perm))]:
+            raise BadIndex(f"perm {self.perm!r} does not permute the nodes 0..n-1 of a diagram")
+        object.__setattr__(self, "perm", perm)
+        fixed = frozenset(i for i, j in enumerate(perm) if i == j)
         object.__setattr__(self, "fixed_set", fixed)
 
     def fixed(self) -> tuple[int, ...]:
@@ -64,6 +75,8 @@ class DiagramInvolution:
 
 
 def identity_involution(size: int) -> DiagramInvolution:
+    if type(size) is not int or size < 1:
+        raise BadIndex(f"size {size!r} is not a positive integer")
     return DiagramInvolution("identity", tuple(range(size)))
 
 
@@ -345,38 +358,24 @@ def reduce(vd: VoganDiagram) -> VoganDiagram:
     return reduce_with_trail(vd)[0]
 
 
-def _conjugate(g: tuple[int, ...], perm: tuple[int, ...]) -> tuple[int, ...]:
-    ginv = [0] * len(g)
-    for i, j in enumerate(g):
-        ginv[j] = i
-    return tuple(g[perm[ginv[i]]] for i in range(len(g)))
-
-
 def equivalent(vd1: VoganDiagram, vd2: VoganDiagram) -> bool:
-    """True when flips plus diagram relabelings carry vd1 to vd2."""
+    """True when flips plus diagram relabelings carry vd1 to vd2.
+
+    Read off canonical paintings: a relabeling g, from the group the
+    automorphisms generate, carries flip orbits to flip orbits, and
+    ``reduce`` picks one painting of each orbit.  So vd1 ~ vd2 iff, for some
+    g with g perm1 g^-1 = perm2, the painting g(painted1) under vd2's
+    involution reduces to reduce(vd2).  (Each diagram lists at most one
+    nontrivial involution today, so the closure adds nothing yet.)"""
     if vd1.diagram != vd2.diagram:
         a, b = vd1.diagram.family.display(), vd2.diagram.family.display()
         raise FamilyMismatch(f"cannot compare {a} with {b}")
-    diagram = vd1.diagram
-    autos = automorphisms(diagram)
-    # the toggle masks of each involution; conjugates of one are in the list
-    masks_of = {g.perm: _toggle_masks(diagram, g.fixed_set) for g in autos}
-    start = (vd1.involution.perm, _mask(vd1.painted))
-    goal = (vd2.involution.perm, _mask(vd2.painted))
-    seen = {start}
-    queue = deque([start])
-    while queue:
-        perm, painted = queue.popleft()
-        if (perm, painted) == goal:
-            return True
-        masks = masks_of[perm]
-        states = [(perm, painted ^ masks[at]) for at in _bits(painted)]
-        states += [
-            (_conjugate(g.perm, perm), _mask(g.perm[i] for i in _bits(painted)))
-            for g in autos
-        ]
-        for state in states:
-            if state not in seen:
-                seen.add(state)
-                queue.append(state)
-    return goal in seen
+    group = {g.perm for g in automorphisms(vd1.diagram)}
+    while not (products := {tuple(a[i] for i in b) for a in group for b in group}) <= group:
+        group |= products
+    p1, p2, target = vd1.involution.perm, vd2.involution.perm, reduce(vd2)
+    return any(
+        all(p2[g[i]] == g[j] for i, j in enumerate(p1))  # g p1 = p2 g
+        and reduce(VoganDiagram(vd2.diagram, vd2.involution, {g[i] for i in vd1.painted})) == target
+        for g in group
+    )

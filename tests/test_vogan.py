@@ -2,10 +2,12 @@
 
 import importlib
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 
 from supervogan import (
+    EVEN,
     BadIndex,
     DiagramInvolution,
     FamilyId,
@@ -25,12 +27,13 @@ from supervogan import (
     flip,
     flip_orbit,
     identity_involution,
+    node_count,
     reduce,
     reduce_with_trail,
 )
 from supervogan.vogan import _admissible_vertices
 from test_acceptance import families
-from test_algebra import guard_families
+from test_algebra import all_families, guard_families
 
 Q = Fraction
 
@@ -182,6 +185,37 @@ def test_vogan_and_flip_reject_malformed_arguments_with_bad_index():
             flip(vd, at)
     with pytest.raises(FlipAtOddNode):  # the int 1 still reaches the odd node
         flip(vd, 1)
+
+
+def test_involutions_reject_malformed_perms_and_sizes_with_bad_index():
+    """A perm must be an iterable of ``int`` node indices (a ``bool`` is not
+    one) permuting 0..n-1, and a size a positive ``int``: before, ``None``
+    and ``5`` raised a bare ``TypeError``, and ``(0, 0, 1, 2)``, size -1 and
+    size ``True`` were accepted."""
+    for perm in [None, 5, (0, 0, 1, 2), (0, 2), (), (True, 0), (1.0, 0), "10"]:
+        with pytest.raises(BadIndex):
+            DiagramInvolution("x", perm)
+    for size in [-1, 0, True, 2.0, "3", None]:
+        with pytest.raises(BadIndex):
+            identity_involution(size)
+    # any iterable of indices is stored as a tuple
+    assert DiagramInvolution("x", [1, 0, 2]) == DiagramInvolution("x", (1, 0, 2))
+    assert identity_involution(1).perm == (0,)
+
+
+def test_dual_basis_and_block_sign_reject_bad_components_with_bad_index():
+    """A component node out of range and an empty component are
+    ``BadIndex``; before, both raised a bare ``IndexError``."""
+    diagram = build_diagram(FamilyId("B", 2, 2))
+    for component in [(0, 99), (99,), (), (-1,), (True,), None]:
+        with pytest.raises(BadIndex):
+            dual_basis(diagram, component)
+        with pytest.raises(BadIndex):
+            block_sign(diagram, component)
+    # any iterable of nodes is read once, as a tuple
+    block = even_blocks(diagram)[0]
+    assert block_sign(diagram, iter(block)) == block_sign(diagram, block)
+    assert dual_basis(diagram, iter(block)) == dual_basis(diagram, block)
 
 
 def test_enumerate_counts():
@@ -403,6 +437,80 @@ def test_equivalent_is_equivalence_relation():
             for k in range(len(items)):
                 if rel[(i, j)] and rel[(j, k)]:
                     assert rel[(i, k)]
+
+
+def oracle_classes(diagram):
+    """Each (perm, painting) state's class under flips and relabelings, as a
+    closure of sets.  A flip at painted node i toggles the other fixed even
+    nodes j with a_ij = 2 (a_i, a_j) / (a_i, a_i) an odd integer, read off
+    the nodes' coordinates; the relabelings are the group the automorphism
+    perms generate, each acting by g perm g^-1 and g(painting)."""
+    roots = [(node.root.e_part, node.root.d_part) for node in diagram.nodes]
+
+    def inner(u, v):
+        return sum(a * b for a, b in zip(u[0], v[0])) - sum(a * b for a, b in zip(u[1], v[1]))
+
+    def odd_entry(i, j):
+        a = 2 * inner(roots[i], roots[j]) / inner(roots[i], roots[i])
+        return a.denominator == 1 and a.numerator % 2 == 1
+
+    n = len(roots)
+    even = [i for i, node in enumerate(diagram.nodes) if node.kind == EVEN]
+    group = {g.perm for g in automorphisms(diagram)}
+    while (more := group | {tuple(a[i] for i in b) for a in group for b in group}) != group:
+        group = more
+
+    def moves(state):
+        perm, painted = state
+        fixed = [j for j in even if perm[j] == j]
+        for i in painted:
+            yield perm, painted ^ {j for j in fixed if j != i and odd_entry(i, j)}
+        for g in group:
+            conj = [0] * n
+            for i in range(n):
+                conj[g[i]] = g[perm[i]]
+            yield tuple(conj), frozenset(g[i] for i in painted)
+
+    states = {
+        (perm, frozenset(painted))
+        for perm in group
+        if all(perm[perm[i]] == i for i in range(n))
+        for r in range(n + 1)
+        for painted in combinations([j for j in even if perm[j] == j], r)
+    }
+    label = {}
+    for start in states:
+        if start in label:
+            continue
+        cls = {start}
+        while (grown := cls | {m for s in cls for m in moves(s)}) != cls:
+            cls = grown
+        label.update(dict.fromkeys(cls, start))
+    return label
+
+
+@pytest.mark.parametrize(
+    "fam",
+    list(
+        dict.fromkeys(
+            [f for f in all_families(5, 6) if node_count(f) <= 5]
+            + [FamilyId("D21alpha", alpha=a) for a in ADMISSIBLE_ALPHAS]
+        )
+    ),
+    ids=lambda fam: fam.display(),
+)
+def test_equivalent_matches_a_closure_oracle_on_every_pair(fam):
+    """``equivalent`` on every pair of paintings, under every involution,
+    against classes closed in sets from the flip rule and the relabelings."""
+    diagram = build_diagram(fam)
+    label = oracle_classes(diagram)
+    items = enumerate_vogan(diagram)
+    keys = [label[(vd.involution.perm, vd.painted)] for vd in items]
+    # the oracle's states are exactly the enumerated paintings
+    assert len(label) == len(items)
+    for v, kv in zip(items, keys):
+        for w, kw in zip(items, keys):
+            assert equivalent(v, w) == (kv == kw), (sorted(v.painted), sorted(w.painted))
 
 
 def test_reduce_rejects_a_target_outside_the_orbit(monkeypatch):
