@@ -59,6 +59,7 @@ from .errors import (
     RankGuardExceeded,
     SingularBlock,
     SingularNormalization,
+    SupervoganError,
 )
 from .linalg import Q, bareiss
 
@@ -131,12 +132,23 @@ def _exact_key(v: WeightVector) -> tuple[tuple, tuple]:
     return _exact(v.e_part), _exact(v.d_part)
 
 
+def _coordinates(part: Sequence) -> tuple[Fraction, ...]:
+    try:
+        coords = tuple(part)
+    except TypeError:
+        raise SupervoganError(f"coordinates {part!r} are not a sequence of numbers") from None
+    for x in coords:
+        # type(), not isinstance(): a bool is an int to isinstance
+        if type(x) is not int and not isinstance(x, Fraction):
+            raise SupervoganError(f"coordinate {x!r} is neither an int nor a Fraction")
+    return tuple(Q(x) for x in coords)
+
+
 def weight(e_part: Sequence, d_part: Sequence) -> WeightVector:
-    """Coerce raw number sequences into an exact WeightVector."""
-    return WeightVector(
-        tuple(Q(x) for x in e_part),
-        tuple(Q(x) for x in d_part),
-    )
+    """Coerce sequences of exact coordinates into a WeightVector.  Raises
+    SupervoganError unless every coordinate is an ``int`` (not a ``bool``)
+    or a ``Fraction``."""
+    return WeightVector(_coordinates(e_part), _coordinates(d_part))
 
 
 @dataclass(frozen=True, order=True)

@@ -84,8 +84,11 @@ def _chain_position(vd: VoganDiagram, block: tuple[int, ...]) -> Optional[int]:
     """Canonical painted vertex of a block, as a 1-based position from block[0].
 
     Flips only toggle even neighbours, which lie in the flipped node's own
-    block, so the involution's whole fixed set gives the block's orbit.
+    block, so the involution's whole fixed set gives the block's orbit.  A
+    side of rank one has no block, and no position.
     """
+    if not block:
+        return None
     part = vd.painted & set(block)
     canon = canonical_block_painting(vd.diagram, block, part, vd.involution.fixed_set)
     return min(canon) - block[0] + 1 if canon else None
@@ -176,7 +179,8 @@ def _classify_d(vd: VoganDiagram, fam: FamilyId) -> RealFormDescriptor:
     m, n = fam.m, fam.n
     block = tuple(range(n, n + m))
     if vd.involution.name == "swap":
-        so_pair, so = _side("so'", 2 * m, _chain_position(vd, block))
+        # the swap fixes no prong, and D2 = A1 + A1 is its two prongs alone
+        so_pair, so = _side("so'", 2 * m, _chain_position(vd, block) if m > 2 else None)
     elif m == 2:
         # D2 = A1 + A1 has no chain.  One painted node is a prong, so*(4);
         # both painted give so(2,2), the form of chain position 1 in every D_m

@@ -8,25 +8,41 @@ by its first painting) read it.
 A painting marks even nodes whose root vectors act noncompactly; a flip at a
 painted node re-chooses the Cartan involution through that node's reflection
 and toggles exactly the fixed even neighbours paired with it by an odd
-integer.  Reduction walks the flip orbit once and reads each even block's
-orbit off that walk; ``_block_target``, the Borel-de Siebenthal step, picks
-a painted block's one painted node by the dual-basis minimality rule.
+integer.  Flips never mix even blocks, so a flip orbit is the product of its
+blocks' orbits.  ``_block_target``, the Borel-de Siebenthal step, picks a
+painted block's one painted node by the dual-basis minimality rule, and the
+canonical painting of an orbit is the union of its blocks' targets.
 ``_painting_orbit`` is the one walk: ``equivalent`` walks nothing itself,
 it compares the canonical paintings ``reduce`` gives after each diagram
 relabeling.
+
+Reductions are read off two flat tables per (diagram, fixed nodes), kept in
+the diagram's record (``_flip_tables``) and indexed by painting mask.  Each
+is filled one orbit at a time, by one walk, the first time a painting of
+that orbit is asked for: the first holds each block painting's target, and
+the second each painting's flip distance to its orbit's canonical painting,
+walked from that painting.  ``canonical_block_painting`` (and so
+``classify``) reads the targets; ``reduce_with_trail`` ORs a painting's
+block targets into its goal and reads the trail greedily, flipping at each
+step the lowest painted node whose flip lowers the distance by one.  That is
+the lexicographically least shortest trail, the one a breadth-first walk
+from the painting records.  So each orbit and each block orbit is walked
+once while its diagram's record lives; ``build_diagram.cache_clear()`` drops
+the tables with the rest of the record.
 
 One kernel does every flip.  Inside it a painting is an ``int`` bitmask, bit
 i for node i, and a flip at node i is one XOR with node i's toggle mask.  The
 masks are derived once per (diagram, fixed nodes) from the integer Gram rows
 of ``algebra.gram_record``, each Cartan entry read as an exact integer
-quotient, and the orbit BFS expands flips in ascending node order, so every
-trail is a shortest one and its tie-breaks are deterministic.  Dual-basis
-minimality is read over the integers too, off the block's Gram rows and the
-transform of one fraction-free elimination.
+quotient, and the orbit BFS expands flips in ascending node order, so its
+tie-breaks are deterministic.  Dual-basis minimality is read over the
+integers too, off the block's Gram rows and the transform of one
+fraction-free elimination.
 """
 
 from __future__ import annotations
 
+from array import array
 from collections import deque
 from dataclasses import dataclass, field
 from itertools import chain, combinations
@@ -35,6 +51,7 @@ from typing import Collection, Iterable, Iterator, Optional
 from .algebra import (
     EVEN,
     Diagram,
+    _painted_mask,
     cartan_scales,
     even_blocks,
     gram_record,
@@ -83,8 +100,6 @@ def identity_involution(size: int) -> DiagramInvolution:
 def _preserves_diagram(diagram: Diagram, perm: tuple[int, ...]) -> bool:
     """Involutive, kind-preserving, and Gram-preserving up to entrywise sign."""
     size = len(diagram)
-    if sorted(perm) != list(range(size)):
-        return False
     if any(perm[perm[i]] != i for i in range(size)):
         return False
     g = gram_record(diagram).rows
@@ -230,7 +245,8 @@ class FlipMove:
 def _painting_orbit(
     diagram: Diagram, fixed: frozenset[int], start: int
 ) -> dict[int, Optional[tuple[int, int]]]:
-    """BFS over flips; maps each reachable painting to (parent painting, flip index)."""
+    """BFS over flips; maps each reachable painting to (parent painting, flip
+    index), in the order the walk reaches them."""
     masks = _toggle_masks(diagram, fixed)
     parents: dict[int, Optional[tuple[int, int]]] = {start: None}
     queue = deque([start])
@@ -314,6 +330,38 @@ def _block_target(diagram: Diagram, block: tuple[int, ...], orbit: Collection[in
     return next((p for p in singles if p.bit_length() - 1 in admissible), singles[0])
 
 
+@stored
+def _flip_tables(diagram: Diagram, fixed: frozenset[int]) -> tuple[array, array]:
+    """The two tables of the module docstring, indexed by painting mask and
+    filled by ``_block_part_target`` and ``reduce_with_trail``: each block
+    painting's ``_block_target``, and each painting's flip distance to its
+    orbit's canonical painting, plus one.  0 marks an entry not yet filled
+    (no nonempty block painting has the target 0)."""
+    size = 1 << len(diagram)
+    return array("I", [0]) * size, array("I", [0]) * size
+
+
+@stored
+def _block_masks(diagram: Diagram) -> dict[tuple[int, ...], int]:
+    """Each of ``even_blocks``, and its node mask."""
+    return {block: _mask(block) for block in even_blocks(diagram)}
+
+
+def _block_part_target(
+    diagram: Diagram, fixed: frozenset[int], block: tuple[int, ...], part: int
+) -> int:
+    """``_block_target`` of ``block``'s nonempty painting ``part``, read off
+    the targets table, or filled there for the whole block orbit by one walk."""
+    targets = _flip_tables(diagram, fixed)[0]
+    target = targets[part]
+    if not target:
+        orbit = _painting_orbit(diagram, fixed, part)
+        target = _block_target(diagram, block, orbit)
+        for p in orbit:
+            targets[p] = target
+    return target
+
+
 def canonical_block_painting(
     diagram: Diagram,
     block: tuple[int, ...],
@@ -322,35 +370,64 @@ def canonical_block_painting(
 ) -> frozenset[int]:
     """Canonical representative of a block painting's flip orbit, flips
     toggling only the even nodes in ``fixed`` (the involution's fixed set):
-    the one vertex ``_block_target`` chooses, or the empty painting."""
-    if not painted:
+    the one vertex ``_block_target`` chooses, or the empty painting.
+
+    Raises BadIndex unless ``block`` is one of ``even_blocks(diagram)``,
+    ``fixed`` is an iterable of node indices, and ``painted`` is a set of
+    the block's nodes in ``fixed``."""
+    try:
+        block = tuple(block)
+        block_mask = _block_masks(diagram).get(block)
+    except TypeError:  # not iterable, or a node that is not hashable
+        block_mask = None
+    if block_mask is None:
+        raise BadIndex(f"{block!r} is not an even block of {diagram.family.display()}")
+    try:
+        fixed_mask = _painted_mask(diagram, fixed)
+    except BadIndex:
+        raise BadIndex(f"fixed nodes {fixed!r} are not a set of node indices") from None
+    part = _painted_mask(diagram, painted)
+    if part & ~(fixed_mask & block_mask):
+        raise BadIndex(
+            f"painting {sorted(_bits(part))} is not on the fixed nodes of block {list(block)}"
+        )
+    if not part:
         return frozenset()
-    orbit = _painting_orbit(diagram, fixed, _mask(painted))
-    return _nodes(_block_target(diagram, tuple(block), orbit))
+    if type(fixed) is not frozenset:
+        fixed = _nodes(fixed_mask)
+    return _nodes(_block_part_target(diagram, fixed, block, part))
 
 
 def reduce_with_trail(vd: VoganDiagram) -> tuple[VoganDiagram, tuple[FlipMove, ...]]:
-    """Reduce to the canonical painting; also return the flip sequence used.
-
-    Flips never mix blocks, so the orbit is the product of its blocks' orbits:
-    each block's orbit, and the trail, are read off one walk.
-    """
-    parents = _painting_orbit(vd.diagram, vd.involution.fixed_set, _mask(vd.painted))
+    """Reduce to the canonical painting; also return the flip sequence used:
+    the lexicographically least shortest one, read off the distances table
+    (see the module docstring)."""
+    diagram, fixed = vd.diagram, vd.involution.fixed_set
+    start = _mask(vd.painted)
     goal = 0
-    for block in even_blocks(vd.diagram):
-        block_mask = _mask(block)
-        goal |= _block_target(vd.diagram, block, {p & block_mask for p in parents})
-    if goal not in parents:
+    for block, block_mask in _block_masks(diagram).items():
+        part = start & block_mask
+        if part:
+            goal |= _block_part_target(diagram, fixed, block, part)
+    dist = _flip_tables(diagram, fixed)[1]
+    if not dist[goal]:
+        for p, parent in _painting_orbit(diagram, fixed, goal).items():
+            dist[p] = dist[parent[0]] + 1 if parent else 1
+    masks = _toggle_masks(diagram, fixed)
+    moves: list[FlipMove] = []
+    cur, left = start, dist[start]
+    while left > 1:
+        left -= 1
+        at = next(i for i in _bits(cur) if dist[cur ^ masks[i]] == left)
+        cur ^= masks[at]
+        moves.append(FlipMove(at))
+    # an unfilled start, or one whose distances lead elsewhere, is not in
+    # the goal's orbit
+    if cur != goal:
         raise InvariantViolation(
             f"canonical painting {sorted(_bits(goal))} is not in the flip orbit "
             f"of {sorted(vd.painted)}"
         )
-    moves: list[FlipMove] = []
-    cur = goal
-    while parents[cur] is not None:
-        cur, at = parents[cur]
-        moves.append(FlipMove(at))
-    moves.reverse()
     return VoganDiagram(vd.diagram, vd.involution, _nodes(goal)), tuple(moves)
 
 

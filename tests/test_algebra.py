@@ -19,6 +19,8 @@ from supervogan import (
     NotAnEvenRoot,
     SingularBlock,
     SingularNormalization,
+    SupervoganError,
+    WeightVector,
     build_diagram,
     block_sign,
     cartan_matrix,
@@ -651,6 +653,27 @@ def test_weight_vectors_built_apart_hash_equal():
         back = pickle.loads(pickle.dumps(v))
         assert back == direct and hash(back) == hash(direct)
         assert len({back, direct, summed, negated}) == 1
+
+
+def test_weight_takes_only_exact_coordinates():
+    """An ``int`` (not a ``bool``) or a ``Fraction``, or a SupervoganError.
+    Before, ``0.1`` was stored as its binary fraction, and the others raised
+    a bare ``ValueError``, ``TypeError`` or ``OverflowError``."""
+    for e_part, d_part in [
+        ((0.1,), (0,)),
+        ("a", "b"),
+        (5, (0,)),
+        ((1e400,), (0,)),
+        ((True,), (0,)),
+        ((1,), None),
+        ((1,), ("1",)),
+        ((1,), (complex(1, 0),)),
+    ]:
+        with pytest.raises(SupervoganError):
+            weight(e_part, d_part)
+    v = weight([1, Q(1, 10)], iter([-2]))
+    assert v == WeightVector((Q(1), Q(1, 10)), (Q(-2),))
+    assert all(type(x) is Q for x in v.coords())
 
 
 def test_generate_roots_is_shared_per_diagram():

@@ -345,6 +345,7 @@ def test_classify_rejects_a_canonical_painting_of_two_vertices(fam, painted, mon
             out[p] = None
         return out
 
+    build_diagram.cache_clear()  # no block target filled before
     monkeypatch.setattr(module, "_painting_orbit", two_vertices)
     vd = vd_of(fam, painted)
     with pytest.raises(InvariantViolation, match="no single vertex"):

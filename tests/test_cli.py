@@ -11,7 +11,15 @@ from time import perf_counter
 import pytest
 from test_algebra import guard_families
 
-from supervogan import FamilyId, ParseError, build_diagram, classify, cli, parse_document
+from supervogan import (
+    FamilyId,
+    ParseError,
+    build_diagram,
+    classify,
+    cli,
+    enumerate_vogan,
+    parse_document,
+)
 from supervogan.algebra import node_count
 from supervogan.cli import main, parse_family_spec
 
@@ -486,3 +494,19 @@ def test_readme_sessions_match_the_cli(capsys, argv, expected):
         assert got[: len(head)] == head and got[len(got) - len(tail) :] == tail
     else:
         assert got == expected
+
+
+@pytest.mark.parametrize(
+    "fam",
+    [fam for fam in guard_families() if node_count(fam) == 12],
+    ids=lambda fam: fam.display(),
+)
+def test_enumerate_reduce_classify_at_the_rank_guard_takes_under_a_second(capsys, fam):
+    """Every orbit and block orbit is walked once, so reducing and naming
+    all of a 12-node family's paintings, from a cold store, takes under a
+    second."""
+    build_diagram.cache_clear()
+    start = perf_counter()
+    code, out, _ = run(capsys, "enumerate", fam.display(), "--reduce", "--classify")
+    assert perf_counter() - start < 1
+    assert code == 0 and out.count("reduced painted=") == len(enumerate_vogan(build_diagram(fam)))

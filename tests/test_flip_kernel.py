@@ -29,6 +29,7 @@ from supervogan import (
     even_blocks,
     flip_orbit,
     node_count,
+    reduce_with_trail,
 )
 from supervogan.cli import main as cli_main
 from supervogan.vogan import flip_orbits
@@ -41,6 +42,10 @@ Q = Fraction
 def families_up_to(nodes):
     fams = all_families(nodes, nodes + 1)
     return [build_diagram(fam) for fam in fams if node_count(fam) <= nodes]
+
+
+# the 12-node families with the largest flip orbits, one to 1,024 paintings
+TRAIL_GIANTS = (("C", 0, 11), ("A", 11, 0), ("B", 6, 6), ("D", 6, 6))
 
 
 def set_orbit(diagram, perm, painted):
@@ -64,6 +69,53 @@ def set_orbit(diagram, perm, painted):
                 seen.add(nxt)
                 queue.append(nxt)
     return frozenset(seen)
+
+
+def bfs_trail(diagram, perm, painted, goal):
+    """The flips that a breadth-first walk from ``painted`` records on its
+    way to ``goal``, each painting expanding its painted nodes lowest first:
+    the flip rule of ``set_orbit``, over node masks for speed."""
+    a = cartan_matrix(diagram).matrix
+    fixed_even = [
+        j for j, node in enumerate(diagram.nodes) if node.kind == EVEN and perm[j] == j
+    ]
+    toggles = {
+        at: sum(
+            1 << j
+            for j in fixed_even
+            if j != at and a[at][j].denominator == 1 and a[at][j].numerator % 2
+        )
+        for at in fixed_even
+    }
+    start, end = (sum(1 << i for i in p) for p in (painted, goal))
+    parents = {start: None}
+    queue = deque([start])
+    while end not in parents:
+        cur = queue.popleft()
+        for at in fixed_even:
+            if cur >> at & 1 and cur ^ toggles[at] not in parents:
+                parents[cur ^ toggles[at]] = (cur, at)
+                queue.append(cur ^ toggles[at])
+    trail = []
+    while parents[end]:
+        end, at = parents[end]
+        trail.append(at)
+    return trail[::-1]
+
+
+@pytest.mark.parametrize(
+    "diagram",
+    families_up_to(8) + [build_diagram(FamilyId(*f)) for f in TRAIL_GIANTS],
+    ids=lambda d: d.family.display(),
+)
+def test_reduce_reads_the_trail_a_walk_from_the_painting_records(diagram):
+    """``reduce_with_trail`` reads its trail greedily off distances to the
+    canonical painting; on every painting of every involution it is the
+    trail a breadth-first walk rooted at the painting itself records."""
+    for vd in enumerate_vogan(diagram):
+        reduced, trail = reduce_with_trail(vd)
+        expected = bfs_trail(diagram, vd.involution.perm, vd.painted, reduced.painted)
+        assert [m.at for m in trail] == expected, (vd.involution.name, sorted(vd.painted))
 
 
 def orbit_count(diagram):

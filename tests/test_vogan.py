@@ -1,6 +1,8 @@
 """Painted diagrams: involutions, flips, orbits, reduction, equivalence."""
 
+import gc
 import importlib
+import tracemalloc
 from fractions import Fraction
 from itertools import combinations
 
@@ -34,6 +36,7 @@ from supervogan import (
 from supervogan.vogan import _admissible_vertices
 from test_acceptance import families
 from test_algebra import all_families, guard_families
+from test_flip_kernel import set_orbit
 
 Q = Fraction
 
@@ -216,6 +219,40 @@ def test_dual_basis_and_block_sign_reject_bad_components_with_bad_index():
     block = even_blocks(diagram)[0]
     assert block_sign(diagram, iter(block)) == block_sign(diagram, block)
     assert dual_basis(diagram, iter(block)) == dual_basis(diagram, block)
+
+
+def test_canonical_block_painting_rejects_what_is_not_a_block_painting():
+    """The block must be one of ``even_blocks``, the fixed nodes an iterable
+    of node indices, and the painting a set of the block's fixed nodes.
+    Before, a painting off the block (even the odd node) was returned as
+    its own canonical painting, and ``(99,)`` raised a bare ``TypeError``."""
+    diagram = build_diagram(FamilyId("B", 2, 2))
+    assert even_blocks(diagram) == ((0,), (2, 3))
+    every = range(len(diagram))
+    cases = [
+        ((99,), {99}, {99}),  # not a block
+        ((2,), {2}, every),  # part of a block
+        ((2, 3, 0), {2}, every),
+        ((), set(), every),
+        (None, {2}, every),
+        ((2, 3), {0}, every),  # painted off the block
+        ((2, 3), {1}, every),  # the odd node
+        ((2, 3), {3}, {0, 2}),  # not fixed
+        ((2, 3), {2}, None),  # fixed nodes that are not node indices
+        ((2, 3), {2}, [2, 3.0]),
+        ((2, 3), {2}, {2, 99}),
+        ((2, 3), {2}, {True, 2}),
+        ((2, 3), None, every),
+        ((2, 3), {"2"}, every),
+    ]
+    for block, painted, fixed in cases:
+        with pytest.raises(BadIndex):
+            canonical_block_painting(diagram, block, painted, fixed)
+    # any iterables of indices are read, as the frozensets of the involution
+    fixed = frozenset(every)
+    expected = canonical_block_painting(diagram, (2, 3), frozenset({2, 3}), fixed)
+    assert canonical_block_painting(diagram, [2, 3], [2, 3], every) == expected
+    assert canonical_block_painting(diagram, (2, 3), set(), every) == frozenset()
 
 
 def test_enumerate_counts():
@@ -515,6 +552,7 @@ def test_equivalent_matches_a_closure_oracle_on_every_pair(fam):
 
 def test_reduce_rejects_a_target_outside_the_orbit(monkeypatch):
     module = importlib.import_module("supervogan.vogan")
+    build_diagram.cache_clear()  # no target or distance filled before
     # a flip keeps the flipped node painted, so no orbit holds the empty painting
     monkeypatch.setattr(module, "_block_target", lambda *args: 0)
     with pytest.raises(InvariantViolation, match="not in the flip orbit"):
@@ -523,11 +561,13 @@ def test_reduce_rejects_a_target_outside_the_orbit(monkeypatch):
 
 @pytest.mark.parametrize(
     "fam",
-    [FamilyId("A", 3, 3), FamilyId("B", 3, 3), FamilyId("D", 4, 3)],
+    [FamilyId("A", 3, 3), FamilyId("B", 3, 3), FamilyId("D", 4, 3), FamilyId("C", 0, 6)],
     ids=lambda fam: fam.display(),
 )
 def test_reduce_walks_the_orbit_once(fam, monkeypatch):
-    """Each block's orbit is read off the one walk of the whole orbit."""
+    """Reducing every painting walks once per flip orbit (its distances) and
+    once per nonempty block orbit (its target), and a second pass walks
+    nothing: both are read off the tables in the diagram's record."""
     module = importlib.import_module("supervogan.vogan")
     real = module._painting_orbit
     walks = []
@@ -536,8 +576,40 @@ def test_reduce_walks_the_orbit_once(fam, monkeypatch):
         walks.append(args)
         return real(*args)
 
+    diagram = build_diagram(fam)
+    paintings = enumerate_vogan(diagram)
+    orbits, block_orbits = set(), set()  # (perm, orbit)
+    for vd in paintings:
+        perm = vd.involution.perm
+        orbits.add((perm, set_orbit(diagram, perm, vd.painted)))
+        parts = (vd.painted & set(block) for block in even_blocks(diagram))
+        block_orbits |= {(perm, set_orbit(diagram, perm, part)) for part in parts if part}
+    build_diagram.cache_clear()
     monkeypatch.setattr(module, "_painting_orbit", counted)
-    for vd in enumerate_vogan(build_diagram(fam)):
-        walks.clear()
+    for vd in paintings:
         module.reduce_with_trail(vd)
-        assert len(walks) == 1, sorted(vd.painted)
+    assert len(walks) == len(orbits) + len(block_orbits)
+    walks.clear()
+    for vd in paintings:
+        module.reduce_with_trail(vd)
+    assert walks == []
+
+
+def test_reducing_every_painting_of_c12_grows_the_store_by_at_most_64_kb():
+    """The tables are flat arrays, one entry per painting mask: dicts keyed
+    by painting would take several times the bound."""
+    build_diagram.cache_clear()
+    paintings = enumerate_vogan(build_diagram(FamilyId("C", 0, 11)))
+    tracemalloc.start()
+    try:
+        # a full collection also empties the interpreter's free lists, which
+        # would otherwise keep the walks' freed tuples and dicts traced
+        gc.collect()
+        before = tracemalloc.get_traced_memory()[0]
+        for vd in paintings:
+            reduce_with_trail(vd)
+        gc.collect()
+        grown = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert grown <= 64 * 1024, grown
