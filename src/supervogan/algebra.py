@@ -662,13 +662,17 @@ def even_blocks(diagram: Diagram) -> tuple[tuple[int, ...], ...]:
 def _component(diagram: Diagram, component: Sequence[int]) -> tuple[int, ...]:
     """``component`` as a tuple.  Raises BadIndex unless it is a nonempty
     iterable of ``int`` node indices in ``0..len(diagram)-1`` (the indices
-    checked by ``_painted_mask``)."""
+    checked by ``_painted_mask``) whose Gram diagonal entries are nonzero:
+    an isotropic node has no eps_i to divide by, and no definite side."""
     try:
         nodes = tuple(component)
     except TypeError:
         raise BadIndex(f"component {component!r} is not an iterable of node indices") from None
     if not _painted_mask(diagram, nodes):
         raise BadIndex(f"component {component!r} holds no node")
+    rows = gram_record(diagram).rows
+    if not all(rows[i][i] for i in nodes):
+        raise BadIndex(f"component {component!r} holds an isotropic node")
     return nodes
 
 
@@ -939,7 +943,10 @@ def noncompact_parity(diagram: Diagram, painted: frozenset[int], v: WeightVector
     included, is checked on every call.
     """
     table = _even_root_masks(diagram)
-    masks = table.masks.get(v)
+    try:
+        masks = table.masks.get(v)
+    except TypeError:  # v is not hashable
+        masks = None
     if masks is None and isinstance(v, WeightVector):
         masks = table.masks.get(-v)
     if masks is None:

@@ -236,10 +236,10 @@ def enumerate_real_forms(diagram: Diagram) -> tuple[RealFormDescriptor, ...]:
     """Distinct real forms over all painted diagrams, in first-seen order.
 
     ``classify`` is constant on flip orbits, so it runs once per orbit, on
-    the orbit's first painting in enumeration order.
+    the orbit's first painting in enumeration order (``flip_orbits``).
     """
     seen: dict[str, RealFormDescriptor] = {}
-    for vd, _ in flip_orbits(diagram):
+    for vd in flip_orbits(diagram):
         desc = classify(vd)
         seen.setdefault(desc.super_name, desc)
     return tuple(seen.values())

@@ -10,8 +10,7 @@ verb is parsed by that verb's subparser alone, which gives the full parse's
 namespace at half its cost; anything left over, and an argument list that
 starts with no verb, goes through the full parse, so ``--help`` and every
 usage error read exactly as the top-level parser writes them.  ``diagram``,
-``reduce`` and ``classify`` share one reply writer, and ``enumerate`` names
-paintings once per flip orbit, off ``vogan.flip_orbits``.  JSON replies are
+``reduce`` and ``classify`` share one reply writer.  JSON replies are
 written by ``render.to_json``.
 """
 
@@ -36,7 +35,6 @@ from .vogan import (
     VoganDiagram,
     automorphisms,
     enumerate_vogan,
-    flip_orbits,
     identity_involution,
     reduce_with_trail,
 )
@@ -203,17 +201,10 @@ def cmd_enumerate(args) -> int:
         graphs = [render_dot(vd, name=f"diagram{k}") for k, vd in enumerate(items, 1)]
         _emit(args, "\n\n".join(graphs))
         return 0
-    # classify is constant on flip orbits: run it once per orbit
-    names = {}
-    if args.classify:
-        for first, orbit in flip_orbits(diagram):
-            desc = classify(first)
-            for painted in orbit:
-                names[first.involution, painted] = desc
     docs = []
     lines = [f"{diagram.family.display()}: {len(items)} painted diagrams"]
     for k, vd in enumerate(items, 1):
-        desc = names.get((vd.involution, vd.painted))
+        desc = classify(vd) if args.classify else None
         reduced, trail = reduce_with_trail(vd) if args.reduce else (vd, None)
         if args.format == "json":
             realform = _realform_dict(desc) if desc else None

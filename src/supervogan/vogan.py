@@ -2,33 +2,28 @@
 
 The painting order is kept here alone: under each involution, identity
 first, ``_paintings`` lists fewest painted nodes first, then lexicographic.
-``enumerate_vogan``, ``flip_orbit`` and ``flip_orbits`` (each orbit once,
-by its first painting) read it.
 
 A painting marks even nodes whose root vectors act noncompactly; a flip at a
 painted node re-chooses the Cartan involution through that node's reflection
 and toggles exactly the fixed even neighbours paired with it by an odd
 integer.  Flips never mix even blocks, so a flip orbit is the product of its
-blocks' orbits.  ``_block_target``, the Borel-de Siebenthal step, picks a
-painted block's one painted node by the dual-basis minimality rule, and the
-canonical painting of an orbit is the union of its blocks' targets.
-``_painting_orbit`` is the one walk: ``equivalent`` walks nothing itself,
-it compares the canonical paintings ``reduce`` gives after each diagram
-relabeling.
+blocks' orbits.  ``_block_target``, the Borel-de Siebenthal step, picks each
+painted block's one painted node by the dual-basis minimality rule, and
+their union, ``_orbit_key``, is the orbit's canonical painting and the one
+way an orbit is known: ``flip_orbits`` keeps the first painting of each
+key, ``equivalent`` compares keys, and ``reduce_with_trail`` reduces to it.
 
-Reductions are read off two flat tables per (diagram, fixed nodes), kept in
-the diagram's record (``_flip_tables``) and indexed by painting mask.  Each
-is filled one orbit at a time, by one walk, the first time a painting of
-that orbit is asked for: the first holds each block painting's target, and
-the second each painting's flip distance to its orbit's canonical painting,
-walked from that painting.  ``canonical_block_painting`` (and so
-``classify``) reads the targets; ``reduce_with_trail`` ORs a painting's
-block targets into its goal and reads the trail greedily, flipping at each
-step the lowest painted node whose flip lowers the distance by one.  That is
-the lexicographically least shortest trail, the one a breadth-first walk
-from the painting records.  So each orbit and each block orbit is walked
-once while its diagram's record lives; ``build_diagram.cache_clear()`` drops
-the tables with the rest of the record.
+Walks only fill two flat tables per (diagram, fixed nodes), kept in the
+diagram's record (``_flip_tables``) and indexed by painting mask: each
+block painting's target, filled for its block orbit by one walk, and each
+painting's flip distance to its orbit's canonical painting, filled for a
+whole orbit by one walk from that painting the first time the orbit is
+reduced.  ``reduce_with_trail`` reads the trail greedily, flipping at each
+step the lowest painted node whose flip lowers the distance by one: the
+lexicographically least shortest trail, the one a breadth-first walk from
+the painting records.  ``build_diagram.cache_clear()`` drops the tables
+with the rest of the record.  Only the public ``flip_orbit`` walks an orbit
+without filling a table.
 
 One kernel does every flip.  Inside it a painting is an ``int`` bitmask, bit
 i for node i, and a flip at node i is one XOR with node i's toggle mask.  The
@@ -43,10 +38,9 @@ fraction-free elimination.
 from __future__ import annotations
 
 from array import array
-from collections import deque
 from dataclasses import dataclass, field
 from itertools import chain, combinations
-from typing import Collection, Iterable, Iterator, Optional
+from typing import Callable, Iterable, Iterator
 
 from .algebra import (
     EVEN,
@@ -242,48 +236,44 @@ class FlipMove:
     at: int
 
 
-def _painting_orbit(
-    diagram: Diagram, fixed: frozenset[int], start: int
-) -> dict[int, Optional[tuple[int, int]]]:
-    """BFS over flips; maps each reachable painting to (parent painting, flip
-    index), in the order the walk reaches them."""
+def _painting_orbit(diagram: Diagram, fixed: frozenset[int], start: int) -> dict[int, int]:
+    """BFS over flips; maps each painting reachable from ``start`` to its flip
+    distance from it, in the order the walk reaches them."""
     masks = _toggle_masks(diagram, fixed)
-    parents: dict[int, Optional[tuple[int, int]]] = {start: None}
-    queue = deque([start])
-    while queue:
-        cur = rest = queue.popleft()
+    dist = {start: 0}
+    queue = [start]
+    for cur in queue:  # a list iterated while it grows: first in, first out
+        step, rest = dist[cur] + 1, cur
         # a flip at each painted node of cur, lowest first (_bits, inlined)
         while rest:
             low = rest & -rest
-            at = low.bit_length() - 1
-            nxt = cur ^ masks[at]
-            if nxt not in parents:
-                parents[nxt] = (cur, at)
+            nxt = cur ^ masks[low.bit_length() - 1]
+            if nxt not in dist:
+                dist[nxt] = step
                 queue.append(nxt)
             rest ^= low
-    return parents
+    return dist
 
 
 def flip_orbit(vd: VoganDiagram) -> tuple[VoganDiagram, ...]:
     """Every Vogan diagram reachable from ``vd`` by flips, in painting order."""
-    parents = _painting_orbit(vd.diagram, vd.involution.fixed_set, _mask(vd.painted))
+    orbit = _painting_orbit(vd.diagram, vd.involution.fixed_set, _mask(vd.painted))
     return tuple(
         VoganDiagram(vd.diagram, vd.involution, _nodes(p))
         for p in _paintings(vd.diagram, vd.involution)
-        if p in parents
+        if p in orbit
     )
 
 
-def flip_orbits(diagram: Diagram) -> Iterator[tuple[VoganDiagram, Iterator[frozenset[int]]]]:
-    """Every flip orbit once, in ``enumerate_vogan`` order: its first painting
-    as a Vogan diagram, and its paintings as node sets, produced on demand."""
+def flip_orbits(diagram: Diagram) -> Iterator[VoganDiagram]:
+    """Every flip orbit once, by its first painting in ``enumerate_vogan``
+    order: the first painting of each canonical painting (``_orbit_key``)."""
     for inv in automorphisms(diagram):
-        covered: set[int] = set()
+        key = _orbit_key(diagram, inv.fixed_set)
+        firsts: dict[int, int] = {}  # canonical painting: first painting
         for mask in _paintings(diagram, inv):
-            if mask not in covered:
-                orbit = _painting_orbit(diagram, inv.fixed_set, mask)
-                covered.update(orbit)
-                yield VoganDiagram(diagram, inv, _nodes(mask)), map(_nodes, orbit)
+            firsts.setdefault(key(mask), mask)
+        yield from (VoganDiagram(diagram, inv, _nodes(mask)) for mask in firsts.values())
 
 
 @stored
@@ -313,28 +303,11 @@ def _admissible_vertices(diagram: Diagram, block: tuple[int, ...]) -> frozenset[
     )
 
 
-def _block_target(diagram: Diagram, block: tuple[int, ...], orbit: Collection[int]) -> int:
-    """The Borel-de Siebenthal step: the canonical painting, as a mask, of an
-    even block with flip orbit ``orbit`` (masks).  It is the lowest admissible
-    single vertex (``_admissible_vertices``), failing that the lowest single
-    vertex, and 0 for the unpainted block.  Every nonempty block orbit holds
-    a single vertex; one that does not raises ``InvariantViolation``."""
-    singles = sorted(p for p in orbit if p.bit_count() == 1)
-    if not singles:
-        if any(orbit):
-            raise InvariantViolation(
-                f"the flip orbit of block {list(block)} holds no single vertex"
-            )
-        return 0
-    admissible = _admissible_vertices(diagram, block)
-    return next((p for p in singles if p.bit_length() - 1 in admissible), singles[0])
-
-
 @stored
 def _flip_tables(diagram: Diagram, fixed: frozenset[int]) -> tuple[array, array]:
     """The two tables of the module docstring, indexed by painting mask and
-    filled by ``_block_part_target`` and ``reduce_with_trail``: each block
-    painting's ``_block_target``, and each painting's flip distance to its
+    filled by ``_block_target`` and ``reduce_with_trail``: each nonempty
+    block painting's target, and each painting's flip distance to its
     orbit's canonical painting, plus one.  0 marks an entry not yet filled
     (no nonempty block painting has the target 0)."""
     size = 1 << len(diagram)
@@ -347,19 +320,50 @@ def _block_masks(diagram: Diagram) -> dict[tuple[int, ...], int]:
     return {block: _mask(block) for block in even_blocks(diagram)}
 
 
-def _block_part_target(
+def _block_target(
     diagram: Diagram, fixed: frozenset[int], block: tuple[int, ...], part: int
 ) -> int:
-    """``_block_target`` of ``block``'s nonempty painting ``part``, read off
-    the targets table, or filled there for the whole block orbit by one walk."""
+    """The Borel-de Siebenthal step: the canonical painting, as a mask, of
+    ``block``'s nonempty painting ``part``, read off the targets table or
+    filled there for the whole block orbit by one walk.  It is the orbit's
+    lowest admissible single vertex (``_admissible_vertices``), failing that
+    its lowest single vertex.  Every nonempty block orbit holds a single
+    vertex; one that does not raises ``InvariantViolation``."""
     targets = _flip_tables(diagram, fixed)[0]
     target = targets[part]
     if not target:
         orbit = _painting_orbit(diagram, fixed, part)
-        target = _block_target(diagram, block, orbit)
+        singles = sorted(p for p in orbit if p.bit_count() == 1)
+        if not singles:
+            raise InvariantViolation(
+                f"the flip orbit of block {list(block)} holds no single vertex"
+            )
+        target = singles[0]
+        if len(singles) > 1:  # a lone single vertex needs no dual basis
+            admissible = _admissible_vertices(diagram, block)
+            target = next((p for p in singles if p.bit_length() - 1 in admissible), target)
         for p in orbit:
             targets[p] = target
     return target
+
+
+def _orbit_key(diagram: Diagram, fixed: frozenset[int]) -> Callable[[int], int]:
+    """Maps a painting mask under the fixed nodes ``fixed`` to its orbit's
+    canonical painting, the OR of its block parts' targets.  Each block
+    orbit holds one target, so two paintings share a key exactly when they
+    share an orbit.  The targets table and block masks are read once, here."""
+    blocks = _block_masks(diagram).items()
+    targets = _flip_tables(diagram, fixed)[0]
+
+    def key(mask: int) -> int:
+        goal = 0
+        for block, block_mask in blocks:
+            part = mask & block_mask
+            if part:
+                goal |= targets[part] or _block_target(diagram, fixed, block, part)
+        return goal
+
+    return key
 
 
 def canonical_block_painting(
@@ -395,7 +399,7 @@ def canonical_block_painting(
         return frozenset()
     if type(fixed) is not frozenset:
         fixed = _nodes(fixed_mask)
-    return _nodes(_block_part_target(diagram, fixed, block, part))
+    return _nodes(_block_target(diagram, fixed, block, part))
 
 
 def reduce_with_trail(vd: VoganDiagram) -> tuple[VoganDiagram, tuple[FlipMove, ...]]:
@@ -404,15 +408,11 @@ def reduce_with_trail(vd: VoganDiagram) -> tuple[VoganDiagram, tuple[FlipMove, .
     (see the module docstring)."""
     diagram, fixed = vd.diagram, vd.involution.fixed_set
     start = _mask(vd.painted)
-    goal = 0
-    for block, block_mask in _block_masks(diagram).items():
-        part = start & block_mask
-        if part:
-            goal |= _block_part_target(diagram, fixed, block, part)
+    goal = _orbit_key(diagram, fixed)(start)
     dist = _flip_tables(diagram, fixed)[1]
     if not dist[goal]:
-        for p, parent in _painting_orbit(diagram, fixed, goal).items():
-            dist[p] = dist[parent[0]] + 1 if parent else 1
+        for p, d in _painting_orbit(diagram, fixed, goal).items():
+            dist[p] = d + 1
     masks = _toggle_masks(diagram, fixed)
     moves: list[FlipMove] = []
     cur, left = start, dist[start]
@@ -438,21 +438,19 @@ def reduce(vd: VoganDiagram) -> VoganDiagram:
 def equivalent(vd1: VoganDiagram, vd2: VoganDiagram) -> bool:
     """True when flips plus diagram relabelings carry vd1 to vd2.
 
-    Read off canonical paintings: a relabeling g, from the group the
-    automorphisms generate, carries flip orbits to flip orbits, and
-    ``reduce`` picks one painting of each orbit.  So vd1 ~ vd2 iff, for some
-    g with g perm1 g^-1 = perm2, the painting g(painted1) under vd2's
-    involution reduces to reduce(vd2).  (Each diagram lists at most one
-    nontrivial involution today, so the closure adds nothing yet.)"""
+    Read off orbit keys: a relabeling g among the automorphisms carries flip
+    orbits to flip orbits, so vd1 ~ vd2 iff, for some g with
+    g perm1 g^-1 = perm2, the painting g(painted1) has vd2's key under vd2's
+    involution.  Each diagram lists at most one nontrivial involution, so
+    the automorphisms are already a group (a test checks this)."""
     if vd1.diagram != vd2.diagram:
         a, b = vd1.diagram.family.display(), vd2.diagram.family.display()
         raise FamilyMismatch(f"cannot compare {a} with {b}")
-    group = {g.perm for g in automorphisms(vd1.diagram)}
-    while not (products := {tuple(a[i] for i in b) for a in group for b in group}) <= group:
-        group |= products
-    p1, p2, target = vd1.involution.perm, vd2.involution.perm, reduce(vd2)
+    p1, p2 = vd1.involution.perm, vd2.involution.perm
+    key = _orbit_key(vd2.diagram, vd2.involution.fixed_set)
+    target = key(_mask(vd2.painted))
     return any(
         all(p2[g[i]] == g[j] for i, j in enumerate(p1))  # g p1 = p2 g
-        and reduce(VoganDiagram(vd2.diagram, vd2.involution, {g[i] for i in vd1.painted})) == target
-        for g in group
+        and key(_mask(g[i] for i in vd1.painted)) == target
+        for g in (inv.perm for inv in automorphisms(vd1.diagram))
     )

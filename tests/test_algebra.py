@@ -716,9 +716,9 @@ def test_noncompact_parity_rejects_every_odd_root_and_a_non_root(fam):
         with pytest.raises(NotAnEvenRoot):
             noncompact_parity(diagram, painted, v)
     non_root = rs.even()[0].scale(Q(3))
-    # a hashable that is no weight is not negated, and a non-root's negation
-    # is no root either
-    for v in (non_root, -non_root, rs.even()[0].coords()):
+    # a hashable that is no weight is not negated, an unhashable one is not
+    # looked up, and a non-root's negation is no root either
+    for v in (non_root, -non_root, rs.even()[0].coords(), list(rs.even()[0].coords())):
         with pytest.raises(NotAnEvenRoot):
             noncompact_parity(diagram, painted, v)
 

@@ -23,6 +23,7 @@ from supervogan import (
     build_diagram,
     canonical_block_painting,
     dual_basis,
+    enumerate_real_forms,
     enumerate_vogan,
     even_blocks,
     equivalent,
@@ -39,6 +40,8 @@ from test_algebra import all_families, guard_families
 from test_flip_kernel import set_orbit
 
 Q = Fraction
+
+ADMISSIBLE_ALPHAS = (Q(1), Q(2), Q(1, 2), Q(-2), Q(-1, 2), Q(3, 7), Q(-3, 5), Q(5))
 
 
 def vd_of(fam, painted=(), inv_name="identity"):
@@ -125,6 +128,21 @@ def test_automorphisms_are_involutive_symmetries():
                     assert abs(lhs) == abs(rhs)
 
 
+@pytest.mark.parametrize(
+    "fam",
+    list(
+        dict.fromkeys(guard_families() + [FamilyId("D21alpha", alpha=a) for a in ADMISSIBLE_ALPHAS])
+    ),
+    ids=lambda fam: fam.display(),
+)
+def test_automorphisms_list_at_most_one_nontrivial_involution(fam):
+    """``equivalent`` relabels by the listed perms alone, which is right
+    while they are a group: the identity and one involution are."""
+    inv = automorphisms(build_diagram(fam))
+    assert inv[0].name == "identity"
+    assert len(inv) <= 2
+
+
 # ------------------------------------------------------------- construction
 
 
@@ -207,13 +225,21 @@ def test_involutions_reject_malformed_perms_and_sizes_with_bad_index():
 
 
 def test_dual_basis_and_block_sign_reject_bad_components_with_bad_index():
-    """A component node out of range and an empty component are
-    ``BadIndex``; before, both raised a bare ``IndexError``."""
+    """A component node out of range, an empty component and an isotropic
+    node are ``BadIndex``; before, the first two raised a bare
+    ``IndexError``, and an isotropic node a ``ZeroDivisionError`` or a
+    sign."""
     diagram = build_diagram(FamilyId("B", 2, 2))
     for component in [(0, 99), (99,), (), (-1,), (True,), None]:
         with pytest.raises(BadIndex):
             dual_basis(diagram, component)
         with pytest.raises(BadIndex):
+            block_sign(diagram, component)
+    # node 1 is the odd isotropic node: no eps_1 to divide by, and no sign
+    for component in [(0, 1), (1,), (1, 2)]:
+        with pytest.raises(BadIndex, match="isotropic"):
+            dual_basis(diagram, component)
+        with pytest.raises(BadIndex, match="isotropic"):
             block_sign(diagram, component)
     # any iterable of nodes is read once, as a tuple
     block = even_blocks(diagram)[0]
@@ -338,9 +364,6 @@ def test_canonical_block_painting_prefers_interior():
     diagram = build_diagram(FamilyId("A", 3, 0))
     every = frozenset(range(len(diagram)))
     assert canonical_block_painting(diagram, (0, 1, 2), frozenset({0, 2}), every) == frozenset({1})
-
-
-ADMISSIBLE_ALPHAS = (Q(1), Q(2), Q(1, 2), Q(-2), Q(-1, 2), Q(3, 7), Q(-3, 5), Q(5))
 
 
 @pytest.mark.parametrize(
@@ -593,6 +616,56 @@ def test_reduce_walks_the_orbit_once(fam, monkeypatch):
     for vd in paintings:
         module.reduce_with_trail(vd)
     assert walks == []
+
+
+@pytest.mark.parametrize(
+    "fam",
+    [
+        FamilyId("A", 3, 3),
+        FamilyId("B", 3, 3),
+        FamilyId("D", 4, 3),
+        FamilyId("C", 0, 6),
+        FamilyId("D21alpha", alpha=Q(1)),
+        FamilyId("F4"),
+    ],
+    ids=lambda fam: fam.display(),
+)
+def test_cold_table_walks_block_orbits_only(fam, monkeypatch):
+    """Naming every orbit of a cold diagram walks once per nonempty block
+    orbit under each involution, to fill its target, and no whole orbit:
+    orbits are told apart by their canonical paintings."""
+    module = importlib.import_module("supervogan.vogan")
+    real = module._painting_orbit
+    walks = []
+
+    def counted(*args):
+        walks.append(args)
+        return real(*args)
+
+    diagram = build_diagram(fam)
+    block_orbits = set()  # (perm, orbit)
+    for vd in enumerate_vogan(diagram):
+        perm = vd.involution.perm
+        parts = (vd.painted & set(block) for block in even_blocks(diagram))
+        block_orbits |= {(perm, set_orbit(diagram, perm, part)) for part in parts if part}
+    build_diagram.cache_clear()
+    monkeypatch.setattr(module, "_painting_orbit", counted)
+    enumerate_real_forms(build_diagram(fam))
+    assert len(walks) == len(block_orbits)
+
+
+def test_equivalent_fills_no_distance_table():
+    """``equivalent`` compares orbit keys: it reads block targets and leaves
+    the distances, which only a reduction reads, unfilled."""
+    build_diagram.cache_clear()
+    items = enumerate_vogan(build_diagram(FamilyId("A", 3, 3)))
+    for v in items:
+        for w in items[::7]:
+            equivalent(v, w)
+    module = importlib.import_module("supervogan.vogan")
+    for inv in automorphisms(items[0].diagram):
+        assert not any(module._flip_tables(items[0].diagram, inv.fixed_set)[1])
+    assert any(module._flip_tables(items[0].diagram, items[0].involution.fixed_set)[0])
 
 
 def test_reducing_every_painting_of_c12_grows_the_store_by_at_most_64_kb():
