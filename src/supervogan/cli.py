@@ -10,13 +10,16 @@ verb is parsed by that verb's subparser alone, which gives the full parse's
 namespace at half its cost; anything left over, and an argument list that
 starts with no verb, goes through the full parse, so ``--help`` and every
 usage error read exactly as the top-level parser writes them.  ``diagram``,
-``reduce`` and ``classify`` share one reply writer.  JSON replies are
-written by ``render.to_json``.
+``reduce`` and ``classify`` share one reply writer; ``enumerate`` writes
+each painting as it is made, once every input has been read.  Diagrams and
+documents are filled from ``render``'s frames, tables written by
+``render.to_json``.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import sys
 from typing import Optional
@@ -30,7 +33,7 @@ from .algebra import (
 )
 from .classify import RealFormDescriptor, TableReport, classify, table_report
 from .errors import BadIndex, ParseError, SupervoganError
-from .render import document_json, emit_document, render_ascii, render_dot, to_json
+from .render import document_array, document_json, render_ascii, render_dot, to_json
 from .vogan import (
     VoganDiagram,
     automorphisms,
@@ -139,15 +142,25 @@ def _make_vogan(diagram: Diagram, painted_arg: Optional[str], inv_name: str) -> 
     return VoganDiagram(diagram, inv, frozenset(painted))
 
 
+def _output(args):
+    """A context giving the ``write`` of the reply's stream: standard
+    output, or the file ``--out`` names, opened on entry, once every input
+    has been read."""
+    return _opened(args.out) if args.out else contextlib.nullcontext(sys.stdout.write)
+
+
+@contextlib.contextmanager
+def _opened(path: str):
+    try:
+        with open(path, "w") as handle:
+            yield handle.write
+    except OSError as exc:
+        raise SupervoganError(f"cannot write {path}: {exc.strerror}") from exc
+
+
 def _emit(args, payload: str) -> None:
-    if args.out:
-        try:
-            with open(args.out, "w") as handle:
-                handle.write(payload if payload.endswith("\n") else payload + "\n")
-        except OSError as exc:
-            raise SupervoganError(f"cannot write {args.out}: {exc.strerror}") from exc
-    else:
-        print(payload)
+    with _output(args) as write:
+        write(payload + "\n")
 
 
 def _realform_dict(desc: RealFormDescriptor) -> dict:
@@ -195,31 +208,41 @@ def cmd_diagram(args) -> int:
 
 
 def cmd_enumerate(args) -> int:
+    """Each painting's text is written as it is made; every input error is
+    raised before the first byte."""
     diagram = build_diagram(parse_family_spec(args.family))
     items = enumerate_vogan(diagram)
-    if args.format == "dot":
-        graphs = [render_dot(vd, name=f"diagram{k}") for k, vd in enumerate(items, 1)]
-        _emit(args, "\n\n".join(graphs))
-        return 0
-    docs = []
-    lines = [f"{diagram.family.display()}: {len(items)} painted diagrams"]
-    for k, vd in enumerate(items, 1):
-        desc = classify(vd) if args.classify else None
-        reduced, trail = reduce_with_trail(vd) if args.reduce else (vd, None)
-        if args.format == "json":
-            realform = _realform_dict(desc) if desc else None
-            docs.append(emit_document(reduced, realform, trail))
-            continue
-        lines += [
-            "",
-            f"[{k}] involution={vd.involution.name} painted={_painted_display(vd)}",
-            render_ascii(vd),
-        ]
-        if args.reduce:
-            lines.append(f"reduced painted={_painted_display(reduced)} (flips: {_flips(trail)})")
-        if desc:
-            lines.append(f"g = {desc.super_name}   g0 = {desc.even_display()}")
-    _emit(args, to_json(docs) if args.format == "json" else "\n".join(lines))
+
+    def named():
+        for vd in items:
+            desc = classify(vd) if args.classify else None
+            reduced, trail = reduce_with_trail(vd) if args.reduce else (vd, None)
+            yield vd, desc, reduced, trail
+
+    with _output(args) as write:
+        if args.format == "dot":
+            sep = ""
+            for k, vd in enumerate(items, 1):
+                write(sep + render_dot(vd, name=f"diagram{k}"))
+                sep = "\n\n"
+        elif args.format == "json":
+            document_array(
+                ((reduced, _realform_dict(desc) if desc else None, trail) for _, desc, reduced, trail in named()),
+                write,
+            )
+        else:
+            write(f"{diagram.family.display()}: {len(items)} painted diagrams")
+            for k, (vd, desc, reduced, trail) in enumerate(named(), 1):
+                lines = [
+                    f"[{k}] involution={vd.involution.name} painted={_painted_display(vd)}",
+                    render_ascii(vd),
+                ]
+                if args.reduce:
+                    lines.append(f"reduced painted={_painted_display(reduced)} (flips: {_flips(trail)})")
+                if desc:
+                    lines.append(f"g = {desc.super_name}   g0 = {desc.even_display()}")
+                write("\n\n" + "\n".join(lines))
+        write("\n")
     return 0
 
 

@@ -5,7 +5,17 @@ Node glyphs: ``o`` even, ``*`` even painted, ``(x)`` odd isotropic,
 node whose Cartan row holds the larger entry in absolute value, read over
 ``int`` off ``algebra.gram_record`` and ``cartan_scales``.
 
-JSON text is written by ``to_json``, byte-equal to ``json.dumps(value,
+Each format has one writer, and it runs once per (diagram, involution,
+format): ``_frame`` writes the text every painting shares, glyphs, bonds,
+arrows, the document's family and nodes, DOT's nodes and edges, as a
+%-template with one slot per fixed even node's paint (and DOT's graph
+name), and keeps it in the diagram's record.  ``render_ascii``,
+``render_dot`` and ``document_json`` are one fill of that frame; a
+document's ``realform`` and ``trail`` follow its frame.  ``document_array``
+writes a list of documents as it is made, each filled from the frame one
+level deeper.
+
+Other JSON text is written by ``to_json``, byte-equal to ``json.dumps(value,
 indent=2)`` on the types a document holds; ``json`` itself only parses
 documents and quotes values in error messages.
 """
@@ -14,7 +24,7 @@ from __future__ import annotations
 
 import json
 from json.encoder import encode_basestring_ascii
-from typing import Optional, Union
+from typing import Callable, Iterable, Optional, Union
 
 from .algebra import (
     EVEN,
@@ -26,20 +36,17 @@ from .algebra import (
     cartan_scales,
     gram_record,
     read_alpha,
+    stored,
 )
 from .errors import BadIndex, InvalidFamily, ParseError
 from .vogan import FlipMove, VoganDiagram, automorphisms
 
 SCHEMA_VERSION = "1"
 
-
-def _glyph(vd: VoganDiagram, i: int) -> str:
-    kind = vd.diagram.nodes[i].kind
-    if kind == ODD_ISO:
-        return "(x)"
-    if kind == ODD_NONISO:
-        return "(*)"
-    return "*" if i in vd.painted else "o"
+# A slot while a frame is written; no rendered text holds this character.
+_MARK = "\x00"
+# A node's painted flag in the document a JSON frame is written from.
+_SLOT = object()
 
 
 def _strength(diagram: Diagram, i: int, j: int) -> tuple[int, bool]:
@@ -52,86 +59,110 @@ def _strength(diagram: Diagram, i: int, j: int) -> tuple[int, bool]:
     return max(left, right) // abs(qi * qj), right > left
 
 
-def _bond(diagram: Diagram, i: int, j: int) -> str:
-    strength, at_right = _strength(diagram, i, j)
-    if strength < 2:
-        return "---"
-    # the larger entry sits in the row of the shorter root; point at it
-    if strength >= 3:
-        return "=>>" if at_right else "<<="
-    return "=>" if at_right else "<="
+def _ascii(diagram: Diagram, perm: tuple[int, ...], slots: frozenset[int]) -> tuple[str, list[int]]:
+    """The drawing plus one ``i <--> j`` line per involution arrow (1-based),
+    and its nodes in the order the text shows them.  A D diagram forks at
+    its last two nodes, D(2,1;alpha) at nodes 3 and 4."""
+    main, tips = list(range(len(diagram))), []
+    if diagram.family.kind == "D":
+        main, tips = main[:-2], main[-2:]
+    elif diagram.family.kind == "D21alpha":
+        main, tips = [0, 1], [2, 3]
+
+    def glyph(i: int) -> str:
+        kind = diagram.nodes[i].kind
+        if kind == ODD_ISO:
+            return "(x)"
+        if kind == ODD_NONISO:
+            return "(*)"
+        return _MARK if i in slots else "o"
+
+    line = glyph(main[0])
+    for prev, cur in zip(main, main[1:]):
+        strength, at_right = _strength(diagram, prev, cur)
+        # the larger entry sits in the row of the shorter root; point at it
+        if strength < 2:
+            bond = "---"
+        elif strength == 2:
+            bond = "=>" if at_right else "<="
+        else:
+            bond = "=>>" if at_right else "<<="
+        line += bond + glyph(cur)
+    order = main
+    if tips:
+        w = len(line)
+        rows = [" " * (w + 1) + glyph(tips[0]), " " * w + "/", line, " " * w + "\\"]
+        line = "\n".join(rows + [" " * (w + 1) + glyph(tips[1])])
+        order = tips[:1] + main + tips[1:]
+    arrows = [f"{i + 1} <--> {j + 1}" for i, j in enumerate(perm) if i < j]
+    return "\n".join([line] + arrows), order
 
 
-def _linear_ascii(vd: VoganDiagram, order: list[int]) -> str:
-    parts = [_glyph(vd, order[0])]
-    for prev, cur in zip(order, order[1:]):
-        parts.append(_bond(vd.diagram, prev, cur))
-        parts.append(_glyph(vd, cur))
-    return "".join(parts)
-
-
-def _pronged_ascii(vd: VoganDiagram, main: list[int], tips: tuple[int, int]) -> str:
-    line = _linear_ascii(vd, main)
-    w = len(line)
-    return "\n".join(
-        [
-            " " * (w + 1) + _glyph(vd, tips[0]),
-            " " * w + "/",
-            line,
-            " " * w + "\\",
-            " " * (w + 1) + _glyph(vd, tips[1]),
-        ]
-    )
-
-
-def render_ascii(vd: VoganDiagram) -> str:
-    """Drawn diagram plus one ``i <--> j`` line per involution arrow (1-based)."""
-    kind = vd.diagram.family.kind
-    size = len(vd.diagram)
-    if kind == "D":
-        body = _pronged_ascii(vd, list(range(size - 2)), (size - 2, size - 1))
-    elif kind == "D21alpha":
-        body = _pronged_ascii(vd, [0, 1], (2, 3))
-    else:
-        body = _linear_ascii(vd, list(range(size)))
-    arrows = [
-        f"{i + 1} <--> {j + 1}"
-        for i, j in enumerate(vd.involution.perm)
-        if i < j
-    ]
-    return "\n".join([body] + arrows)
-
-
-def render_dot(vd: VoganDiagram, name: str = "diagram") -> str:
-    """Strict undirected DOT graph with node kinds and bond multiplicities."""
-    diagram = vd.diagram
-    lines = [f"strict graph {name} {{", '  node [shape="circle"];']
+def _dot(diagram: Diagram, perm: tuple[int, ...], slots: frozenset[int]) -> tuple[str, list[int]]:
+    """Strict undirected DOT graph with node kinds and bond multiplicities,
+    named by a slot."""
+    lines = [f"strict graph {_MARK} {{", '  node [shape="circle"];']
     for node in diagram.nodes:
         i = node.index
         attrs = [f'label="{i + 1}"', f'kind="{node.kind}"']
         if node.kind != EVEN:
             attrs.append('shape="doublecircle"')
-        if i in vd.painted:
-            attrs.append('painted="true"')
-            attrs.append('style="filled"')
-        else:
-            attrs.append('painted="false"')
+        attrs.append(_MARK if i in slots else 'painted="false"')
         lines.append(f"  n{i + 1} [{' '.join(attrs)}];")
-    size = len(diagram)
-    for i in range(size):
-        for j in range(i + 1, size):
-            if not gram_record(diagram).rows[i][j]:
-                continue
-            strength, _ = _strength(diagram, i, j)
-            attrs = [f'label="{max(strength, 1)}"']
-            lines.append(f"  n{i + 1} -- n{j + 1} [{' '.join(attrs)}];")
-    for i, j in enumerate(vd.involution.perm):
+    rows = gram_record(diagram).rows
+    for i in range(len(diagram)):
+        for j in range(i + 1, len(diagram)):
+            if rows[i][j]:
+                label = max(_strength(diagram, i, j)[0], 1)
+                lines.append(f'  n{i + 1} -- n{j + 1} [label="{label}"];')
+    for i, j in enumerate(perm):
         if i < j:
-            lines.append(
-                f'  n{i + 1} -- n{j + 1} [style="dashed" role="involution"];'
-            )
+            lines.append(f'  n{i + 1} -- n{j + 1} [style="dashed" role="involution"];')
     lines.append("}")
-    return "\n".join(lines)
+    return "\n".join(lines), list(range(len(diagram)))
+
+
+def _json(diagram: Diagram, perm: tuple[int, ...], slots: frozenset[int]) -> tuple[str, list[int]]:
+    """The document of the painting, unclosed after its ``arrows``."""
+    out: list[str] = []
+    _write(_document(diagram, perm, lambda i: _SLOT if i in slots else False), "\n", out)
+    return "".join(out)[: -len("\n}")], list(range(len(diagram)))
+
+
+_WRITERS = {"ascii": _ascii, "dot": _dot, "json": _json}
+
+
+@stored
+def _frame(diagram: Diagram, perm: tuple[int, ...], fmt: str) -> tuple[str, tuple[int, ...]]:
+    """``fmt``'s text of ``diagram`` under the involution ``perm``, written
+    once: a %-template with a ``%s`` per slot, DOT's graph name first, then
+    the fixed even nodes whose paint fills the other slots, in text order.
+    ``"json item"`` is the ``"json"`` frame one level deeper, as an array
+    item; JSON strings hold no raw newline, so only line breaks move."""
+    if fmt == "json item":
+        template, nodes = _frame(diagram, perm, "json")
+        return template.replace("\n", "\n  "), nodes
+    slots = frozenset(i for i in diagram.even_indices() if perm[i] == i)
+    text, order = _WRITERS[fmt](diagram, perm, slots)
+    return text.replace("%", "%%").replace(_MARK, "%s"), tuple(i for i in order if i in slots)
+
+
+def _fill(vd: VoganDiagram, fmt: str, on: str, off: str, *head: str) -> str:
+    """``vd``'s text in ``fmt``: its frame with ``head`` in the first slots
+    and ``on`` or ``off`` in each node's, as the node is painted or not."""
+    template, nodes = _frame(vd.diagram, vd.involution.perm, fmt)
+    painted = vd.painted
+    return template % (*head, *[on if i in painted else off for i in nodes])
+
+
+def render_ascii(vd: VoganDiagram) -> str:
+    """Drawn diagram plus one ``i <--> j`` line per involution arrow (1-based)."""
+    return _fill(vd, "ascii", "*", "o")
+
+
+def render_dot(vd: VoganDiagram, name: str = "diagram") -> str:
+    """Strict undirected DOT graph with node kinds and bond multiplicities."""
+    return _fill(vd, "dot", 'painted="true" style="filled"', 'painted="false"', name)
 
 
 # ----------------------------------------------------------------------------
@@ -216,8 +247,23 @@ def _write(value, newline: str, out: list[str]) -> None:
             _write(item, inner, out)
             sep = ","
         out.append(newline + "}" if value else "{}")
+    elif value is _SLOT:
+        out.append(_MARK)
     else:
         raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+
+
+def _document(diagram: Diagram, perm: tuple[int, ...], painted: Callable[[int], object]) -> dict:
+    """A document's fields up to its ``arrows``; ``painted(i)`` is node i's flag."""
+    return {
+        "schema_version": SCHEMA_VERSION,
+        "family": _family_dict(diagram.family),
+        "nodes": [
+            {"index": node.index + 1, "kind": node.kind, "painted": painted(node.index)}
+            for node in diagram.nodes
+        ],
+        "arrows": [[i + 1, j + 1] for i, j in enumerate(perm) if i < j],
+    }
 
 
 def emit_document(
@@ -225,21 +271,7 @@ def emit_document(
     realform: Optional[dict] = None,
     trail: Optional[tuple[FlipMove, ...]] = None,
 ) -> dict:
-    doc: dict = {
-        "schema_version": SCHEMA_VERSION,
-        "family": _family_dict(vd.diagram.family),
-        "nodes": [
-            {
-                "index": node.index + 1,
-                "kind": node.kind,
-                "painted": node.index in vd.painted,
-            }
-            for node in vd.diagram.nodes
-        ],
-        "arrows": [
-            [i + 1, j + 1] for i, j in enumerate(vd.involution.perm) if i < j
-        ],
-    }
+    doc = _document(vd.diagram, vd.involution.perm, vd.painted.__contains__)
     if realform is not None:
         doc["realform"] = realform
     if trail is not None:
@@ -247,12 +279,44 @@ def emit_document(
     return doc
 
 
+def _document_text(vd, realform, trail, fmt: str) -> str:
+    """``vd``'s document filled from its ``fmt`` frame, ``"json"`` or
+    ``"json item"``, then ``realform`` written by ``_write`` and ``trail``."""
+    newline = "\n" if fmt == "json" else "\n  "
+    out = [_fill(vd, fmt, "true", "false")]
+    inner = newline + "  "
+    if realform is not None:
+        out.append(f',{inner}"realform": ')
+        _write(realform, inner, out)
+    if trail is not None:
+        # a flat list of ints, in one join: trails run to a few dozen flips
+        at = inner + "  "
+        flips = f",{at}".join([str(move.at + 1) for move in trail])
+        out.append(f',{inner}"trail": [{at}{flips}{inner}]' if trail else f',{inner}"trail": []')
+    out.append(newline + "}")
+    return "".join(out)
+
+
 def document_json(
     vd: VoganDiagram,
     realform: Optional[dict] = None,
     trail: Optional[tuple[FlipMove, ...]] = None,
 ) -> str:
-    return to_json(emit_document(vd, realform, trail))
+    """``to_json(emit_document(vd, realform, trail))``, filled from a frame."""
+    return _document_text(vd, realform, trail, "json")
+
+
+def document_array(
+    documents: Iterable[tuple[VoganDiagram, Optional[dict], Optional[tuple[FlipMove, ...]]]],
+    write: Callable[[str], object],
+) -> None:
+    """Write the JSON array of the documents of ``(vd, realform, trail)``
+    triples, as ``to_json`` writes their list, one document at a time."""
+    sep = "["
+    for vd, realform, trail in documents:
+        write(sep + "\n  " + _document_text(vd, realform, trail, "json item"))
+        sep = ","
+    write("[]" if sep == "[" else "\n]")
 
 
 def parse_document(source: Union[str, dict]) -> VoganDiagram:

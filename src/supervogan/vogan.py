@@ -256,12 +256,12 @@ def _painting_orbit(diagram: Diagram, fixed: frozenset[int], start: int) -> dict
 
 
 def flip_orbit(vd: VoganDiagram) -> tuple[VoganDiagram, ...]:
-    """Every Vogan diagram reachable from ``vd`` by flips, in painting order."""
+    """Every Vogan diagram reachable from ``vd`` by flips, in painting order:
+    the walked masks sorted by painted-node count, then by sorted nodes."""
     orbit = _painting_orbit(vd.diagram, vd.involution.fixed_set, _mask(vd.painted))
     return tuple(
         VoganDiagram(vd.diagram, vd.involution, _nodes(p))
-        for p in _paintings(vd.diagram, vd.involution)
-        if p in orbit
+        for p in sorted(orbit, key=lambda p: (p.bit_count(), tuple(_bits(p))))
     )
 
 

@@ -455,6 +455,29 @@ def test_out_to_an_unwritable_path_is_one_error_line(tmp_path, capsys):
         assert err.count("\n") == 1 and "Traceback" not in err
 
 
+def test_enumerate_to_an_unwritable_path_writes_nothing(tmp_path, capsys):
+    for target in (tmp_path / "missing" / "out.json", tmp_path):
+        for fmt in ("ascii", "json", "dot"):
+            argv = ["enumerate", "C(4)", "--classify", "--format", fmt, "--out", str(target)]
+            code, out, err = run(capsys, *argv)
+            assert code == 1 and out == ""
+            assert err.startswith(f"error: cannot write {target}: ")
+            assert err.count("\n") == 1 and "Traceback" not in err
+
+
+@pytest.mark.parametrize("spec", ["C(", "Q(2)", "C(13)", "A(6,6)", "D(2,1;0)"])
+def test_enumerate_input_errors_come_before_the_first_byte(tmp_path, capsys, spec):
+    """``enumerate`` writes each painting as it is made, but a bad spec or
+    the rank guard stops it before it opens its output or writes a byte."""
+    target = tmp_path / "out.txt"
+    for fmt in ("ascii", "json", "dot"):
+        for out_args in ([], ["--out", str(target)]):
+            argv = ["enumerate", spec, "--reduce", "--classify", "--format", fmt, *out_args]
+            code, out, err = run(capsys, *argv)
+            assert (code, out) == (1, "") and err.startswith("error: ")
+            assert not target.exists()
+
+
 # ------------------------------------------------------------------- readme
 
 

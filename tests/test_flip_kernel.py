@@ -169,6 +169,25 @@ def test_flip_orbit_matches_set_bfs():
     assert checked > 2000
 
 
+def test_flip_orbit_is_in_enumeration_order():
+    """``flip_orbit`` lists its orbit as ``enumerate_vogan`` lists the same
+    paintings, on every painting of every involution up to 8 nodes."""
+    checked = 0
+    for diagram in families_up_to(8):
+        items = enumerate_vogan(diagram)
+        orbits = {}  # (perm, painting): its set-based BFS orbit
+        for vd in items:
+            perm = vd.involution.perm
+            orbit = orbits.get((perm, vd.painted))
+            if orbit is None:
+                orbit = set_orbit(diagram, perm, vd.painted)
+                orbits.update(((perm, p), orbit) for p in orbit)
+            expected = tuple(w for w in items if w.involution == vd.involution and w.painted in orbit)
+            assert flip_orbit(vd) == expected
+            checked += 1
+    assert checked > 5000
+
+
 def test_flip_orbits_yield_the_first_painting_of_each_set_orbit():
     """``flip_orbits`` yields, in enumeration order, exactly the paintings of
     ``enumerate_vogan`` that come first in their set-based BFS orbit."""

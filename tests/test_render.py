@@ -5,6 +5,7 @@ import time
 from fractions import Fraction
 
 import pytest
+from golden_outputs import families
 
 from supervogan import (
     FamilyId,
@@ -13,14 +14,19 @@ from supervogan import (
     VoganDiagram,
     automorphisms,
     build_diagram,
+    classify,
     document_json,
     emit_document,
+    enumerate_vogan,
     identity_involution,
     parse_document,
+    reduce_with_trail,
     render_ascii,
     render_dot,
 )
-from supervogan.render import to_json
+from supervogan.algebra import node_count
+from supervogan.cli import main
+from supervogan.render import document_array, to_json
 
 Q = Fraction
 
@@ -355,3 +361,92 @@ def test_parse_document_maps_arrows_to_named_involution():
     v = vd_of(FamilyId("A", 2, 2), inv_name="reversal")
     parsed = parse_document(emit_document(v))
     assert parsed.involution.name == "reversal"
+
+
+# ------------------------------------------------------------------ frames
+
+# every family of up to 8 nodes, and D(2,1;alpha) for each alpha
+FRAME_FAMILIES = [fam for fam in families() if node_count(fam) <= 8]
+
+
+@pytest.mark.parametrize("fam", FRAME_FAMILIES, ids=lambda fam: fam.display())
+def test_documents_are_the_stdlib_encoding_of_emit_document(fam):
+    """Every painting of every involution, with and without its real form
+    and trail, singly and as one array."""
+    items = enumerate_vogan(build_diagram(fam))
+    triples = []
+    for vd in items:
+        desc = classify(vd)
+        realform = {"name": desc.super_name, "even_parts": list(desc.even_parts), "involution": desc.involution}
+        trail = reduce_with_trail(vd)[1]
+        for rf, tr in ((None, None), (realform, None), (None, trail), (realform, trail)):
+            assert document_json(vd, rf, tr) == json.dumps(emit_document(vd, rf, tr), indent=2)
+        triples.append((vd, realform, trail))
+    chunks = []
+    document_array(iter(triples), chunks.append)
+    assert "".join(chunks) == json.dumps([emit_document(*t) for t in triples], indent=2)
+
+
+def test_an_empty_document_array_is_the_empty_list():
+    chunks = []
+    document_array(iter(()), chunks.append)
+    assert "".join(chunks) == json.dumps([], indent=2)
+
+
+@pytest.mark.parametrize("fam", FRAME_FAMILIES, ids=lambda fam: fam.display())
+def test_painting_a_node_turns_one_o_of_the_drawing_into_a_star(fam):
+    """Painting node i changes exactly one character of the unpainted
+    drawing, an ``o`` into a ``*``, its own; a painting changes those of its
+    nodes and no other."""
+    diagram = build_diagram(fam)
+    for vd in enumerate_vogan(diagram):
+        empty = render_ascii(VoganDiagram(diagram, vd.involution, frozenset()))
+        text = render_ascii(vd)
+        changed = [k for k, (a, b) in enumerate(zip(empty, text)) if a != b]
+        assert len(text) == len(empty) and len(changed) == len(vd.painted)
+        assert all((empty[k], text[k]) == ("o", "*") for k in changed)
+        if len(vd.painted) == 1:
+            (node,) = vd.painted
+            spot = changed[0]
+            for other in enumerate_vogan(diagram):
+                if other.involution == vd.involution:
+                    assert (render_ascii(other)[spot] == "*") == (node in other.painted)
+
+
+class _CountingRecord(dict):
+    """A diagram record that lists every key stored in it."""
+
+    def __init__(self):
+        super().__init__()
+        self.stored = []
+
+    def __setitem__(self, key, value):
+        self.stored.append(key)
+        super().__setitem__(key, value)
+
+
+def test_enumerate_builds_one_ascii_frame_per_involution(capsys):
+    """``enumerate --classify`` writes each diagram's ASCII frame once per
+    involution, however many paintings it fills, and a second run none."""
+    build_diagram.cache_clear()
+    diagram = build_diagram(FamilyId("C", 0, 11))
+    record = _CountingRecord()
+    object.__setattr__(diagram, "_record", record)
+
+    def frames():
+        return [
+            key
+            for key in record.stored
+            if isinstance(key, tuple) and key[0].__module__ == "supervogan.render"
+        ]
+
+    try:
+        assert main(["enumerate", "C(12)", "--classify"]) == 0
+        built = frames()
+        assert len(built) == len(automorphisms(diagram)) == 1
+        assert all("ascii" in args for _, args in built)
+        assert main(["enumerate", "C(12)", "--classify"]) == 0
+        assert frames() == built
+        assert capsys.readouterr().out.count("[2048] involution=identity") == 2
+    finally:
+        build_diagram.cache_clear()
