@@ -12,7 +12,7 @@ arrows, the document's family and nodes, DOT's nodes and edges, as a
 name), and keeps it in the diagram's record.  ``render_ascii``,
 ``render_dot`` and ``document_json`` are one fill of that frame; a
 document's ``realform`` and ``trail`` follow its frame.  ``document_array``
-writes a list of documents as it is made, each filled from the frame one
+writes a list of documents as it is made, each ``document_json`` text one
 level deeper.
 
 Other JSON text is written by ``to_json``, byte-equal to ``json.dumps(value,
@@ -136,12 +136,7 @@ _WRITERS = {"ascii": _ascii, "dot": _dot, "json": _json}
 def _frame(diagram: Diagram, perm: tuple[int, ...], fmt: str) -> tuple[str, tuple[int, ...]]:
     """``fmt``'s text of ``diagram`` under the involution ``perm``, written
     once: a %-template with a ``%s`` per slot, DOT's graph name first, then
-    the fixed even nodes whose paint fills the other slots, in text order.
-    ``"json item"`` is the ``"json"`` frame one level deeper, as an array
-    item; JSON strings hold no raw newline, so only line breaks move."""
-    if fmt == "json item":
-        template, nodes = _frame(diagram, perm, "json")
-        return template.replace("\n", "\n  "), nodes
+    the fixed even nodes whose paint fills the other slots, in text order."""
     slots = frozenset(i for i in diagram.even_indices() if perm[i] == i)
     text, order = _WRITERS[fmt](diagram, perm, slots)
     return text.replace("%", "%%").replace(_MARK, "%s"), tuple(i for i in order if i in slots)
@@ -279,31 +274,23 @@ def emit_document(
     return doc
 
 
-def _document_text(vd, realform, trail, fmt: str) -> str:
-    """``vd``'s document filled from its ``fmt`` frame, ``"json"`` or
-    ``"json item"``, then ``realform`` written by ``_write`` and ``trail``."""
-    newline = "\n" if fmt == "json" else "\n  "
-    out = [_fill(vd, fmt, "true", "false")]
-    inner = newline + "  "
-    if realform is not None:
-        out.append(f',{inner}"realform": ')
-        _write(realform, inner, out)
-    if trail is not None:
-        # a flat list of ints, in one join: trails run to a few dozen flips
-        at = inner + "  "
-        flips = f",{at}".join([str(move.at + 1) for move in trail])
-        out.append(f',{inner}"trail": [{at}{flips}{inner}]' if trail else f',{inner}"trail": []')
-    out.append(newline + "}")
-    return "".join(out)
-
-
 def document_json(
     vd: VoganDiagram,
     realform: Optional[dict] = None,
     trail: Optional[tuple[FlipMove, ...]] = None,
 ) -> str:
-    """``to_json(emit_document(vd, realform, trail))``, filled from a frame."""
-    return _document_text(vd, realform, trail, "json")
+    """``to_json(emit_document(vd, realform, trail))``: ``vd``'s JSON frame
+    filled, then ``realform`` written by ``_write`` and ``trail``."""
+    out = [_fill(vd, "json", "true", "false")]
+    if realform is not None:
+        out.append(',\n  "realform": ')
+        _write(realform, "\n  ", out)
+    if trail is not None:
+        # a flat list of ints, in one join: trails run to a few dozen flips
+        flips = ",\n    ".join([str(move.at + 1) for move in trail])
+        out.append(f',\n  "trail": [\n    {flips}\n  ]' if trail else ',\n  "trail": []')
+    out.append("\n}")
+    return "".join(out)
 
 
 def document_array(
@@ -311,10 +298,12 @@ def document_array(
     write: Callable[[str], object],
 ) -> None:
     """Write the JSON array of the documents of ``(vd, realform, trail)``
-    triples, as ``to_json`` writes their list, one document at a time."""
+    triples, as ``to_json`` writes their list, one document at a time: each
+    one level deeper, which moves only line breaks, as JSON strings hold no
+    raw newline."""
     sep = "["
     for vd, realform, trail in documents:
-        write(sep + "\n  " + _document_text(vd, realform, trail, "json item"))
+        write(sep + "\n  " + document_json(vd, realform, trail).replace("\n", "\n  "))
         sep = ","
     write("[]" if sep == "[" else "\n]")
 

@@ -425,11 +425,16 @@ class _CountingRecord(dict):
         super().__setitem__(key, value)
 
 
-def test_enumerate_builds_one_ascii_frame_per_involution(capsys):
+@pytest.mark.parametrize(
+    "fam",
+    [FamilyId("C", 0, 11), FamilyId("A", 2, 2), FamilyId("D", 3, 2), FamilyId("D21alpha", alpha=Q(-2))],
+    ids=lambda fam: fam.display(),
+)
+def test_enumerate_builds_one_ascii_frame_per_involution(fam, capsys):
     """``enumerate --classify`` writes each diagram's ASCII frame once per
     involution, however many paintings it fills, and a second run none."""
     build_diagram.cache_clear()
-    diagram = build_diagram(FamilyId("C", 0, 11))
+    diagram = build_diagram(fam)
     record = _CountingRecord()
     object.__setattr__(diagram, "_record", record)
 
@@ -440,13 +445,15 @@ def test_enumerate_builds_one_ascii_frame_per_involution(capsys):
             if isinstance(key, tuple) and key[0].__module__ == "supervogan.render"
         ]
 
+    argv = ["enumerate", fam.display(), "--classify"]
     try:
-        assert main(["enumerate", "C(12)", "--classify"]) == 0
+        assert main(argv) == 0
         built = frames()
-        assert len(built) == len(automorphisms(diagram)) == 1
-        assert all("ascii" in args for _, args in built)
-        assert main(["enumerate", "C(12)", "--classify"]) == 0
+        assert [args for _, args in built] == [(g.perm, "ascii") for g in automorphisms(diagram)]
+        first = capsys.readouterr().out
+        assert main(argv) == 0
         assert frames() == built
-        assert capsys.readouterr().out.count("[2048] involution=identity") == 2
+        assert capsys.readouterr().out == first
+        assert first.count("\n[") == len(enumerate_vogan(diagram))
     finally:
         build_diagram.cache_clear()
