@@ -1,29 +1,32 @@
 """Naming the real form determined by a painted diagram.
 
-Every even block of the diagram is first driven to its canonical painting
-by ``canonical_block_painting``, the reduction's own choice of one painted
-vertex per painted block; that vertex's position along its side is then
+Each side of g0 is read off the epsilon half of the even blocks, where the
+invariant form is positive, or the delta half, where it is negative
+(``_halves``), and driven to its canonical painting by
+``canonical_block_painting``, the reduction's own choice of one painted
+vertex per painted block; that vertex's position along its block is then
 named by ``_side``, the one dictionary of su, so, sp and G2 forms.
 
-The symplectic side of B(m,n), B(0,n) and D(m,n) is the chain of nodes
-0 .. n-2 plus the long root 2 delta_n, which no diagram node carries.  No
-flip toggles that superimposed root: the Cartan entry from the chain's end
-to it is -2, which is even.  So its paint is constant on the flip orbit,
-and the orthogonal side forces it.  Painted, the side is sp(2n,R) and no
-orbit walk is needed; unpainted, the chain's canonical vertex gives
-sp(q,n-q).
+The symplectic side of B(m,n), B(0,n) and D(m,n) is the delta chain plus
+the long root 2 delta_n, which no diagram node carries.  No flip toggles
+that superimposed root: the Cartan entry from the chain's end to it is -2,
+which is even.  So its paint is constant on the flip orbit, and the
+orthogonal side forces it.  Painted, the side is sp(2n,R) and no orbit
+walk is needed; unpainted, the chain's canonical vertex gives sp(q,n-q).
 """
 
 from __future__ import annotations
 
+from collections import namedtuple
 from dataclasses import dataclass
 from typing import Optional
 
-from .algebra import Diagram, FamilyId
+from .algebra import Diagram, FamilyId, even_blocks, gram_record, stored
 from .errors import InvalidFamily
 from .vogan import VoganDiagram, automorphisms, canonical_block_painting, flip_orbits
 
 Pair = Optional[tuple[int, int]]
+_Halves = namedtuple("Halves", "eps delta")
 
 
 @dataclass(frozen=True)
@@ -80,31 +83,35 @@ def _osp(so_size: int, so_pair: Pair, n: int, sp_pair: Pair) -> str:
     return f"osp({left}|{2 * sp_pair[0]},{2 * sp_pair[1]};H)"
 
 
-def _chain_position(vd: VoganDiagram, block: tuple[int, ...]) -> Optional[int]:
-    """Canonical painted vertex of a block, as a 1-based position from block[0].
+@stored
+def _halves(diagram: Diagram) -> _Halves:
+    """The even blocks of positive norm (the epsilon half of g0) and those of
+    negative norm (the delta half), each in node order."""
+    rows, blocks = gram_record(diagram).rows, even_blocks(diagram)
+    return _Halves(
+        tuple(b for b in blocks if rows[b[0]][b[0]] > 0),
+        tuple(b for b in blocks if rows[b[0]][b[0]] < 0),
+    )
+
+
+def _chain_position(vd: VoganDiagram, half: tuple[tuple[int, ...], ...]) -> Optional[int]:
+    """Canonical painted vertex of a half's one block, as a 1-based position
+    along the block.
 
     Flips only toggle even neighbours, which lie in the flipped node's own
     block, so the involution's whole fixed set gives the block's orbit.  A
-    side of rank one has no block, and no position.
+    half with no block (a side of rank one) has no position.
     """
-    if not block:
+    if not half:
         return None
+    (block,) = half
     part = vd.painted & set(block)
     canon = canonical_block_painting(vd.diagram, block, part, vd.involution.fixed_set)
-    return min(canon) - block[0] + 1 if canon else None
-
-
-def _sp_side(vd: VoganDiagram, n: int, long_painted: bool) -> tuple[Pair, str]:
-    """The symplectic side sp(n) of B, B(0,n) and D: the chain of nodes
-    0 .. n-2 plus the superimposed long root, painted as the orthogonal side
-    forces (see the module docstring)."""
-    if long_painted:
-        return _side("sp", n, n)
-    return _side("sp", n, _chain_position(vd, tuple(range(n - 1))))
+    return block.index(min(canon)) + 1 if canon else None
 
 
 # ----------------------------------------------------------------------------
-# Family-level classification: which nodes form each side, and the family's
+# Family-level classification: which half holds each side, and the family's
 # spelling of the super name.
 
 
@@ -114,12 +121,10 @@ def classify(vd: VoganDiagram) -> RealFormDescriptor:
     kind = fam.kind
     if kind == "A":
         return _classify_a(vd, fam)
-    if kind in ("B", "B0"):
-        return _classify_b(vd, fam)
+    if kind in ("B", "B0", "D"):
+        return _classify_osp(vd, fam)
     if kind == "C":
         return _classify_c(vd, fam)
-    if kind == "D":
-        return _classify_d(vd, fam)
     if kind == "D21alpha":
         return _classify_d21(vd, fam)
     if kind == "F4":
@@ -140,8 +145,9 @@ def _classify_a(vd: VoganDiagram, fam: FamilyId) -> RealFormDescriptor:
         return RealFormDescriptor(
             fam, "reversal", f"psl({N}|{N};R)", (f"sl({N},R)", f"sl({N},R)")
         )
-    e = _side("su", M, _chain_position(vd, tuple(range(m))))
-    f = _side("su", N, _chain_position(vd, tuple(range(m + 1, m + 1 + n))))
+    eps, delta = _halves(vd.diagram)
+    e = _side("su", M, _chain_position(vd, eps))
+    f = _side("su", N, _chain_position(vd, delta))
     if m == n:
         (pe, name_e), (pf, name_f) = sorted([e, f])
         return RealFormDescriptor(
@@ -154,44 +160,36 @@ def _classify_a(vd: VoganDiagram, fam: FamilyId) -> RealFormDescriptor:
     )
 
 
-def _classify_b(vd: VoganDiagram, fam: FamilyId) -> RealFormDescriptor:
-    m, n = fam.m, fam.n
-    # the orthogonal side is never quaternionic, so the superimposed long
-    # vertex of the symplectic side is always painted
-    sp_pair, sp = _sp_side(vd, n, long_painted=True)
-    if fam.kind == "B0":
-        return RealFormDescriptor(fam, "identity", _osp(1, None, n, sp_pair), (sp,))
-    p = _chain_position(vd, tuple(range(n, n + m)))
-    so_pair, so = _side("so", 2 * m + 1, p)
-    return RealFormDescriptor(
-        fam, "identity", _osp(2 * m + 1, so_pair, n, sp_pair), (sp, so)
-    )
-
-
 def _classify_c(vd: VoganDiagram, fam: FamilyId) -> RealFormDescriptor:
     n = fam.n
-    pos = _chain_position(vd, tuple(range(1, n + 1)))
-    sp_pair, sp = _side("sp", n, pos)
+    sp_pair, sp = _side("sp", n, _chain_position(vd, _halves(vd.diagram).delta))
     return RealFormDescriptor(fam, "identity", _osp(2, None, n, sp_pair), ("so*(2)", sp))
 
 
-def _classify_d(vd: VoganDiagram, fam: FamilyId) -> RealFormDescriptor:
+def _classify_osp(vd: VoganDiagram, fam: FamilyId) -> RealFormDescriptor:
+    """B(m,n), B(0,n) and D(m,n): the orthogonal side so(2m+1) or so(2m) on
+    the epsilon half, and the symplectic side sp(n), the delta chain plus 2
+    delta_n.  B(0,n) has no orthogonal side: its so(1) is left out."""
     m, n = fam.m, fam.n
-    block = tuple(range(n, n + m))
+    eps, delta = _halves(vd.diagram)
+    size = 2 * m if fam.kind == "D" else 2 * m + 1
     if vd.involution.name == "swap":
         # the swap fixes no prong, and D2 = A1 + A1 is its two prongs alone
-        so_pair, so = _side("so'", 2 * m, _chain_position(vd, block) if m > 2 else None)
-    elif m == 2:
+        so_pair, so = _side("so'", size, _chain_position(vd, eps) if len(eps) == 1 else None)
+    elif len(eps) == 2:
         # D2 = A1 + A1 has no chain.  One painted node is a prong, so*(4);
         # both painted give so(2,2), the form of chain position 1 in every D_m
-        count = len(vd.painted & set(block))
+        count = sum(i in vd.painted for (i,) in eps)
         so_pair, so = _side("so", 4, {0: None, 1: 2, 2: 1}[count])
     else:
-        so_pair, so = _side("so", 2 * m, _chain_position(vd, block))
-    # a quaternionic orthogonal side leaves the superimposed long vertex unpainted
-    sp_pair, sp = _sp_side(vd, n, long_painted=so_pair is not None)
+        so_pair, so = _side("so", size, _chain_position(vd, eps))
+    # 2 delta_n is painted unless the orthogonal side is so*(2m), the one
+    # orthogonal side without a signature pair
+    sp_pair, sp = _side("sp", n, n if so_pair else _chain_position(vd, delta))
+    if not eps:
+        return RealFormDescriptor(fam, "identity", _osp(1, None, n, sp_pair), (sp,))
     return RealFormDescriptor(
-        fam, vd.involution.name, _osp(2 * m, so_pair, n, sp_pair), (sp, so)
+        fam, vd.involution.name, _osp(size, so_pair, n, sp_pair), (sp, so)
     )
 
 
@@ -216,7 +214,7 @@ _F4_LEVEL = {(0, 7): 0, (1, 6): 3, (2, 5): 2, (3, 4): 1}
 
 def _classify_f4(vd: VoganDiagram, fam: FamilyId) -> RealFormDescriptor:
     # block positions run away from the odd node; the Bourbaki count is reversed
-    pos = _chain_position(vd, (1, 2, 3))
+    pos = _chain_position(vd, _halves(vd.diagram).eps)
     pair, so = _side("so", 7, None if pos is None else 4 - pos)
     # g1 = C^2 (x) S is of real type, so C^2 has the type of the spinor S of
     # so(p,q): real, sl(2,R), for p - q = +-1 mod 8; quaternionic, su(2), for +-3
@@ -225,7 +223,7 @@ def _classify_f4(vd: VoganDiagram, fam: FamilyId) -> RealFormDescriptor:
 
 
 def _classify_g3(vd: VoganDiagram, fam: FamilyId) -> RealFormDescriptor:
-    pos = _chain_position(vd, (1, 2))
+    pos = _chain_position(vd, _halves(vd.diagram).eps)
     _, g2 = _side("G2", 2, pos)
     return RealFormDescriptor(
         fam, "identity", f"G(3,{0 if pos is None else 1})", ("sl(2,R)", g2)

@@ -45,8 +45,6 @@ SCHEMA_VERSION = "1"
 
 # A slot while a frame is written; no rendered text holds this character.
 _MARK = "\x00"
-# A node's painted flag in the document a JSON frame is written from.
-_SLOT = object()
 
 
 def _strength(diagram: Diagram, i: int, j: int) -> tuple[int, bool]:
@@ -123,10 +121,11 @@ def _dot(diagram: Diagram, perm: tuple[int, ...], slots: frozenset[int]) -> tupl
 
 
 def _json(diagram: Diagram, perm: tuple[int, ...], slots: frozenset[int]) -> tuple[str, list[int]]:
-    """The document of the painting, unclosed after its ``arrows``."""
-    out: list[str] = []
-    _write(_document(diagram, perm, lambda i: _SLOT if i in slots else False), "\n", out)
-    return "".join(out)[: -len("\n}")], list(range(len(diagram)))
+    """The document of the painting, unclosed after its ``arrows``: each
+    slot is written as the string ``_MARK``, then unquoted."""
+    text = to_json(_document(diagram, perm, lambda i: _MARK if i in slots else False))
+    text = text.replace(encode_basestring_ascii(_MARK), _MARK)
+    return text[: -len("\n}")], list(range(len(diagram)))
 
 
 _WRITERS = {"ascii": _ascii, "dot": _dot, "json": _json}
@@ -242,8 +241,6 @@ def _write(value, newline: str, out: list[str]) -> None:
             _write(item, inner, out)
             sep = ","
         out.append(newline + "}" if value else "{}")
-    elif value is _SLOT:
-        out.append(_MARK)
     else:
         raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
 
@@ -337,7 +334,8 @@ def parse_document(source: Union[str, dict]) -> VoganDiagram:
         if not isinstance(entry, dict):
             raise ParseError("node entries must be objects", _shown(entry)[:80], pos)
         idx = entry.get("index")
-        if idx != pos + 1:
+        # type(), not isinstance(): true and 1.0 equal 1 but are no index
+        if type(idx) is not int or idx != pos + 1:
             raise ParseError(f"node index must be {pos + 1}", _shown(idx), pos)
         if entry.get("kind") != diagram.nodes[pos].kind:
             raise ParseError(

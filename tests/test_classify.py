@@ -1,6 +1,8 @@
 """Real-form names from reduced painted diagrams, and the family tables."""
 
+import ast
 import importlib
+import inspect
 import itertools
 from fractions import Fraction
 from time import perf_counter
@@ -23,6 +25,7 @@ from supervogan import (
     identity_involution,
     table_report,
 )
+from supervogan.classify import _halves
 from supervogan.vogan import flip_orbits
 from test_acceptance import families
 from test_algebra import guard_families
@@ -371,3 +374,54 @@ def test_symplectic_long_root_keeps_its_paint_under_flips(k):
             if painted:
                 canon = canonical_block_painting(diagram, block, vd.painted, fixed)
                 assert canon == frozenset({long_root})
+
+
+# ------------------------------------------------------------------- halves
+
+
+def expected_halves(fam):
+    """The epsilon and delta halves of the even blocks, written from the
+    family's kind, m and n: each block a run of node indices."""
+    k, m, n = fam.kind, fam.m, fam.n
+
+    def run(first, last):  # one block of nodes first..last, or none
+        return (tuple(range(first, last + 1)),) if first <= last else ()
+
+    if k == "A":
+        return run(0, m - 1), run(m + 1, m + n)
+    if k == "D" and m == 2:
+        return ((n,), (n + 1,)), run(0, n - 2)
+    if k in ("B", "D"):
+        return run(n, n + m - 1), run(0, n - 2)
+    if k == "B0":
+        return (), run(0, n - 2)
+    if k == "C":
+        return (), run(1, n)  # C(k) has n = k - 1
+    if k == "F4":
+        return ((1, 2, 3),), ()
+    if k == "G3":
+        return ((1, 2),), ()
+    raise AssertionError(k)
+
+
+def test_halves_are_the_epsilon_and_delta_blocks():
+    fams = [fam for fam in guard_families() if fam.kind != "D21alpha"]
+    assert {fam.kind for fam in fams} == {"A", "B", "B0", "C", "D", "F4", "G3"}
+    for fam in fams:
+        assert _halves(build_diagram(fam)) == expected_halves(fam), fam.display()
+
+
+def test_only_the_reference_rows_count_nodes():
+    """Every namer reads its sides off ``_halves``: no function of classify
+    but the reference rows and names calls ``range``."""
+    tree = ast.parse(inspect.getsource(importlib.import_module("supervogan.classify")))
+    counting = {
+        node.name
+        for node in tree.body
+        if isinstance(node, ast.FunctionDef)
+        and any(
+            isinstance(sub, ast.Call) and getattr(sub.func, "id", None) == "range"
+            for sub in ast.walk(node)
+        )
+    }
+    assert counting == {"_expected_rows"}

@@ -290,6 +290,16 @@ def test_parse_document_requires_integer_family_parameters(key, value):
         parse_document(doc)
 
 
+@pytest.mark.parametrize("text", [False, True], ids=["dict", "text"])
+@pytest.mark.parametrize("index", [True, 1.0])
+def test_parse_document_requires_an_integer_node_index(index, text):
+    # each value equals the 1 of node 1, and JSON text keeps its type
+    doc = emit_document(vd_of(FamilyId("A", 2, 1)))
+    doc["nodes"][0]["index"] = index
+    with pytest.raises(ParseError, match="node index must be 1"):
+        parse_document(json.dumps(doc) if text else doc)
+
+
 @pytest.mark.parametrize("pair", [[1.0, 5.0], [True, 5], [1, "5"]])
 def test_parse_document_requires_integer_arrow_indices(pair):
     doc = emit_document(vd_of(FamilyId("A", 2, 2), inv_name="reversal"))
