@@ -178,19 +178,6 @@ class FamilyId:
             object.__setattr__(self, "m", 0)
         validate_family(self)
 
-    def __hash__(self) -> int:
-        # build_diagram hashes its family twice on every hit; hash it once.
-        # A str hash is salted per process, so no pickle may carry it.
-        try:
-            return self._hash
-        except AttributeError:
-            h = hash((self.kind, self.m, self.n, self.alpha))
-            object.__setattr__(self, "_hash", h)
-            return h
-
-    def __getstate__(self):
-        return {k: x for k, x in vars(self).items() if k != "_hash"}
-
     def display(self) -> str:
         if self.kind == "A":
             return f"A({self.m},{self.n})"

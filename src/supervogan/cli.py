@@ -3,7 +3,8 @@
 Verbs: ``diagram``, ``enumerate``, ``reduce``, ``classify``, ``table``.
 Family specs follow the grammar ``A(m,n) | B(m,n) | B(0,n) | C(k) | D(m,n) |
 D(2,1;p/q) | F(4) | G(3)``; node indices on the command line are 1-based.
-Exit codes: 0 success, 1 usage or input error, 2 table mismatches.
+Exit codes: 0 success, 1 usage or input error or a closed output pipe, 2
+table mismatches.
 
 ``argparse`` is the only parser.  A request whose first argument names a
 verb is parsed by that verb's subparser alone, which gives the full parse's
@@ -21,6 +22,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import functools
+import os
 import sys
 from typing import Optional
 
@@ -346,14 +348,18 @@ def build_parser() -> argparse.ArgumentParser:
         description="Painted-diagram classification of real forms "
         "of the basic classical Lie superalgebras.",
     )
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument(
-        "--format",
-        choices=("ascii", "dot", "json"),
-        default="ascii",
-        help="output format (default ascii)",
-    )
-    common.add_argument("--out", help="write output to this file instead of stdout")
+
+    def output(*formats):
+        shared = argparse.ArgumentParser(add_help=False)
+        shared.add_argument("--format", choices=formats, default="ascii", help="output format (default ascii)")
+        shared.add_argument("--out", help="write output to this file instead of stdout")
+        return shared
+
+    common = output("ascii", "dot", "json")
+    painting = argparse.ArgumentParser(add_help=False)
+    painting.add_argument("family")
+    painting.add_argument("--painted", default="", help="comma-separated 1-based node indices")
+    painting.add_argument("--involution", default="identity", help="identity, reversal or swap")
     sub = parser.add_subparsers(dest="verb", required=True)
     # each verb's subparser, by name: argparse's own table of them
     parser.verbs = sub.choices
@@ -368,19 +374,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--classify", action="store_true", help="also name each real form")
     p.set_defaults(func=cmd_enumerate)
 
-    p = sub.add_parser("reduce", parents=[common], help="reduce a painted diagram")
-    p.add_argument("family")
-    p.add_argument("--painted", default="", help="comma-separated 1-based node indices")
-    p.add_argument("--involution", default="identity", help="identity, reversal or swap")
+    p = sub.add_parser("reduce", parents=[common, painting], help="reduce a painted diagram")
     p.set_defaults(func=cmd_reduce)
 
-    p = sub.add_parser("classify", parents=[common], help="name the real form")
-    p.add_argument("family")
-    p.add_argument("--painted", default="", help="comma-separated 1-based node indices")
-    p.add_argument("--involution", default="identity", help="identity, reversal or swap")
+    p = sub.add_parser("classify", parents=[common, painting], help="name the real form")
     p.set_defaults(func=cmd_classify)
 
-    p = sub.add_parser("table", parents=[common], help="compare against the reference table")
+    # no DOT writer for a table
+    p = sub.add_parser("table", parents=[output("ascii", "json")], help="compare against the reference table")
     p.add_argument("family")
     p.set_defaults(func=cmd_table)
 
@@ -419,6 +420,13 @@ def main(argv=None) -> int:
         return args.func(args)
     except SupervoganError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except BrokenPipeError:
+        # the reader closed the pipe early; point standard output at devnull
+        # so the interpreter's final flush fails quietly too
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
         return 1
 
 

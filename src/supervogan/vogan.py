@@ -92,10 +92,9 @@ def identity_involution(size: int) -> DiagramInvolution:
 
 
 def _preserves_diagram(diagram: Diagram, perm: tuple[int, ...]) -> bool:
-    """Involutive, kind-preserving, and Gram-preserving up to entrywise sign."""
+    """Kind-preserving, and Gram-preserving up to entrywise sign; every
+    candidate ``automorphisms`` builds is an involution."""
     size = len(diagram)
-    if any(perm[perm[i]] != i for i in range(size)):
-        return False
     g = gram_record(diagram).rows
     for i in range(size):
         if diagram.nodes[perm[i]].kind != diagram.nodes[i].kind:

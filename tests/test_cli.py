@@ -1,8 +1,10 @@
 """Command-line interface: spec grammar, verbs, formats, exit codes."""
 
 import json
+import os
 import re
 import shlex
+import subprocess
 import sys
 from fractions import Fraction
 from pathlib import Path
@@ -239,6 +241,31 @@ def test_help_still_exits_0(capsys):
         code, out, err = exit_of(main, argv, capsys)
         assert code == 0 and out.startswith("usage: supervogan")
         assert (code, out, err) == exit_of(cli.build_parser().parse_args, argv, capsys)
+
+
+def test_table_refuses_dot_as_a_usage_error(capsys):
+    """``table`` has no DOT writer, so it offers only the formats it writes."""
+    argv = ["table", "F(4)", "--format", "dot"]
+    code, out, err = exit_of(main, argv, capsys)
+    assert (code, out) == (1, "")
+    assert "--format {ascii,json}" in err and "argument --format: invalid choice" in err
+    assert (code, out, err) == exit_of(cli.build_parser().parse_args, argv, capsys)
+
+
+@pytest.mark.parametrize("fmt", ["ascii", "dot", "json"])
+def test_a_reader_that_closes_the_pipe_early_gets_exit_1_and_no_traceback(fmt):
+    src = str(Path(cli.__file__).resolve().parents[1])
+    with subprocess.Popen(
+        [sys.executable, "-m", "supervogan.cli", "enumerate", "C(12)", "--format", fmt],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        env=dict(os.environ, PYTHONPATH=src),
+    ) as proc:
+        # a few bytes of far more than a pipe holds: the writer is still writing
+        assert len(proc.stdout.read(16)) == 16
+        proc.stdout.close()
+        err = proc.stderr.read()
+    assert (proc.returncode, err) == (1, b"")
 
 
 def test_rank_guard(capsys):
