@@ -96,18 +96,14 @@ def _halves(diagram: Diagram) -> _Halves:
 
 def _chain_position(vd: VoganDiagram, half: tuple[tuple[int, ...], ...]) -> Optional[int]:
     """Canonical painted vertex of a half's one block, as a 1-based position
-    along the block.
-
-    Flips only toggle even neighbours, which lie in the flipped node's own
-    block, so the involution's whole fixed set gives the block's orbit.  A
-    half with no block (a side of rank one) has no position.
+    along the block.  A half with no block (a side of rank one) has no
+    position.
     """
     if not half:
         return None
     (block,) = half
-    part = vd.painted & set(block)
-    canon = canonical_block_painting(vd.diagram, block, part, vd.involution.fixed_set)
-    return block.index(min(canon)) + 1 if canon else None
+    canon = canonical_block_painting(vd)
+    return next((k for k, i in enumerate(block, 1) if i in canon), None)
 
 
 # ----------------------------------------------------------------------------

@@ -213,6 +213,8 @@ def cmd_enumerate(args) -> int:
     """Each painting's text is written as it is made; every input error is
     raised before the first byte."""
     diagram = build_diagram(parse_family_spec(args.family))
+    if args.format == "dot" and (args.reduce or args.classify):
+        raise SupervoganError("--format dot takes no --reduce or --classify: DOT draws no name or trail")
     items = enumerate_vogan(diagram)
 
     def named():

@@ -38,7 +38,7 @@ from .algebra import (
     read_alpha,
     stored,
 )
-from .errors import BadIndex, InvalidFamily, ParseError
+from .errors import InvalidFamily, ParseError
 from .vogan import FlipMove, VoganDiagram, automorphisms
 
 SCHEMA_VERSION = "1"
@@ -346,6 +346,8 @@ def parse_document(source: Union[str, dict]) -> VoganDiagram:
         flag = entry.get("painted")
         if not isinstance(flag, bool):
             raise ParseError(f"node {pos + 1} painted must be true or false", _shown(flag), pos)
+        if flag and diagram.nodes[pos].kind != EVEN:
+            raise ParseError(f"node {pos + 1} is odd and cannot be painted", _shown(flag), pos)
         if flag:
             painted.add(pos)
     arrows = data.get("arrows", [])
@@ -370,7 +372,7 @@ def parse_document(source: Union[str, dict]) -> VoganDiagram:
         raise ParseError(
             "arrows do not describe a diagram symmetry", _shown(arrows), 0
         )
-    try:
-        return VoganDiagram(diagram, involution, frozenset(painted))
-    except BadIndex as exc:
-        raise ParseError(str(exc), json.dumps(sorted(i + 1 for i in painted)), 0) from exc
+    moved = sorted(painted - involution.fixed_set)
+    if moved:
+        raise ParseError(f"node {moved[0] + 1} is moved by the involution", _shown(arrows)[:80], moved[0])
+    return VoganDiagram(diagram, involution, frozenset(painted))

@@ -11,7 +11,8 @@ blocks' orbits.  ``_block_target``, the Borel-de Siebenthal step, picks each
 painted block's one painted node by the dual-basis minimality rule, and
 their union, ``_orbit_key``, is the orbit's canonical painting and the one
 way an orbit is known: ``flip_orbits`` keeps the first painting of each
-key, ``equivalent`` compares keys, and ``reduce_with_trail`` reduces to it.
+key, ``equivalent`` compares keys, ``reduce_with_trail`` reduces to it,
+and ``canonical_block_painting``, its public face, returns it.
 
 Walks only fill two flat tables per (diagram, fixed nodes), kept in the
 diagram's record (``_flip_tables``) and indexed by painting mask: each
@@ -45,7 +46,6 @@ from typing import Callable, Iterable, Iterator
 from .algebra import (
     EVEN,
     Diagram,
-    _painted_mask,
     cartan_scales,
     even_blocks,
     gram_record,
@@ -365,40 +365,14 @@ def _orbit_key(diagram: Diagram, fixed: frozenset[int]) -> Callable[[int], int]:
     return key
 
 
-def canonical_block_painting(
-    diagram: Diagram,
-    block: tuple[int, ...],
-    painted: frozenset[int],
-    fixed: frozenset[int],
-) -> frozenset[int]:
-    """Canonical representative of a block painting's flip orbit, flips
-    toggling only the even nodes in ``fixed`` (the involution's fixed set):
-    the one vertex ``_block_target`` chooses, or the empty painting.
-
-    Raises BadIndex unless ``block`` is one of ``even_blocks(diagram)``,
-    ``fixed`` is an iterable of node indices, and ``painted`` is a set of
-    the block's nodes in ``fixed``."""
-    try:
-        block = tuple(block)
-        block_mask = _block_masks(diagram).get(block)
-    except TypeError:  # not iterable, or a node that is not hashable
-        block_mask = None
-    if block_mask is None:
-        raise BadIndex(f"{block!r} is not an even block of {diagram.family.display()}")
-    try:
-        fixed_mask = _painted_mask(diagram, fixed)
-    except BadIndex:
-        raise BadIndex(f"fixed nodes {fixed!r} are not a set of node indices") from None
-    part = _painted_mask(diagram, painted)
-    if part & ~(fixed_mask & block_mask):
-        raise BadIndex(
-            f"painting {sorted(_bits(part))} is not on the fixed nodes of block {list(block)}"
-        )
-    if not part:
-        return frozenset()
-    if type(fixed) is not frozenset:
-        fixed = _nodes(fixed_mask)
-    return _nodes(_block_target(diagram, fixed, block, part))
+def canonical_block_painting(vd: VoganDiagram) -> frozenset[int]:
+    """The canonical painting of ``vd``'s flip orbit, read off
+    ``_orbit_key``: on each painted even block, the one vertex
+    ``_block_target`` chooses.  Raises BadIndex unless ``vd`` is a
+    ``VoganDiagram``, whose constructor checked its painting."""
+    if not isinstance(vd, VoganDiagram):
+        raise BadIndex(f"{vd!r} is not a VoganDiagram")
+    return _nodes(_orbit_key(vd.diagram, vd.involution.fixed_set)(_mask(vd.painted)))
 
 
 def reduce_with_trail(vd: VoganDiagram) -> tuple[VoganDiagram, tuple[FlipMove, ...]]:

@@ -448,7 +448,7 @@ def test_singular_block_raises():
     with pytest.raises(SingularBlock):
         dual_basis(singular, (0, 1, 2))
     with pytest.raises(SingularBlock):
-        canonical_block_painting(singular, (0, 1, 2), frozenset({0}), frozenset(range(4)))
+        canonical_block_painting(VoganDiagram(singular, identity_involution(4), {0}))
 
 
 def isolated_isotropic_node():

@@ -484,12 +484,26 @@ def test_out_to_an_unwritable_path_is_one_error_line(tmp_path, capsys):
 
 def test_enumerate_to_an_unwritable_path_writes_nothing(tmp_path, capsys):
     for target in (tmp_path / "missing" / "out.json", tmp_path):
-        for fmt in ("ascii", "json", "dot"):
-            argv = ["enumerate", "C(4)", "--classify", "--format", fmt, "--out", str(target)]
+        for fmt, flags in (("ascii", ["--classify"]), ("json", ["--classify"]), ("dot", [])):
+            argv = ["enumerate", "C(4)", *flags, "--format", fmt, "--out", str(target)]
             code, out, err = run(capsys, *argv)
             assert code == 1 and out == ""
             assert err.startswith(f"error: cannot write {target}: ")
             assert err.count("\n") == 1 and "Traceback" not in err
+
+
+@pytest.mark.parametrize("flags", [["--reduce"], ["--classify"], ["--reduce", "--classify"]])
+def test_enumerate_refuses_dot_with_a_name_or_a_trail(tmp_path, capsys, flags):
+    """The DOT writer has no place for a real form's name or a flip trail,
+    so ``enumerate --format dot`` refuses ``--reduce`` and ``--classify``
+    with one error line, before it opens its output; it once drew the
+    paintings and dropped both."""
+    target = tmp_path / "out.dot"
+    for out_args in ([], ["--out", str(target)]):
+        code, out, err = run(capsys, "enumerate", "C(4)", "--format", "dot", *flags, *out_args)
+        assert (code, out) == (1, "") and err.startswith("error: ") and err.count("\n") == 1
+        assert "--format dot" in err
+        assert not target.exists()
 
 
 @pytest.mark.parametrize("spec", ["C(", "Q(2)", "C(13)", "A(6,6)", "D(2,1;0)"])

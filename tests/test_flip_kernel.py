@@ -19,6 +19,7 @@ import pytest
 from supervogan import (
     EVEN,
     FamilyId,
+    VoganDiagram,
     automorphisms,
     build_diagram,
     canonical_block_painting,
@@ -152,7 +153,7 @@ def test_every_block_orbit_holds_a_single_vertex(fam):
                     covered |= orbit
                     singles = {p for p in orbit if len(p) == 1}
                     assert singles, (inv.name, block, sorted(painted))
-                    canon = canonical_block_painting(diagram, block, painted, fixed)
+                    canon = canonical_block_painting(VoganDiagram(diagram, inv, painted))
                     assert canon in singles, (inv.name, block, sorted(painted))
 
 

@@ -26,7 +26,6 @@ from supervogan import (
     dual_basis,
     emit_document,
     enumerate_vogan,
-    even_blocks,
     flip,
     generate_roots,
     identity_involution,
@@ -207,11 +206,11 @@ def _parity(diagram, painted, v):
     return noncompact_parity(diagram, painted, v)
 
 
-def _block_painting(diagram, block, painted, fixed):
-    if type(block) is int and block >= 0:
-        blocks = even_blocks(diagram)
-        block = blocks[block % len(blocks)]
-    return canonical_block_painting(diagram, block, painted, fixed)
+def _block_painting(diagram, which):
+    if type(which) is int and which >= 0:
+        items = enumerate_vogan(diagram)
+        which = items[which % len(items)]
+    return canonical_block_painting(which)
 
 
 ENTRIES = {
@@ -231,11 +230,7 @@ library_calls = st.one_of(
     st.tuples(st.just("flip"), families, st.integers(0, 10**4), indices),
     st.tuples(st.just("noncompact_parity"), families, index_sets, roots),
     st.tuples(
-        st.just("canonical_block_painting"),
-        families,
-        st.one_of(st.integers(0, 3), index_sets),
-        index_sets,
-        index_sets,
+        st.just("canonical_block_painting"), families, st.one_of(st.integers(0, 10**4), index_sets)
     ),
     st.tuples(st.just("dual_basis"), families, index_sets),
     st.tuples(st.just("block_sign"), families, index_sets),

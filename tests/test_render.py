@@ -300,6 +300,26 @@ def test_parse_document_requires_an_integer_node_index(index, text):
         parse_document(json.dumps(doc) if text else doc)
 
 
+@pytest.mark.parametrize("text", [False, True], ids=["dict", "text"])
+@pytest.mark.parametrize(
+    "fam, inv_name, node, message",
+    [
+        (FamilyId("A", 2, 1), "identity", 3, "node 3 is odd and cannot be painted"),
+        (FamilyId("A", 2, 2), "reversal", 1, "node 1 is moved by the involution"),
+    ],
+    ids=["odd", "moved"],
+)
+def test_parse_document_names_an_unpaintable_node_from_1(fam, inv_name, node, message, text):
+    """A painted node that is odd, or moved by the involution, is named as
+    the command line names it, 1-based, at its position among the nodes;
+    it was once numbered from 0, at position 0."""
+    doc = emit_document(vd_of(fam, inv_name=inv_name))
+    doc["nodes"][node - 1]["painted"] = True
+    with pytest.raises(ParseError, match=f"^{message} at position {node - 1}: ") as info:
+        parse_document(json.dumps(doc) if text else doc)
+    assert info.value.pos == node - 1
+
+
 @pytest.mark.parametrize("pair", [[1.0, 5.0], [True, 5], [1, "5"]])
 def test_parse_document_requires_integer_arrow_indices(pair):
     doc = emit_document(vd_of(FamilyId("A", 2, 2), inv_name="reversal"))

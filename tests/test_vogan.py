@@ -247,38 +247,22 @@ def test_dual_basis_and_block_sign_reject_bad_components_with_bad_index():
     assert dual_basis(diagram, iter(block)) == dual_basis(diagram, block)
 
 
-def test_canonical_block_painting_rejects_what_is_not_a_block_painting():
-    """The block must be one of ``even_blocks``, the fixed nodes an iterable
-    of node indices, and the painting a set of the block's fixed nodes.
-    Before, a painting off the block (even the odd node) was returned as
-    its own canonical painting, and ``(99,)`` raised a bare ``TypeError``."""
+def test_canonical_block_painting_takes_a_vogan_diagram():
+    """Anything but a ``VoganDiagram`` is ``BadIndex``; the diagram's own
+    constructor checks its painting and involution.  The answer paints one
+    vertex of each painted even block and nothing else."""
     diagram = build_diagram(FamilyId("B", 2, 2))
     assert even_blocks(diagram) == ((0,), (2, 3))
-    every = range(len(diagram))
-    cases = [
-        ((99,), {99}, {99}),  # not a block
-        ((2,), {2}, every),  # part of a block
-        ((2, 3, 0), {2}, every),
-        ((), set(), every),
-        (None, {2}, every),
-        ((2, 3), {0}, every),  # painted off the block
-        ((2, 3), {1}, every),  # the odd node
-        ((2, 3), {3}, {0, 2}),  # not fixed
-        ((2, 3), {2}, None),  # fixed nodes that are not node indices
-        ((2, 3), {2}, [2, 3.0]),
-        ((2, 3), {2}, {2, 99}),
-        ((2, 3), {2}, {True, 2}),
-        ((2, 3), None, every),
-        ((2, 3), {"2"}, every),
-    ]
-    for block, painted, fixed in cases:
-        with pytest.raises(BadIndex):
-            canonical_block_painting(diagram, block, painted, fixed)
-    # any iterables of indices are read, as the frozensets of the involution
-    fixed = frozenset(every)
-    expected = canonical_block_painting(diagram, (2, 3), frozenset({2, 3}), fixed)
-    assert canonical_block_painting(diagram, [2, 3], [2, 3], every) == expected
-    assert canonical_block_painting(diagram, (2, 3), set(), every) == frozenset()
+    ident = identity_involution(len(diagram))
+    for foreign in [None, frozenset({2}), (diagram, (2, 3), {2}), diagram, ident]:
+        with pytest.raises(BadIndex, match="not a VoganDiagram"):
+            canonical_block_painting(foreign)
+    assert canonical_block_painting(VoganDiagram(diagram, ident, frozenset())) == frozenset()
+    for painted in [{0}, {2}, {2, 3}, {0, 3}, {0, 2, 3}]:
+        canon = canonical_block_painting(VoganDiagram(diagram, ident, painted))
+        for block in even_blocks(diagram):
+            assert len(canon & set(block)) == bool(painted & set(block)), (painted, block)
+        assert canon <= {0, 2, 3}
 
 
 def test_enumerate_counts():
@@ -354,16 +338,29 @@ def test_flip_orbit_partition_b21_block():
     assert named <= orbits
 
 
+@pytest.mark.parametrize(
+    "fam",
+    [f for f in all_families(6, 7) if node_count(f) <= 6 and f.kind != "D21alpha"]
+    + [FamilyId("D21alpha", alpha=a) for a in ADMISSIBLE_ALPHAS],
+    ids=lambda f: f.display(),
+)
+def test_canonical_block_painting_is_the_reduced_painting(fam):
+    """The Borel-de Siebenthal step on every painting of every involution:
+    the canonical painting is the one ``reduce`` walks to, and it paints at
+    most one node of each even block."""
+    diagram = build_diagram(fam)
+    blocks = [set(b) for b in even_blocks(diagram)]
+    for vd in enumerate_vogan(diagram):
+        canon = canonical_block_painting(vd)
+        assert canon == reduce(vd).painted, (vd.involution.name, sorted(vd.painted))
+        assert all(len(canon & b) <= 1 for b in blocks), (vd.involution.name, sorted(vd.painted))
+
+
 def test_canonical_block_painting_prefers_interior():
-    # 2-node symplectic-style block: canonical singleton is the long end
-    diagram = build_diagram(FamilyId("C", 0, 2))
-    block = (1, 2)
-    every = frozenset(range(len(diagram)))
-    assert canonical_block_painting(diagram, block, frozenset({1, 2}), every) == frozenset({2})
-    # 3-node linear block: {0,2} collapses to the middle
-    diagram = build_diagram(FamilyId("A", 3, 0))
-    every = frozenset(range(len(diagram)))
-    assert canonical_block_painting(diagram, (0, 1, 2), frozenset({0, 2}), every) == frozenset({1})
+    # 2-node symplectic-style block (1, 2): canonical singleton is the long end
+    assert canonical_block_painting(vd_of(FamilyId("C", 0, 2), {1, 2})) == frozenset({2})
+    # 3-node linear block (0, 1, 2): {0,2} collapses to the middle
+    assert canonical_block_painting(vd_of(FamilyId("A", 3, 0), {0, 2})) == frozenset({1})
 
 
 @pytest.mark.parametrize(
