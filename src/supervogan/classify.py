@@ -6,6 +6,10 @@ invariant form is positive, or the delta half, where it is negative
 ``canonical_block_painting``, the reduction's own choice of one painted
 vertex per painted block; that vertex's position along its block is then
 named by ``_side``, the one dictionary of su, so, sp and G2 forms.
+``classify`` looks up the family's namer and builds the one descriptor; a
+namer that reads a position computes the canonical painting once per call
+and reads every side off it, and the namers of B(0,n), D(2,1;alpha) and the
+A(n,n) reversal, which read no position, never compute it.
 
 The symplectic side of B(m,n), B(0,n) and D(m,n) is the delta chain plus
 the long root 2 delta_n, which no diagram node carries.  No flip toggles
@@ -26,6 +30,8 @@ from .errors import InvalidFamily
 from .vogan import VoganDiagram, automorphisms, canonical_block_painting, flip_orbits
 
 Pair = Optional[tuple[int, int]]
+# a namer's answer: the super name and the even parts
+_Name = tuple[str, tuple[str, ...]]
 _Halves = namedtuple("Halves", "eps delta")
 
 
@@ -94,15 +100,14 @@ def _halves(diagram: Diagram) -> _Halves:
     )
 
 
-def _chain_position(vd: VoganDiagram, half: tuple[tuple[int, ...], ...]) -> Optional[int]:
+def _chain_position(canon: frozenset[int], half: tuple[tuple[int, ...], ...]) -> Optional[int]:
     """Canonical painted vertex of a half's one block, as a 1-based position
-    along the block.  A half with no block (a side of rank one) has no
-    position.
+    along the block, read off the canonical painting ``canon``.  A half with
+    no block (a side of rank one) has no position.
     """
     if not half:
         return None
     (block,) = half
-    canon = canonical_block_painting(vd)
     return next((k for k, i in enumerate(block, 1) if i in canon), None)
 
 
@@ -114,116 +119,99 @@ def _chain_position(vd: VoganDiagram, half: tuple[tuple[int, ...], ...]) -> Opti
 def classify(vd: VoganDiagram) -> RealFormDescriptor:
     """Real form named by a painted diagram; constant on flip orbits."""
     fam = vd.diagram.family
-    kind = fam.kind
-    if kind == "A":
-        return _classify_a(vd, fam)
-    if kind in ("B", "B0", "D"):
-        return _classify_osp(vd, fam)
-    if kind == "C":
-        return _classify_c(vd, fam)
-    if kind == "D21alpha":
-        return _classify_d21(vd, fam)
-    if kind == "F4":
-        return _classify_f4(vd, fam)
-    if kind == "G3":
-        return _classify_g3(vd, fam)
-    raise InvalidFamily(f"unknown family kind {kind!r}")  # pragma: no cover
+    super_name, even_parts = _NAMERS[fam.kind](vd, fam)
+    return RealFormDescriptor(fam, vd.involution.name, super_name, even_parts)
 
 
-def _classify_a(vd: VoganDiagram, fam: FamilyId) -> RealFormDescriptor:
+def _name_a(vd: VoganDiagram, fam: FamilyId) -> _Name:
     m, n = fam.m, fam.n
     M, N = m + 1, n + 1
     if vd.involution.name == "reversal":
         if N % 2 == 0:
-            return RealFormDescriptor(
-                fam, "reversal", f"psl({N}|{N};H)", (f"su*({N})", f"su*({N})")
-            )
-        return RealFormDescriptor(
-            fam, "reversal", f"psl({N}|{N};R)", (f"sl({N},R)", f"sl({N},R)")
-        )
-    eps, delta = _halves(vd.diagram)
-    e = _side("su", M, _chain_position(vd, eps))
-    f = _side("su", N, _chain_position(vd, delta))
+            return f"psl({N}|{N};H)", (f"su*({N})", f"su*({N})")
+        return f"psl({N}|{N};R)", (f"sl({N},R)", f"sl({N},R)")
+    canon, (eps, delta) = canonical_block_painting(vd), _halves(vd.diagram)
+    e = _side("su", M, _chain_position(canon, eps))
+    f = _side("su", N, _chain_position(canon, delta))
     if m == n:
         (pe, name_e), (pf, name_f) = sorted([e, f])
-        return RealFormDescriptor(
-            fam, "identity", f"psu({pe[0]},{pe[1]}|{pf[0]},{pf[1]})", (name_e, name_f)
-        )
+        return f"psu({pe[0]},{pe[1]}|{pf[0]},{pf[1]})", (name_e, name_f)
     (pe, name_e), (pf, name_f) = e, f
     evens = [name for size, name in ((M, name_e), (N, name_f)) if size > 1] + ["iR"]
-    return RealFormDescriptor(
-        fam, "identity", f"su({pe[0]},{pe[1]}|{pf[0]},{pf[1]})", tuple(evens)
-    )
+    return f"su({pe[0]},{pe[1]}|{pf[0]},{pf[1]})", tuple(evens)
 
 
-def _classify_c(vd: VoganDiagram, fam: FamilyId) -> RealFormDescriptor:
+def _name_c(vd: VoganDiagram, fam: FamilyId) -> _Name:
     n = fam.n
-    sp_pair, sp = _side("sp", n, _chain_position(vd, _halves(vd.diagram).delta))
-    return RealFormDescriptor(fam, "identity", _osp(2, None, n, sp_pair), ("so*(2)", sp))
+    pos = _chain_position(canonical_block_painting(vd), _halves(vd.diagram).delta)
+    sp_pair, sp = _side("sp", n, pos)
+    return _osp(2, None, n, sp_pair), ("so*(2)", sp)
 
 
-def _classify_osp(vd: VoganDiagram, fam: FamilyId) -> RealFormDescriptor:
+def _name_osp(vd: VoganDiagram, fam: FamilyId) -> _Name:
     """B(m,n), B(0,n) and D(m,n): the orthogonal side so(2m+1) or so(2m) on
     the epsilon half, and the symplectic side sp(n), the delta chain plus 2
-    delta_n.  B(0,n) has no orthogonal side: its so(1) is left out."""
+    delta_n.  B(0,n) has no orthogonal side: its so(1) is left out, and
+    2 delta_n is always painted, so it has one form."""
     m, n = fam.m, fam.n
-    eps, delta = _halves(vd.diagram)
+    if fam.kind == "B0":
+        sp_pair, sp = _side("sp", n, n)
+        return _osp(1, None, n, sp_pair), (sp,)
+    canon, (eps, delta) = canonical_block_painting(vd), _halves(vd.diagram)
     size = 2 * m if fam.kind == "D" else 2 * m + 1
     if vd.involution.name == "swap":
         # the swap fixes no prong, and D2 = A1 + A1 is its two prongs alone
-        so_pair, so = _side("so'", size, _chain_position(vd, eps) if len(eps) == 1 else None)
+        so_pair, so = _side("so'", size, _chain_position(canon, eps) if len(eps) == 1 else None)
     elif len(eps) == 2:
         # D2 = A1 + A1 has no chain.  One painted node is a prong, so*(4);
         # both painted give so(2,2), the form of chain position 1 in every D_m
         count = sum(i in vd.painted for (i,) in eps)
         so_pair, so = _side("so", 4, {0: None, 1: 2, 2: 1}[count])
     else:
-        so_pair, so = _side("so", size, _chain_position(vd, eps))
+        so_pair, so = _side("so", size, _chain_position(canon, eps))
     # 2 delta_n is painted unless the orthogonal side is so*(2m), the one
     # orthogonal side without a signature pair
-    sp_pair, sp = _side("sp", n, n if so_pair else _chain_position(vd, delta))
-    if not eps:
-        return RealFormDescriptor(fam, "identity", _osp(1, None, n, sp_pair), (sp,))
-    return RealFormDescriptor(
-        fam, vd.involution.name, _osp(size, so_pair, n, sp_pair), (sp, so)
-    )
+    sp_pair, sp = _side("sp", n, n if so_pair else _chain_position(canon, delta))
+    return _osp(size, so_pair, n, sp_pair), (sp, so)
 
 
-def _classify_d21(vd: VoganDiagram, fam: FamilyId) -> RealFormDescriptor:
+def _name_d21(vd: VoganDiagram, fam: FamilyId) -> _Name:
     a = fam.alpha
     if vd.involution.name == "swap":
-        return RealFormDescriptor(
-            fam, "swap", f"D(2,1;{a};2)", ("sl(2,C)", "sl(2,R)")
-        )
-    k = len(vd.painted)
-    if k <= 1:
-        return RealFormDescriptor(
-            fam, "identity", f"D(2,1;{a};1)", ("su(2)", "su(2)", "sl(2,R)")
-        )
-    return RealFormDescriptor(
-        fam, "identity", f"D(2,1;{a};0)", ("sl(2,R)", "sl(2,R)", "sl(2,R)")
-    )
+        return f"D(2,1;{a};2)", ("sl(2,C)", "sl(2,R)")
+    if len(vd.painted) <= 1:
+        return f"D(2,1;{a};1)", ("su(2)", "su(2)", "sl(2,R)")
+    return f"D(2,1;{a};0)", ("sl(2,R)", "sl(2,R)", "sl(2,R)")
 
 
 _F4_LEVEL = {(0, 7): 0, (1, 6): 3, (2, 5): 2, (3, 4): 1}
 
 
-def _classify_f4(vd: VoganDiagram, fam: FamilyId) -> RealFormDescriptor:
+def _name_f4(vd: VoganDiagram, fam: FamilyId) -> _Name:
     # block positions run away from the odd node; the Bourbaki count is reversed
-    pos = _chain_position(vd, _halves(vd.diagram).eps)
+    pos = _chain_position(canonical_block_painting(vd), _halves(vd.diagram).eps)
     pair, so = _side("so", 7, None if pos is None else 4 - pos)
     # g1 = C^2 (x) S is of real type, so C^2 has the type of the spinor S of
     # so(p,q): real, sl(2,R), for p - q = +-1 mod 8; quaternionic, su(2), for +-3
     sl2 = "sl(2,R)" if (pair[1] - pair[0]) % 8 in (1, 7) else "su(2)"
-    return RealFormDescriptor(fam, "identity", f"F(4;{_F4_LEVEL[pair]})", (sl2, so))
+    return f"F(4;{_F4_LEVEL[pair]})", (sl2, so)
 
 
-def _classify_g3(vd: VoganDiagram, fam: FamilyId) -> RealFormDescriptor:
-    pos = _chain_position(vd, _halves(vd.diagram).eps)
-    _, g2 = _side("G2", 2, pos)
-    return RealFormDescriptor(
-        fam, "identity", f"G(3,{0 if pos is None else 1})", ("sl(2,R)", g2)
-    )
+def _name_g3(vd: VoganDiagram, fam: FamilyId) -> _Name:
+    pos = _chain_position(canonical_block_painting(vd), _halves(vd.diagram).eps)
+    return f"G(3,{0 if pos is None else 1})", ("sl(2,R)", _side("G2", 2, pos)[1])
+
+
+_NAMERS = {
+    "A": _name_a,
+    "B": _name_osp,
+    "B0": _name_osp,
+    "C": _name_c,
+    "D": _name_osp,
+    "D21alpha": _name_d21,
+    "F4": _name_f4,
+    "G3": _name_g3,
+}
 
 
 def enumerate_real_forms(diagram: Diagram) -> tuple[RealFormDescriptor, ...]:

@@ -358,6 +358,8 @@ def build_parser() -> argparse.ArgumentParser:
         return shared
 
     common = output("ascii", "dot", "json")
+    # DOT draws no name, trail or table
+    named = output("ascii", "json")
     painting = argparse.ArgumentParser(add_help=False)
     painting.add_argument("family")
     painting.add_argument("--painted", default="", help="comma-separated 1-based node indices")
@@ -376,14 +378,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--classify", action="store_true", help="also name each real form")
     p.set_defaults(func=cmd_enumerate)
 
-    p = sub.add_parser("reduce", parents=[common, painting], help="reduce a painted diagram")
+    p = sub.add_parser("reduce", parents=[named, painting], help="reduce a painted diagram")
     p.set_defaults(func=cmd_reduce)
 
-    p = sub.add_parser("classify", parents=[common, painting], help="name the real form")
+    p = sub.add_parser("classify", parents=[named, painting], help="name the real form")
     p.set_defaults(func=cmd_classify)
 
-    # no DOT writer for a table
-    p = sub.add_parser("table", parents=[output("ascii", "json")], help="compare against the reference table")
+    p = sub.add_parser("table", parents=[named], help="compare against the reference table")
     p.add_argument("family")
     p.set_defaults(func=cmd_table)
 

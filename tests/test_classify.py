@@ -444,3 +444,34 @@ def test_only_the_reference_rows_count_nodes():
         )
     }
     assert counting == {"_expected_rows"}
+
+
+def test_classify_keys_a_painting_at_most_once(monkeypatch):
+    """A namer that reads a position computes the canonical painting once,
+    however many sides it names; B(0,n), D(2,1;alpha) and the A(n,n)
+    reversal read no position and compute none."""
+    calls = []
+
+    def counted(vd):
+        calls.append(vd)
+        return canonical_block_painting(vd)
+
+    monkeypatch.setattr(importlib.import_module("supervogan.classify"), "canonical_block_painting", counted)
+    expected = {
+        "A(2,2)": {"identity": {1}, "reversal": {0}},
+        "A(3,1)": {"identity": {1}},
+        "B(2,2)": {"identity": {1}},
+        "C(4)": {"identity": {1}},
+        "D(4,2)": {"identity": {1}, "swap": {1}},
+        "F(4)": {"identity": {1}},
+        "G(3)": {"identity": {1}},
+        "B(0,4)": {"identity": {0}},
+        "D(2,1;1)": {"identity": {0}, "swap": {0}},
+    }
+    for spec, counts in expected.items():
+        seen = {}
+        for vd in enumerate_vogan(build_diagram(cli.parse_family_spec(spec))):
+            calls.clear()
+            classify(vd)
+            seen.setdefault(vd.involution.name, set()).add(len(calls))
+        assert seen == counts, spec

@@ -252,6 +252,21 @@ def test_table_refuses_dot_as_a_usage_error(capsys):
     assert (code, out, err) == exit_of(cli.build_parser().parse_args, argv, capsys)
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [["classify", "C(4)", "--painted", "2"], ["reduce", "C(4)", "--painted", "2,4"]],
+    ids=" ".join,
+)
+def test_a_name_or_a_trail_refuses_dot_as_a_usage_error(capsys, argv):
+    """DOT draws no name or trail, so ``classify`` and ``reduce`` offer only
+    the formats that carry their answer, through either parse."""
+    argv = [*argv, "--format", "dot"]
+    code, out, err = exit_of(main, argv, capsys)
+    assert (code, out) == (1, "")
+    assert "--format {ascii,json}" in err and "argument --format: invalid choice" in err
+    assert (code, out, err) == exit_of(cli.build_parser().parse_args, argv, capsys)
+
+
 @pytest.mark.parametrize("fmt", ["ascii", "dot", "json"])
 def test_a_reader_that_closes_the_pipe_early_gets_exit_1_and_no_traceback(fmt):
     src = str(Path(cli.__file__).resolve().parents[1])
@@ -381,8 +396,8 @@ def test_main_builds_its_parser_once(capsys, monkeypatch):
 PARSE_GRID = [
     ["classify", "B(2,2)", "--format=json", "--painted", "3"],
     ["classify", "B(2,2)", "--form", "json", "--painted", "3"],
-    ["reduce", "--format", "dot", "--painted", "2,4", "C(4)"],
-    ["reduce", "C(4)", "--painted", "2", "--painted", "2,4", "--format", "dot", "--format", "json"],
+    ["reduce", "--format", "ascii", "--painted", "2,4", "C(4)"],
+    ["reduce", "C(4)", "--painted", "2", "--painted", "2,4", "--format", "ascii", "--format", "json"],
     ["classify", "A(3,0)", "--painted", ""],
     ["classify", "D(2,1;-3/5)", "--painted", "1", "--involution", "identity"],
     ["enumerate", "A(1,1)", "--classify", "--reduce", "--reduce", "--format", "json"],
