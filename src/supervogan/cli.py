@@ -6,9 +6,9 @@ D(2,1;p/q) | F(4) | G(3)``; node indices on the command line are 1-based.
 Exit codes: 0 success, 1 usage or input error or a closed output pipe, 2
 table mismatches.
 
-``argparse`` is the only parser.  A request whose first argument names a
-verb is parsed by that verb's subparser alone, which gives the full parse's
-namespace at half its cost; anything left over, and an argument list that
+``argparse`` is the only parser, and ``_VERBS`` its one grammar.  A request
+whose first argument names a verb is parsed by that verb's parser alone,
+built without the other four; anything left over, and an argument list that
 starts with no verb, goes through the full parse, so ``--help`` and every
 usage error read exactly as the top-level parser writes them.  ``diagram``,
 ``reduce`` and ``classify`` share one reply writer; ``enumerate`` writes
@@ -344,77 +344,74 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, f"{self.prog}: error: {message}\n")
 
 
+# DOT draws no name, trail or table
+_ALL, _NAMED = ("ascii", "dot", "json"), ("ascii", "json")
+_OPTIONS = {
+    "--painted": {"default": "", "help": "comma-separated 1-based node indices"},
+    "--involution": {"default": "identity", "help": "identity, reversal or swap"},
+    "--reduce": {"action": "store_true", "help": "also reduce each diagram"},
+    "--classify": {"action": "store_true", "help": "also name each real form"},
+}
+# verb: (command, help, --format choices, the family argument's help, its options)
+_VERBS = {
+    "diagram": (
+        cmd_diagram, "draw the distinguished diagram", _ALL, "family spec, e.g. A(2,1) or D(2,1;1/2)", ()
+    ),
+    "enumerate": (cmd_enumerate, "list all painted diagrams", _ALL, None, ("--reduce", "--classify")),
+    "reduce": (cmd_reduce, "reduce a painted diagram", _NAMED, None, ("--painted", "--involution")),
+    "classify": (cmd_classify, "name the real form", _NAMED, None, ("--painted", "--involution")),
+    "table": (cmd_table, "compare against the reference table", _NAMED, None, ()),
+}
+
+
+def _add_verb(parser: argparse.ArgumentParser, verb: str) -> argparse.ArgumentParser:
+    """Give ``parser`` the arguments of ``verb``, in the order its usage line
+    lists them, and the verb's command as ``func``."""
+    func, _, formats, family, options = _VERBS[verb]
+    parser.add_argument("--format", choices=formats, default="ascii", help="output format (default ascii)")
+    parser.add_argument("--out", help="write output to this file instead of stdout")
+    parser.add_argument("family", help=family)
+    for option in options:
+        parser.add_argument(option, **_OPTIONS[option])
+    parser.set_defaults(func=func)
+    return parser
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(
         prog="supervogan",
         description="Painted-diagram classification of real forms "
         "of the basic classical Lie superalgebras.",
     )
-
-    def output(*formats):
-        shared = argparse.ArgumentParser(add_help=False)
-        shared.add_argument("--format", choices=formats, default="ascii", help="output format (default ascii)")
-        shared.add_argument("--out", help="write output to this file instead of stdout")
-        return shared
-
-    common = output("ascii", "dot", "json")
-    # DOT draws no name, trail or table
-    named = output("ascii", "json")
-    painting = argparse.ArgumentParser(add_help=False)
-    painting.add_argument("family")
-    painting.add_argument("--painted", default="", help="comma-separated 1-based node indices")
-    painting.add_argument("--involution", default="identity", help="identity, reversal or swap")
     sub = parser.add_subparsers(dest="verb", required=True)
-    # each verb's subparser, by name: argparse's own table of them
-    parser.verbs = sub.choices
-
-    p = sub.add_parser("diagram", parents=[common], help="draw the distinguished diagram")
-    p.add_argument("family", help="family spec, e.g. A(2,1) or D(2,1;1/2)")
-    p.set_defaults(func=cmd_diagram)
-
-    p = sub.add_parser("enumerate", parents=[common], help="list all painted diagrams")
-    p.add_argument("family")
-    p.add_argument("--reduce", action="store_true", help="also reduce each diagram")
-    p.add_argument("--classify", action="store_true", help="also name each real form")
-    p.set_defaults(func=cmd_enumerate)
-
-    p = sub.add_parser("reduce", parents=[named, painting], help="reduce a painted diagram")
-    p.set_defaults(func=cmd_reduce)
-
-    p = sub.add_parser("classify", parents=[named, painting], help="name the real form")
-    p.set_defaults(func=cmd_classify)
-
-    p = sub.add_parser("table", parents=[named], help="compare against the reference table")
-    p.add_argument("family")
-    p.set_defaults(func=cmd_table)
-
+    for verb, (_, summary, *_) in _VERBS.items():
+        _add_verb(sub.add_parser(verb, help=summary), verb)
     return parser
 
 
 @functools.cache
-def _parser() -> argparse.ArgumentParser:
-    """The parser, built on first use and shared by every later call."""
-    return build_parser()
+def _parser(verb: Optional[str] = None) -> argparse.ArgumentParser:
+    """The full parser, or ``verb``'s parser alone, which reads as the full
+    parser's subparser of that name; each built on first use and shared."""
+    return build_parser() if verb is None else _add_verb(_Parser(prog=f"supervogan {verb}"), verb)
 
 
 def _parse_args(argv=None) -> argparse.Namespace:
-    """``_parser().parse_args(argv)``, entered at the verb's subparser.
+    """``_parser().parse_args(argv)``, entered at the verb's own parser.
 
     The full parse hands every argument after the verb to the verb's
-    subparser, so when ``argv[0]`` names a verb and its subparser leaves
-    nothing over, the namespaces agree, and a usage error the subparser
+    subparser, so when ``argv[0]`` names a verb and its parser leaves
+    nothing over, the namespaces agree, and a usage error the verb's parser
     finds reads as it does inside the full parse.  Anything else takes the
     full parse: ``--help``, an unknown verb, and left-over arguments, which
     the top-level parser reports.
     """
-    parser = _parser()
     argv = sys.argv[1:] if argv is None else argv
-    verb = parser.verbs.get(argv[0]) if argv else None
-    if verb is not None:
-        args, rest = verb.parse_known_args(argv[1:], argparse.Namespace(verb=argv[0]))
+    if argv and argv[0] in _VERBS:
+        args, rest = _parser(argv[0]).parse_known_args(argv[1:], argparse.Namespace(verb=argv[0]))
         if not rest:
             return args
-    return parser.parse_args(argv)
+    return _parser().parse_args(argv)
 
 
 def main(argv=None) -> int:

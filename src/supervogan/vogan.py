@@ -45,6 +45,7 @@ from typing import Callable, Iterable, Iterator
 
 from .algebra import (
     EVEN,
+    RANK_GUARD,
     Diagram,
     cartan_scales,
     even_blocks,
@@ -163,6 +164,15 @@ class VoganDiagram:
                 raise BadIndex(f"painted index {i} is not fixed by the involution")
 
 
+def _made(diagram: Diagram, inv: DiagramInvolution, mask: int) -> VoganDiagram:
+    """``VoganDiagram(diagram, inv, _nodes(mask))`` without the constructor's
+    checks, for a mask the kernel made: a painting of fixed even nodes of
+    ``inv``, one of ``automorphisms(diagram)``."""
+    vd = object.__new__(VoganDiagram)
+    vd.__dict__.update(diagram=diagram, involution=inv, painted=_nodes(mask))
+    return vd
+
+
 def _paintings(diagram: Diagram, inv: DiagramInvolution) -> Iterator[int]:
     """The painting order: every painting of the involution's fixed even
     nodes, as a mask, fewest painted nodes first, then lexicographic on the
@@ -174,9 +184,7 @@ def _paintings(diagram: Diagram, inv: DiagramInvolution) -> Iterator[int]:
 def enumerate_vogan(diagram: Diagram) -> tuple[VoganDiagram, ...]:
     """All paintings of all involutions, identity first, in painting order."""
     return tuple(
-        VoganDiagram(diagram, inv, _nodes(mask))
-        for inv in automorphisms(diagram)
-        for mask in _paintings(diagram, inv)
+        _made(diagram, inv, mask) for inv in automorphisms(diagram) for mask in _paintings(diagram, inv)
     )
 
 
@@ -235,6 +243,10 @@ class FlipMove:
     at: int
 
 
+# the trail's moves, one per node of any diagram the guard admits
+_MOVES = tuple(map(FlipMove, range(RANK_GUARD)))
+
+
 def _painting_orbit(diagram: Diagram, fixed: frozenset[int], start: int) -> dict[int, int]:
     """BFS over flips; maps each painting reachable from ``start`` to its flip
     distance from it, in the order the walk reaches them."""
@@ -259,7 +271,7 @@ def flip_orbit(vd: VoganDiagram) -> tuple[VoganDiagram, ...]:
     the walked masks sorted by painted-node count, then by sorted nodes."""
     orbit = _painting_orbit(vd.diagram, vd.involution.fixed_set, _mask(vd.painted))
     return tuple(
-        VoganDiagram(vd.diagram, vd.involution, _nodes(p))
+        _made(vd.diagram, vd.involution, p)
         for p in sorted(orbit, key=lambda p: (p.bit_count(), tuple(_bits(p))))
     )
 
@@ -272,7 +284,7 @@ def flip_orbits(diagram: Diagram) -> Iterator[VoganDiagram]:
         firsts: dict[int, int] = {}  # canonical painting: first painting
         for mask in _paintings(diagram, inv):
             firsts.setdefault(key(mask), mask)
-        yield from (VoganDiagram(diagram, inv, _nodes(mask)) for mask in firsts.values())
+        yield from (_made(diagram, inv, mask) for mask in firsts.values())
 
 
 @stored
@@ -387,13 +399,22 @@ def reduce_with_trail(vd: VoganDiagram) -> tuple[VoganDiagram, tuple[FlipMove, .
         for p, d in _painting_orbit(diagram, fixed, goal).items():
             dist[p] = d + 1
     masks = _toggle_masks(diagram, fixed)
+    move = _MOVES if len(masks) <= RANK_GUARD else tuple(map(FlipMove, range(len(masks))))
     moves: list[FlipMove] = []
     cur, left = start, dist[start]
     while left > 1:
         left -= 1
-        at = next(i for i in _bits(cur) if dist[cur ^ masks[i]] == left)
+        # the lowest painted node whose flip lowers the distance by one
+        # (_bits, inlined); the walk that filled the distances leaves one
+        rest = cur
+        while rest:
+            low = rest & -rest
+            at = low.bit_length() - 1
+            if dist[cur ^ masks[at]] == left:
+                break
+            rest ^= low
         cur ^= masks[at]
-        moves.append(FlipMove(at))
+        moves.append(move[at])
     # an unfilled start, or one whose distances lead elsewhere, is not in
     # the goal's orbit
     if cur != goal:
@@ -401,7 +422,7 @@ def reduce_with_trail(vd: VoganDiagram) -> tuple[VoganDiagram, tuple[FlipMove, .
             f"canonical painting {sorted(_bits(goal))} is not in the flip orbit "
             f"of {sorted(vd.painted)}"
         )
-    return VoganDiagram(vd.diagram, vd.involution, _nodes(goal)), tuple(moves)
+    return _made(diagram, vd.involution, goal), tuple(moves)
 
 
 def reduce(vd: VoganDiagram) -> VoganDiagram:

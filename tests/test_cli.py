@@ -1,5 +1,7 @@
 """Command-line interface: spec grammar, verbs, formats, exit codes."""
 
+import contextlib
+import io
 import json
 import os
 import re
@@ -11,6 +13,7 @@ from pathlib import Path
 from time import perf_counter
 
 import pytest
+from hypothesis import given, settings, strategies as st
 from test_algebra import guard_families
 
 from supervogan import (
@@ -26,6 +29,7 @@ from supervogan.algebra import node_count
 from supervogan.cli import main, parse_family_spec
 
 Q = Fraction
+VERBS = ["diagram", "enumerate", "reduce", "classify", "table"]
 
 
 def run(capsys, *argv):
@@ -236,11 +240,11 @@ def test_usage_errors_exit_1_not_the_mismatch_code(capsys, argv, message):
     assert (code, out, err) == exit_of(cli.build_parser().parse_args, argv, capsys)
 
 
-def test_help_still_exits_0(capsys):
-    for argv in (["--help"], ["table", "--help"]):
-        code, out, err = exit_of(main, argv, capsys)
-        assert code == 0 and out.startswith("usage: supervogan")
-        assert (code, out, err) == exit_of(cli.build_parser().parse_args, argv, capsys)
+@pytest.mark.parametrize("argv", [["--help"]] + [[verb, "--help"] for verb in VERBS], ids=" ".join)
+def test_help_still_exits_0(capsys, argv):
+    code, out, err = exit_of(main, argv, capsys)
+    assert code == 0 and out.startswith(f"usage: {' '.join(['supervogan', *argv[:-1]])} ")
+    assert (code, out, err) == exit_of(cli.build_parser().parse_args, argv, capsys)
 
 
 def test_table_refuses_dot_as_a_usage_error(capsys):
@@ -374,20 +378,25 @@ def test_painted_index_behind_5000_leading_zeros_reads_as_its_value(capsys):
 
 
 def test_main_builds_its_parser_once(capsys, monkeypatch):
-    from supervogan import cli
-
+    """A well-formed request builds its verb's parser alone, once, and never
+    the full parser; a usage error builds the full parser, which reports it."""
     query = ["classify", "B(2,2)", "--painted", "3", "--format", "json"]
-    verbs = [query, ["table", "C(4)"], ["reduce", "A(3,0)", "--painted", "1,3"], query]
+    requests = [query, ["table", "C(4)"], ["reduce", "A(3,0)", "--painted", "1,3"], query]
     fresh = []
-    for argv in verbs:
+    for argv in requests:
         cli._parser.cache_clear()
         fresh.append(run(capsys, *argv))
     cli._parser.cache_clear()
-    built, build = [], cli.build_parser
-    monkeypatch.setattr(cli, "build_parser", lambda: built.append(1) or build())
-    assert [run(capsys, *argv) for argv in verbs] == fresh
-    assert len(built) == 1
-    assert cli._parser.cache_info().hits == len(verbs) - 1
+    built, build, add_verb = [], cli.build_parser, cli._add_verb
+    monkeypatch.setattr(cli, "build_parser", lambda: built.append("full") or build())
+    monkeypatch.setattr(cli, "_add_verb", lambda parser, verb: built.append(verb) or add_verb(parser, verb))
+    assert [run(capsys, *argv) for argv in requests] == fresh
+    assert built == ["classify", "table", "reduce"]
+    assert cli._parser.cache_info().hits == 1
+    built.clear()
+    assert exit_of(main, ["table", "C(4)", "--nope"], capsys)[0] == 1
+    # the full parser gives each of its subparsers the verb's arguments
+    assert built == ["full", *VERBS]
 
 
 # -------------------------------------------------------------- verb entry
@@ -415,6 +424,44 @@ def test_verb_entry_parses_as_the_full_parser(monkeypatch, argv):
 
     monkeypatch.setattr(cli._parser(), "parse_args", full_parse)
     assert vars(cli._parse_args(argv)) == expected
+
+
+def parse_outcome(parse, argv):
+    """The namespace a parse returns, or the (exit code, stdout, stderr) of
+    one that exits."""
+    out, err = io.StringIO(), io.StringIO()
+    try:
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            return vars(parse(argv))
+    except SystemExit as exit_info:
+        return exit_info.code, out.getvalue(), err.getvalue()
+
+
+# each verb's option strings, abbreviated, joined to a value, wrong, and the
+# values they take, right and wrong
+TOKENS = [
+    *("--format", "--out", "--painted", "--involution", "--reduce", "--classify", "-h", "--help"),
+    *("--form", "--f", "--o", "--pain", "--inv", "--red", "--cl", "--c", "--he"),
+    *("--format=json", "--form=dot", "--painted=2,4", "--involution=swap", "--reduce=1", "--nope"),
+    *("ascii", "json", "dot", "xml", "2", "2,4", "", "identity", "swap", "reversal", "t.txt"),
+    *("C(4)", "B(2,2)", "F(4)", "extra"),
+]
+
+
+@settings(max_examples=400, deadline=None)
+@given(
+    st.one_of(
+        st.tuples(st.sampled_from([*VERBS, "bogus"]), st.lists(st.sampled_from(TOKENS), max_size=7)).map(
+            lambda drawn: [drawn[0], *drawn[1]]
+        ),
+        st.lists(st.sampled_from(TOKENS), max_size=3),
+    )
+)
+def test_verb_entry_agrees_with_the_full_parser_on_every_input(argv):
+    """Entry at the verb's parser, or the full parse it falls back to, gives
+    what the full parser gives: the same namespace, or the same exit and
+    the same bytes on each stream."""
+    assert parse_outcome(cli._parse_args, argv) == parse_outcome(cli.build_parser().parse_args, argv)
 
 
 def test_main_without_argv_reads_sys_argv(capsys, monkeypatch):

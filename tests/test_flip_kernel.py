@@ -119,6 +119,33 @@ def test_reduce_reads_the_trail_a_walk_from_the_painting_records(diagram):
         assert [m.at for m in trail] == expected, (vd.involution.name, sorted(vd.painted))
 
 
+def test_reduce_reads_the_trail_past_the_rank_guard():
+    """Above the guard's 12 nodes, where no diagram the CLI builds goes, the
+    trail still reads as the walk records it."""
+    diagram = build_diagram.__wrapped__(FamilyId("C", 0, 12))  # unguarded: C(13)
+    identity = automorphisms(diagram)[0]
+    flipped = set()
+    for painted in [{12}, {1, 12}, {3, 7, 12}, {2, 3, 4, 5, 12}, set(range(1, 13))]:
+        reduced, trail = reduce_with_trail(VoganDiagram(diagram, identity, frozenset(painted)))
+        assert [m.at for m in trail] == bfs_trail(diagram, identity.perm, painted, reduced.painted)
+        flipped.update(m.at for m in trail)
+    assert 12 in flipped
+
+
+def test_the_kernel_makes_its_paintings_without_re_checking_them(monkeypatch, capsys):
+    """The paintings ``enumerate_vogan`` lists and ``reduce_with_trail``
+    returns are made from masks of valid paintings, so the constructor's
+    checks, kept for paintings from outside, never run on them."""
+    checks, check = [], VoganDiagram.__post_init__
+    monkeypatch.setattr(VoganDiagram, "__post_init__", lambda vd: checks.append(vd) or check(vd))
+    assert cli_main(["enumerate", "D(10,2)", "--reduce", "--classify"]) == 0
+    assert capsys.readouterr().out.startswith("D(10,2): 2560 painted diagrams")
+    assert checks == []
+    diagram = build_diagram(FamilyId("D", 10, 2))
+    VoganDiagram(diagram, automorphisms(diagram)[0], frozenset({2}))
+    assert len(checks) == 1
+
+
 def orbit_count(diagram):
     covered, count = set(), 0
     for vd in enumerate_vogan(diagram):
