@@ -7,9 +7,9 @@ Gram record (``gram_record``), the one place where its coordinates become
 integers: every simple root scaled by one lcm s of their coordinates'
 denominators, the Gram matrix as ``int`` rows over den = s**2, and each
 row's Cartan scale.  Every package path reads that record: even blocks,
-diagram symmetries, flip masks, rendered bonds and, through the integer
-transform of ``linalg.bareiss``, the block inverses behind dual-basis
-minimality and the root expansions.  An expansion is summed over ``int``,
+diagram symmetries, flip masks, the root lengths that pick canonical
+vertices, rendered bonds and, through the integer transform of
+``linalg.bareiss``, the root expansions.  An expansion is summed over ``int``,
 each weight scaled by the lcm of its denominators; ``root_expansion``
 wraps it in ``Fraction``s, and ``noncompact_parity`` keeps two node masks
 per positive even root over its numerators (the nodes of its odd
@@ -669,25 +669,19 @@ def block_sign(diagram: Diagram, component: Sequence[int]) -> int:
     return 1 if gram_record(diagram).rows[first][first] > 0 else -1
 
 
-def integer_block_inverse(diagram: Diagram, component: Sequence[int]):
-    """``(n, r, d)``: the component's block n of ``gram_record``'s rows, and
-    the integer transform r and last pivot d of ``linalg.bareiss`` on it, so
-    that ``n @ r`` is d times the identity.  Raises SingularBlock when n is
-    singular."""
-    rows = gram_record(diagram).rows
-    n = [[rows[i][j] for j in component] for i in component]
-    pivots, r, d = bareiss(n, [1] * len(n))
-    if len(pivots) < len(n):
-        raise SingularBlock(f"block {tuple(component)} has singular Gram matrix")
-    return n, r, d
-
-
 def _block_gram_inverse(diagram: Diagram, component: Sequence[int]):
     """G^-1 for the component's Gram matrix G, and eps_i = G_ii / 2.  The dual
     basis is w_j = sum_i (G^-1)_ji a_i / eps_j, so <w_i, w_j> = (G^-1)_ij / (eps_i eps_j).
-    With G = n / den and n r = d I (``integer_block_inverse``), G^-1 = den r / d."""
-    n, r, d = integer_block_inverse(diagram, component)
-    den = gram_record(diagram).den
+    With G = n / den for the component's block n of ``gram_record``'s rows,
+    and n r = d I for the integer transform r and last pivot d of
+    ``linalg.bareiss`` on n, G^-1 = den r / d.  Raises SingularBlock when n
+    is singular."""
+    record = gram_record(diagram)
+    n = [[record.rows[i][j] for j in component] for i in component]
+    pivots, r, d = bareiss(n, [1] * len(n))
+    if len(pivots) < len(n):
+        raise SingularBlock(f"block {tuple(component)} has singular Gram matrix")
+    den = record.den
     eps = [Q(row[k], 2 * den) for k, row in enumerate(n)]
     return [[Q(den * x, d) for x in row] for row in r], eps
 

@@ -364,6 +364,9 @@ def parse_document(source: Union[str, dict]) -> VoganDiagram:
         i, j = pair[0] - 1, pair[1] - 1
         if not (0 <= i < len(diagram) and 0 <= j < len(diagram)):
             raise ParseError("arrow index out of range", _shown(pair), 0)
+        # an arrow joins two nodes, and no node is named by two arrows
+        if i == j or perm[i] != i or perm[j] != j:
+            raise ParseError("arrows must join distinct nodes, each at most once", _shown(pair), 0)
         perm[i], perm[j] = j, i
     involution = next(
         (g for g in automorphisms(diagram) if g.perm == tuple(perm)), None

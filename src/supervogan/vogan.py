@@ -8,11 +8,12 @@ painted node re-chooses the Cartan involution through that node's reflection
 and toggles exactly the fixed even neighbours paired with it by an odd
 integer.  Flips never mix even blocks, so a flip orbit is the product of its
 blocks' orbits.  ``_block_target``, the Borel-de Siebenthal step, picks each
-painted block's one painted node by the dual-basis minimality rule, and
-their union, ``_orbit_key``, is the orbit's canonical painting and the one
-way an orbit is known: ``flip_orbits`` keeps the first painting of each
-key, ``equivalent`` compares keys, ``reduce_with_trail`` reduces to it,
-and ``canonical_block_painting``, its public face, returns it.
+painted block's one painted node, its orbit's single vertex of the longest
+simple root (the lowest on a tie), and their union, ``_orbit_key``, is the
+orbit's canonical painting and the one way an orbit is known:
+``flip_orbits`` keeps the first painting of each key, ``equivalent``
+compares keys, ``reduce_with_trail`` reduces to it, and
+``canonical_block_painting``, its public face, returns it.
 
 Walks only fill two flat tables per (diagram, fixed nodes), kept in the
 diagram's record (``_flip_tables``) and indexed by painting mask: each
@@ -31,9 +32,8 @@ i for node i, and a flip at node i is one XOR with node i's toggle mask.  The
 masks are derived once per (diagram, fixed nodes) from the integer Gram rows
 of ``algebra.gram_record``, each Cartan entry read as an exact integer
 quotient, and the orbit BFS expands flips in ascending node order, so its
-tie-breaks are deterministic.  Dual-basis minimality is read over the
-integers too, off the block's Gram rows and the transform of one
-fraction-free elimination.
+tie-breaks are deterministic.  A root's length is read off the same rows'
+diagonal.
 """
 
 from __future__ import annotations
@@ -50,7 +50,6 @@ from .algebra import (
     cartan_scales,
     even_blocks,
     gram_record,
-    integer_block_inverse,
     stored,
 )
 from .errors import (
@@ -288,33 +287,6 @@ def flip_orbits(diagram: Diagram) -> Iterator[VoganDiagram]:
 
 
 @stored
-def _admissible_vertices(diagram: Diagram, block: tuple[int, ...]) -> frozenset[int]:
-    """Block vertices i whose dual-basis vector is minimal:
-    s <w_i - w_j, w_j> <= 0 for every j in the block, the block sign s making
-    the comparison definite on both sides of the weight space.
-
-    Read over the integers.  The block's Gram matrix is G = N / den, so
-    eps_i = N_ii / (2 den), and N R = d I (``integer_block_inverse``) gives
-    G^-1 = den R / d.  Then <w_i, w_j> = (G^-1)_ij / (eps_i eps_j) is
-    4 den^3 R_ij / (d N_ii N_jj), and
-
-        s <w_i - w_j, w_j> = s 4 den^3 / (d N_ii N_jj^2) * (R_ij N_jj - R_jj N_ii).
-
-    N_ii has the block's sign s and den > 0, so the factor in front has the
-    sign of d: i is admissible iff sign(d) (R_ij N_jj - R_jj N_ii) <= 0 for
-    every j in the block.
-    """
-    n, r, d = integer_block_inverse(diagram, block)
-    sign = 1 if d > 0 else -1
-    k = range(len(block))
-    return frozenset(
-        i
-        for a, i in enumerate(block)
-        if all(sign * (r[a][b] * n[b][b] - r[b][b] * n[a][a]) <= 0 for b in k)
-    )
-
-
-@stored
 def _flip_tables(diagram: Diagram, fixed: frozenset[int]) -> tuple[array, array]:
     """The two tables of the module docstring, indexed by painting mask and
     filled by ``_block_target`` and ``reduce_with_trail``: each nonempty
@@ -337,22 +309,23 @@ def _block_target(
     """The Borel-de Siebenthal step: the canonical painting, as a mask, of
     ``block``'s nonempty painting ``part``, read off the targets table or
     filled there for the whole block orbit by one walk.  It is the orbit's
-    lowest admissible single vertex (``_admissible_vertices``), failing that
-    its lowest single vertex.  Every nonempty block orbit holds a single
-    vertex; one that does not raises ``InvariantViolation``."""
+    single vertex of the longest simple root (largest |n_ii| in
+    ``gram_record``'s rows), the lowest on a tie: read off the orbit alone,
+    so two paintings share a target exactly when they share an orbit.
+    Every nonempty block orbit holds a single vertex; one that does not
+    raises ``InvariantViolation``."""
     targets = _flip_tables(diagram, fixed)[0]
     target = targets[part]
     if not target:
         orbit = _painting_orbit(diagram, fixed, part)
-        singles = sorted(p for p in orbit if p.bit_count() == 1)
+        singles = [p for p in orbit if p.bit_count() == 1]
         if not singles:
             raise InvariantViolation(
                 f"the flip orbit of block {list(block)} holds no single vertex"
             )
-        target = singles[0]
-        if len(singles) > 1:  # a lone single vertex needs no dual basis
-            admissible = _admissible_vertices(diagram, block)
-            target = next((p for p in singles if p.bit_length() - 1 in admissible), target)
+        rows = gram_record(diagram).rows
+        at = min((p.bit_length() - 1 for p in singles), key=lambda i: (-abs(rows[i][i]), i))
+        target = 1 << at
         for p in orbit:
             targets[p] = target
     return target

@@ -45,7 +45,7 @@ from supervogan.algebra import (
     read_alpha,
 )
 from supervogan.classify import classify
-from supervogan.vogan import VoganDiagram, canonical_block_painting, identity_involution
+from supervogan.vogan import VoganDiagram, identity_involution
 
 Q = Fraction
 
@@ -447,8 +447,6 @@ def test_singular_block_raises():
     assert even_blocks(singular) == ((0, 1, 2),)
     with pytest.raises(SingularBlock):
         dual_basis(singular, (0, 1, 2))
-    with pytest.raises(SingularBlock):
-        canonical_block_painting(VoganDiagram(singular, identity_involution(4), {0}))
 
 
 def isolated_isotropic_node():

@@ -15,7 +15,8 @@ roots, the ``Fraction`` Cartan matrix, and a permutation check written over
 the ``Fraction`` Gram matrix.  No package path touches the ``Fraction``
 layer: with ``row_reduce``, ``invert``, ``solve_exact``, ``gram_matrix``,
 ``cartan_matrix`` and the block inverse behind ``dual_basis`` raising, every
-CLI verb and a root census still run.
+CLI verb and a root census still run, and ``table`` runs with ``bareiss``
+raising.
 """
 
 import random
@@ -32,6 +33,7 @@ from supervogan import (
     build_diagram,
     cartan_matrix,
     generate_roots,
+    node_count,
     noncompact_parity,
     root_expansion,
     table_report,
@@ -231,6 +233,27 @@ def test_the_naming_path_builds_no_fraction_inverse_or_cartan_matrix(monkeypatch
             report = table_report(build_diagram(fam))
             assert report.computed, fam.display()
             assert report.clean() or fam.kind == "A" and fam.m != fam.n, fam.display()
+    finally:
+        build_diagram.cache_clear()
+
+
+def test_table_runs_no_elimination(monkeypatch):
+    """With ``algebra.bareiss`` raising, ``table_report`` still runs on a
+    fresh store for every family of up to 8 nodes and every one of
+    ``ADMISSIBLE_ALPHAS``: choosing each block orbit's canonical vertex
+    inverts no block."""
+    from supervogan import algebra
+
+    def forbidden(*args):
+        raise AssertionError("table ran an elimination")
+
+    monkeypatch.setattr(algebra, "bareiss", forbidden)
+    fams = [f for f in guard_families() if node_count(f) <= 8]
+    fams += [FamilyId("D21alpha", alpha=a) for a in ADMISSIBLE_ALPHAS]
+    build_diagram.cache_clear()
+    try:
+        for fam in dict.fromkeys(fams):
+            assert table_report(build_diagram(fam)).computed, fam.display()
     finally:
         build_diagram.cache_clear()
 

@@ -227,6 +227,17 @@ def _as_d21_with_alpha(alpha):
     return mangle
 
 
+def _as_a22_with_arrows(arrows):
+    """Mangler: the document becomes A(2,2)'s, with ``arrows``."""
+
+    def mangle(doc):
+        doc.clear()
+        doc.update(emit_document(vd_of(FamilyId("A", 2, 2))))
+        doc["arrows"] = arrows
+
+    return mangle
+
+
 @pytest.mark.parametrize(
     "mangle",
     [
@@ -253,6 +264,10 @@ def _as_d21_with_alpha(alpha):
         lambda d: d.__setitem__("arrows", True),
         # a kind that is no string, and too long to print
         lambda d: d.__setitem__("family", {"kind": 10**5000, "m": 1, "n": 1}),
+        # arrows emit_document never writes, once read as the identity and
+        # as the reversal
+        lambda d: d.__setitem__("arrows", [[3, 3]]),
+        _as_a22_with_arrows([[1, 5], [2, 4], [2, 4]]),
     ],
 )
 def test_parse_document_rejects_mangled_documents(mangle):
@@ -260,6 +275,13 @@ def test_parse_document_rejects_mangled_documents(mangle):
     mangle(doc)
     with pytest.raises(ParseError):
         parse_document(doc)
+
+
+def test_parse_document_reads_an_arrow_either_way_round():
+    doc = emit_document(vd_of(FamilyId("A", 2, 2), inv_name="reversal"))
+    assert doc["arrows"] == [[1, 5], [2, 4]]
+    doc["arrows"] = [[5, 1], [4, 2]]
+    assert parse_document(doc).involution.name == "reversal"
 
 
 @pytest.mark.parametrize(

@@ -34,7 +34,6 @@ from supervogan import (
     reduce,
     reduce_with_trail,
 )
-from supervogan.vogan import _admissible_vertices
 from test_acceptance import families
 from test_algebra import all_families, guard_families
 from test_flip_kernel import set_orbit
@@ -367,18 +366,32 @@ def test_canonical_block_painting_prefers_interior():
     "fam", families(6, 6, ADMISSIBLE_ALPHAS), ids=lambda f: f.display()
 )
 def test_admissible_vertices_match_dual_basis_inner_products(fam):
-    """The inverse-Gram reading agrees with inner products of the dual-basis
-    vectors themselves: i is admissible when s <w_i - w_j, w_j> <= 0 for all j."""
+    """Under every involution, each block orbit with two or more single
+    vertices is reduced to the lowest of them that is admissible, failing
+    that the lowest: i is admissible when its dual-basis vector is minimal,
+    s <w_i - w_j, w_j> <= 0 for every j in the block, the Borel-de
+    Siebenthal normal form.  The vectors are built here, not read off the
+    chooser."""
     diagram = build_diagram.__wrapped__(fam)  # unguarded: A(6,6) has 13 nodes
     for block in even_blocks(diagram):
         w = dual_basis(diagram, block)
         s = block_sign(diagram, block)
-        expect = frozenset(
+        admissible = {
             i
             for a, i in enumerate(block)
             if all(s * (w[a] - w[b]).inner(w[b]) <= 0 for b in range(len(block)))
-        )
-        assert _admissible_vertices(diagram, block) == expect
+        }
+        for inv in automorphisms(diagram):
+            seen = set()
+            for i in block:
+                if i not in inv.fixed_set or i in seen:
+                    continue
+                orbit = flip_orbit(VoganDiagram(diagram, inv, {i}))
+                singles = sorted(j for vd in orbit if len(vd.painted) == 1 for j in vd.painted)
+                seen.update(singles)
+                if len(singles) > 1:
+                    expect = next((j for j in singles if j in admissible), singles[0])
+                    assert canonical_block_painting(orbit[0]) == {expect}, (inv.name, singles)
 
 
 @pytest.mark.parametrize(
@@ -388,8 +401,8 @@ def test_admissible_vertices_match_dual_basis_inner_products(fam):
 )
 def test_admissible_vertices_match_dual_basis_on_the_rest_of_the_guard(fam):
     """The same oracle on every guard family with m or n above 6: even
-    blocks of up to 11 nodes, whose names do not show which admissible
-    vertex won."""
+    blocks of up to 11 nodes, whose names do not show which single vertex
+    won."""
     test_admissible_vertices_match_dual_basis_inner_products(fam)
 
 
