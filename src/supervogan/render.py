@@ -38,7 +38,7 @@ from .algebra import (
     read_alpha,
     stored,
 )
-from .errors import InvalidFamily, ParseError
+from .errors import InvalidFamily, ParseError, SupervoganError
 from .vogan import FlipMove, VoganDiagram, automorphisms
 
 SCHEMA_VERSION = "1"
@@ -155,7 +155,10 @@ def render_ascii(vd: VoganDiagram) -> str:
 
 
 def render_dot(vd: VoganDiagram, name: str = "diagram") -> str:
-    """Strict undirected DOT graph with node kinds and bond multiplicities."""
+    """Strict undirected DOT graph with node kinds and bond multiplicities.
+    ``name`` is written unquoted, so it must be an ASCII identifier."""
+    if not (isinstance(name, str) and name.isascii() and name.isidentifier()):
+        raise SupervoganError(f"DOT graph name {name!r} is not an ASCII identifier")
     return _fill(vd, "dot", 'painted="true" style="filled"', 'painted="false"', name)
 
 

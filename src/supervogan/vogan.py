@@ -9,43 +9,44 @@ and toggles exactly the fixed even neighbours paired with it by an odd
 integer.  Flips never mix even blocks, so a flip orbit is the product of its
 blocks' orbits.  ``_block_target``, the Borel-de Siebenthal step, picks each
 painted block's one painted node, its orbit's single vertex of the longest
-simple root (the lowest on a tie), and their union, ``_orbit_key``, is the
+simple root (the lowest on a tie), and their union, the orbit key, is the
 orbit's canonical painting and the one way an orbit is known:
 ``flip_orbits`` keeps the first painting of each key, ``equivalent``
 compares keys, ``reduce_with_trail`` reduces to it, and
 ``canonical_block_painting``, its public face, returns it.
 
-Walks only fill two flat tables per (diagram, fixed nodes), kept in the
-diagram's record (``_flip_tables``) and indexed by painting mask: each
-block painting's target, filled for its block orbit by one walk, and each
-painting's flip distance to its orbit's canonical painting, filled for a
-whole orbit by one walk from that painting the first time the orbit is
-reduced.  ``reduce_with_trail`` reads the trail greedily, flipping at each
-step the lowest painted node whose flip lowers the distance by one: the
-lexicographically least shortest trail, the one a breadth-first walk from
-the painting records.  ``build_diagram.cache_clear()`` drops the tables
-with the rest of the record.  Only the public ``flip_orbit`` walks an orbit
-without filling a table.
+One kernel does every flip; its state is one record per (diagram, fixed
+nodes), ``_kernel``, built once and kept in the diagram's record, which
+``build_diagram.cache_clear()`` drops.  Inside the kernel a painting is an
+``int`` bitmask, bit i for node i, and a flip at node i is one XOR with the
+record's ``masks[i]``, read off the integer Gram rows of
+``algebra.gram_record``.  Walks only fill its two flat tables, ``targets``
+and ``dist``, indexed by painting mask: each block painting's target,
+filled for its block orbit by one walk, and each painting's flip distance
+to its orbit's canonical painting, filled for a whole orbit by one walk
+from that painting the first time the orbit is reduced.  Only the public
+``flip_orbit`` walks an orbit without filling a table.  The record also
+holds ``key``, the orbit key, and ``moves``, one ``FlipMove`` per node.
 
-One kernel does every flip.  Inside it a painting is an ``int`` bitmask, bit
-i for node i, and a flip at node i is one XOR with node i's toggle mask.  The
-masks are derived once per (diagram, fixed nodes) from the integer Gram rows
-of ``algebra.gram_record``, each Cartan entry read as an exact integer
-quotient, and the orbit BFS expands flips in ascending node order, so its
-tie-breaks are deterministic.  A root's length is read off the same rows'
-diagonal.
+``reduce_with_trail`` reads the trail greedily, flipping at each step the
+lowest painted node whose flip lowers the distance by one: the
+lexicographically least shortest trail, the one a breadth-first walk from
+the painting records.  The orbit BFS expands flips in ascending node order,
+so its tie-breaks are deterministic.  A root's length is read off the Gram
+rows' diagonal.
 """
 
 from __future__ import annotations
 
 from array import array
+from collections import namedtuple
 from dataclasses import dataclass, field
 from itertools import chain, combinations
-from typing import Callable, Iterable, Iterator
+from typing import Iterable, Iterator
+from weakref import ref
 
 from .algebra import (
     EVEN,
-    RANK_GUARD,
     Diagram,
     cartan_scales,
     even_blocks,
@@ -207,19 +208,51 @@ def _nodes(mask: int) -> frozenset[int]:
     return frozenset(_bits(mask))
 
 
+@dataclass(frozen=True)
+class FlipMove:
+    at: int
+
+
+_Kernel = namedtuple("Kernel", "masks targets dist moves key")
+
+
 @stored
-def _toggle_masks(diagram: Diagram, fixed: frozenset[int]) -> tuple[int, ...]:
-    """Per node, the fixed even nodes paired with it by an odd integer in its
-    Cartan row, as a mask: exactly what a flip there toggles.  The entry
-    a_ij = c n_ij / q is read off the integer Gram rows n (``cartan_scales``):
-    it is an odd integer, q (2k + 1), exactly when c n_ij = q mod 2q (for
-    either sign of q, as Python's ``%`` takes the sign of the modulus)."""
+def _kernel(diagram: Diagram, fixed: frozenset[int]) -> _Kernel:
+    """The flip kernel's record under the fixed nodes ``fixed`` (see the
+    module docstring).  ``masks[i]`` holds the fixed even nodes paired with
+    node i by an odd integer in its Cartan row: exactly what a flip there
+    toggles.  The entry a_ij = c n_ij / q is read off the integer Gram rows
+    n (``cartan_scales``): it is an odd integer, q (2k + 1), exactly when
+    c n_ij = q mod 2q (for either sign of q, as Python's ``%`` takes the
+    sign of the modulus).  ``_block_target`` fills ``targets`` with each
+    nonempty block painting's target, and ``reduce_with_trail`` fills
+    ``dist`` with each painting's flip distance to its orbit's canonical
+    painting, plus one; 0 marks an entry not yet filled (no nonempty block
+    painting has the target 0).  ``key(mask)`` ORs the targets of
+    ``mask``'s block parts; each block orbit holds one target, so two
+    paintings share a key exactly when they share an orbit."""
     rows = gram_record(diagram).rows
     even = [j for j in diagram.even_indices() if j in fixed]
-    return tuple(
+    masks = tuple(
         _mask(j for j in even if j != at and c * row[j] % (2 * q) == q)
         for at, (row, (c, q)) in enumerate(zip(rows, cartan_scales(diagram)))
     )
+    size = 1 << len(diagram)
+    targets, dist = array("I", [0]) * size, array("I", [0]) * size
+    blocks = [(block, _mask(block)) for block in even_blocks(diagram)]
+    # the record is kept on the diagram: a weak reference back makes no
+    # cycle, so a diagram no one holds is freed at once, record and all
+    held = ref(diagram)
+
+    def key(mask: int) -> int:
+        goal = 0
+        for block, block_mask in blocks:
+            part = mask & block_mask
+            if part:
+                goal |= targets[part] or _block_target(held(), fixed, block, part)
+        return goal
+
+    return _Kernel(masks, targets, dist, tuple(map(FlipMove, range(len(diagram)))), key)
 
 
 def flip(vd: VoganDiagram, at: int) -> VoganDiagram:
@@ -232,24 +265,15 @@ def flip(vd: VoganDiagram, at: int) -> VoganDiagram:
         raise FlipAtOddNode(f"node {at} is odd; flips act on even nodes")
     if at not in vd.painted:
         raise FlipAtUnpainted(f"node {at} is not painted")
-    masks = _toggle_masks(vd.diagram, vd.involution.fixed_set)
-    new = _mask(vd.painted) ^ masks[at]
-    return VoganDiagram(vd.diagram, vd.involution, _nodes(new))
-
-
-@dataclass(frozen=True)
-class FlipMove:
-    at: int
-
-
-# the trail's moves, one per node of any diagram the guard admits
-_MOVES = tuple(map(FlipMove, range(RANK_GUARD)))
+    # fixed even nodes XOR a mask of fixed even nodes: valid by construction
+    masks = _kernel(vd.diagram, vd.involution.fixed_set).masks
+    return _made(vd.diagram, vd.involution, _mask(vd.painted) ^ masks[at])
 
 
 def _painting_orbit(diagram: Diagram, fixed: frozenset[int], start: int) -> dict[int, int]:
     """BFS over flips; maps each painting reachable from ``start`` to its flip
     distance from it, in the order the walk reaches them."""
-    masks = _toggle_masks(diagram, fixed)
+    masks = _kernel(diagram, fixed).masks
     dist = {start: 0}
     queue = [start]
     for cur in queue:  # a list iterated while it grows: first in, first out
@@ -277,30 +301,13 @@ def flip_orbit(vd: VoganDiagram) -> tuple[VoganDiagram, ...]:
 
 def flip_orbits(diagram: Diagram) -> Iterator[VoganDiagram]:
     """Every flip orbit once, by its first painting in ``enumerate_vogan``
-    order: the first painting of each canonical painting (``_orbit_key``)."""
+    order: the first painting of each orbit key (``_kernel``'s ``key``)."""
     for inv in automorphisms(diagram):
-        key = _orbit_key(diagram, inv.fixed_set)
+        key = _kernel(diagram, inv.fixed_set).key
         firsts: dict[int, int] = {}  # canonical painting: first painting
         for mask in _paintings(diagram, inv):
             firsts.setdefault(key(mask), mask)
         yield from (_made(diagram, inv, mask) for mask in firsts.values())
-
-
-@stored
-def _flip_tables(diagram: Diagram, fixed: frozenset[int]) -> tuple[array, array]:
-    """The two tables of the module docstring, indexed by painting mask and
-    filled by ``_block_target`` and ``reduce_with_trail``: each nonempty
-    block painting's target, and each painting's flip distance to its
-    orbit's canonical painting, plus one.  0 marks an entry not yet filled
-    (no nonempty block painting has the target 0)."""
-    size = 1 << len(diagram)
-    return array("I", [0]) * size, array("I", [0]) * size
-
-
-@stored
-def _block_masks(diagram: Diagram) -> dict[tuple[int, ...], int]:
-    """Each of ``even_blocks``, and its node mask."""
-    return {block: _mask(block) for block in even_blocks(diagram)}
 
 
 def _block_target(
@@ -314,7 +321,7 @@ def _block_target(
     so two paintings share a target exactly when they share an orbit.
     Every nonempty block orbit holds a single vertex; one that does not
     raises ``InvariantViolation``."""
-    targets = _flip_tables(diagram, fixed)[0]
+    targets = _kernel(diagram, fixed).targets
     target = targets[part]
     if not target:
         orbit = _painting_orbit(diagram, fixed, part)
@@ -331,33 +338,14 @@ def _block_target(
     return target
 
 
-def _orbit_key(diagram: Diagram, fixed: frozenset[int]) -> Callable[[int], int]:
-    """Maps a painting mask under the fixed nodes ``fixed`` to its orbit's
-    canonical painting, the OR of its block parts' targets.  Each block
-    orbit holds one target, so two paintings share a key exactly when they
-    share an orbit.  The targets table and block masks are read once, here."""
-    blocks = _block_masks(diagram).items()
-    targets = _flip_tables(diagram, fixed)[0]
-
-    def key(mask: int) -> int:
-        goal = 0
-        for block, block_mask in blocks:
-            part = mask & block_mask
-            if part:
-                goal |= targets[part] or _block_target(diagram, fixed, block, part)
-        return goal
-
-    return key
-
-
 def canonical_block_painting(vd: VoganDiagram) -> frozenset[int]:
-    """The canonical painting of ``vd``'s flip orbit, read off
-    ``_orbit_key``: on each painted even block, the one vertex
+    """The canonical painting of ``vd``'s flip orbit, its orbit key (see
+    ``_kernel``): on each painted even block, the one vertex
     ``_block_target`` chooses.  Raises BadIndex unless ``vd`` is a
     ``VoganDiagram``, whose constructor checked its painting."""
     if not isinstance(vd, VoganDiagram):
         raise BadIndex(f"{vd!r} is not a VoganDiagram")
-    return _nodes(_orbit_key(vd.diagram, vd.involution.fixed_set)(_mask(vd.painted)))
+    return _nodes(_kernel(vd.diagram, vd.involution.fixed_set).key(_mask(vd.painted)))
 
 
 def reduce_with_trail(vd: VoganDiagram) -> tuple[VoganDiagram, tuple[FlipMove, ...]]:
@@ -365,15 +353,13 @@ def reduce_with_trail(vd: VoganDiagram) -> tuple[VoganDiagram, tuple[FlipMove, .
     the lexicographically least shortest one, read off the distances table
     (see the module docstring)."""
     diagram, fixed = vd.diagram, vd.involution.fixed_set
+    masks, _, dist, moves, key = _kernel(diagram, fixed)
     start = _mask(vd.painted)
-    goal = _orbit_key(diagram, fixed)(start)
-    dist = _flip_tables(diagram, fixed)[1]
+    goal = key(start)
     if not dist[goal]:
         for p, d in _painting_orbit(diagram, fixed, goal).items():
             dist[p] = d + 1
-    masks = _toggle_masks(diagram, fixed)
-    move = _MOVES if len(masks) <= RANK_GUARD else tuple(map(FlipMove, range(len(masks))))
-    moves: list[FlipMove] = []
+    trail: list[FlipMove] = []
     cur, left = start, dist[start]
     while left > 1:
         left -= 1
@@ -387,7 +373,7 @@ def reduce_with_trail(vd: VoganDiagram) -> tuple[VoganDiagram, tuple[FlipMove, .
                 break
             rest ^= low
         cur ^= masks[at]
-        moves.append(move[at])
+        trail.append(moves[at])
     # an unfilled start, or one whose distances lead elsewhere, is not in
     # the goal's orbit
     if cur != goal:
@@ -395,7 +381,7 @@ def reduce_with_trail(vd: VoganDiagram) -> tuple[VoganDiagram, tuple[FlipMove, .
             f"canonical painting {sorted(_bits(goal))} is not in the flip orbit "
             f"of {sorted(vd.painted)}"
         )
-    return _made(diagram, vd.involution, goal), tuple(moves)
+    return _made(diagram, vd.involution, goal), tuple(trail)
 
 
 def reduce(vd: VoganDiagram) -> VoganDiagram:
@@ -414,7 +400,7 @@ def equivalent(vd1: VoganDiagram, vd2: VoganDiagram) -> bool:
         a, b = vd1.diagram.family.display(), vd2.diagram.family.display()
         raise FamilyMismatch(f"cannot compare {a} with {b}")
     p1, p2 = vd1.involution.perm, vd2.involution.perm
-    key = _orbit_key(vd2.diagram, vd2.involution.fixed_set)
+    key = _kernel(vd2.diagram, vd2.involution.fixed_set).key
     target = key(_mask(vd2.painted))
     return any(
         all(p2[g[i]] == g[j] for i, j in enumerate(p1))  # g p1 = p2 g

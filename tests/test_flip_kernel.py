@@ -28,6 +28,7 @@ from supervogan import (
     enumerate_real_forms,
     enumerate_vogan,
     even_blocks,
+    flip,
     flip_orbit,
     node_count,
     reduce_with_trail,
@@ -133,15 +134,21 @@ def test_reduce_reads_the_trail_past_the_rank_guard():
 
 
 def test_the_kernel_makes_its_paintings_without_re_checking_them(monkeypatch, capsys):
-    """The paintings ``enumerate_vogan`` lists and ``reduce_with_trail``
-    returns are made from masks of valid paintings, so the constructor's
-    checks, kept for paintings from outside, never run on them."""
+    """The paintings ``enumerate_vogan`` lists and ``reduce_with_trail`` and
+    ``flip`` return are made from masks of valid paintings, so the
+    constructor's checks, kept for paintings from outside, never run on
+    them: not even when each trail is replayed flip by flip."""
     checks, check = [], VoganDiagram.__post_init__
     monkeypatch.setattr(VoganDiagram, "__post_init__", lambda vd: checks.append(vd) or check(vd))
     assert cli_main(["enumerate", "D(10,2)", "--reduce", "--classify"]) == 0
     assert capsys.readouterr().out.startswith("D(10,2): 2560 painted diagrams")
-    assert checks == []
     diagram = build_diagram(FamilyId("D", 10, 2))
+    for vd in enumerate_vogan(diagram):
+        reduced, trail = reduce_with_trail(vd)
+        for move in trail:
+            vd = flip(vd, move.at)
+        assert vd == reduced
+    assert checks == []
     VoganDiagram(diagram, automorphisms(diagram)[0], frozenset({2}))
     assert len(checks) == 1
 

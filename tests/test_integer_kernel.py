@@ -39,7 +39,7 @@ from supervogan import (
     table_report,
 )
 from supervogan.algebra import gram_matrix, gram_record
-from supervogan.vogan import _toggle_masks
+from supervogan.vogan import _kernel
 from test_algebra import EXPANSION_GRID, Q, guard_families
 from test_vogan import ADMISSIBLE_ALPHAS
 
@@ -151,7 +151,7 @@ def test_integer_readings_match_fraction_oracles(fam):
             )
             for i in range(size)
         )
-        assert _toggle_masks(diagram, fixed) == want, inv.name
+        assert _kernel(diagram, fixed).masks == want, inv.name
 
     # symmetries: each candidate relabeling kept iff it is an involution
     # that keeps node kinds and the Fraction Gram matrix up to sign

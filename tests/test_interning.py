@@ -26,15 +26,19 @@ from supervogan import (
     document_json,
     enumerate_real_forms,
     enumerate_vogan,
+    equivalent,
+    flip,
     generate_roots,
     identity_involution,
     node_count,
     parse_document,
     reduce_with_trail,
+    render_ascii,
     table_report,
 )
 from supervogan.algebra import RANK_GUARD, STORE_BOUND, RankGuardExceeded
 from supervogan.cli import main, parse_family_spec
+from supervogan.vogan import flip_orbits
 from test_acceptance import families
 
 Q = Fraction
@@ -146,6 +150,31 @@ def test_the_store_keeps_at_most_store_bound_families():
     assert build_diagram.cache_info().currsize == STORE_BOUND
     assert first() is None
     assert grown < GROWTH_BOUND
+
+
+@pytest.mark.parametrize("fam", [FamilyId("C", 0, 4), FamilyId("D", 3, 2)], ids=lambda fam: fam.display())
+def test_a_dropped_diagram_is_freed_without_the_cycle_collector(fam):
+    """No stored value refers back to its diagram, so a diagram no one holds
+    is freed at once, record and all, and never waits for a collection of
+    reference cycles."""
+    diagram = build_diagram.__wrapped__(fam)  # not interned: only this test holds it
+    held = weakref.ref(diagram)
+    gc.disable()
+    try:
+        paintings = enumerate_vogan(diagram)
+        for vd in paintings:
+            classify(vd)
+            reduced, trail = reduce_with_trail(vd)
+            if trail:
+                flip(vd, trail[0].at)
+            equivalent(vd, paintings[0])
+            render_ascii(vd)
+            document_json(vd)
+        list(flip_orbits(diagram))
+        del diagram, paintings, vd, reduced, trail
+        assert held() is None
+    finally:
+        gc.enable()
 
 
 def test_a_pickle_carries_no_record():

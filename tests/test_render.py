@@ -11,6 +11,7 @@ from supervogan import (
     FamilyId,
     ParseError,
     RankGuardExceeded,
+    SupervoganError,
     VoganDiagram,
     automorphisms,
     build_diagram,
@@ -131,6 +132,14 @@ def test_dot_involution_edges():
 def test_dot_custom_graph_name():
     text = render_dot(vd_of(FamilyId("G3")), name="diagram7")
     assert text.startswith("strict graph diagram7 {")
+
+
+@pytest.mark.parametrize("name", ["two words", "a{b", "7diagram", "", "diagramé", b"diagram", None])
+def test_dot_refuses_a_graph_name_graphviz_would_not_read(name):
+    """The name is written unquoted into ``strict graph NAME {``: anything
+    but an ASCII identifier would make DOT that Graphviz rejects."""
+    with pytest.raises(SupervoganError, match="is not an ASCII identifier"):
+        render_dot(vd_of(FamilyId("G3")), name=name)
 
 
 # -------------------------------------------------------------------- json

@@ -674,8 +674,8 @@ def test_equivalent_fills_no_distance_table():
             equivalent(v, w)
     module = importlib.import_module("supervogan.vogan")
     for inv in automorphisms(items[0].diagram):
-        assert not any(module._flip_tables(items[0].diagram, inv.fixed_set)[1])
-    assert any(module._flip_tables(items[0].diagram, items[0].involution.fixed_set)[0])
+        assert not any(module._kernel(items[0].diagram, inv.fixed_set).dist)
+    assert any(module._kernel(items[0].diagram, items[0].involution.fixed_set).targets)
 
 
 def test_reducing_every_painting_of_c12_grows_the_store_by_at_most_64_kb():
