@@ -2,29 +2,36 @@
 
 Every quantity is exact: weights live in a split coordinate space with
 inner product ``<e_i, e_j> = delta_ij``, ``<d_i, d_j> = -delta_ij`` and all
-coordinates are ``fractions.Fraction``.  Each diagram keeps one integer
-Gram record (``gram_record``), the one place where its coordinates become
-integers: every simple root scaled by one lcm s of their coordinates'
-denominators, the Gram matrix as ``int`` rows over den = s**2, and each
-row's Cartan scale.  Every package path reads that record: even blocks,
-diagram symmetries, flip masks, the root lengths that pick canonical
-vertices, rendered bonds and, through the integer transform of
-``linalg.bareiss``, the root expansions.  An expansion is summed over ``int``,
-each weight scaled by the lcm of its denominators; ``root_expansion``
-wraps it in ``Fraction``s, and ``noncompact_parity`` keeps two node masks
-per positive even root over its numerators (the nodes of its odd
-coefficients, and of its non-integer ones), reads a negative root through
-its negation and a painting's parity as one masked popcount.  It checks a
-painting once per ``frozenset`` object: the diagram's record keeps the last
-one and its node mask, and any other iterable is checked on every call.
-Each root's hash is set from the key that sorts it.  ``gram_matrix``,
-``cartan_matrix`` and ``dual_basis`` hold ``Fraction``s read off the record;
-no package path calls them.
+coordinates are ``fractions.Fraction``.  Each weight also keeps its exact
+key (``_exact_key``): its coordinates with the integral ones as ``int``s,
+made once and kept on it.  ``_weights`` sets it beside every classical root
+it builds; D(2,1;alpha), F(4) and G(3), and weights made by arithmetic,
+make it from their coordinates on first use.  The root layer reads this key
+where it needs integers.  Each diagram keeps one integer Gram record
+(``gram_record``), the one place where its simple roots become integers:
+every simple root's key, or its ``Fraction`` coordinates when it has none,
+scaled by one lcm s of their denominators, the Gram matrix as ``int`` rows
+over den = s**2, and each row's Cartan scale.  Every package path reads
+that record: even blocks, diagram symmetries, flip masks, the root lengths
+that pick canonical vertices, rendered bonds and, through the integer
+transform of ``linalg.bareiss``, the root expansions.  An expansion is
+summed over ``int``, each weight's key scaled by the lcm of its
+denominators; ``root_expansion`` wraps it in ``Fraction``s, and
+``noncompact_parity`` keeps two node masks per positive even root over its
+numerators (the nodes of its odd coefficients, and of its non-integer
+ones), reads a negative root through its negation and a painting's parity
+as one masked popcount.  It checks a painting once per ``frozenset``
+object: the diagram's record keeps the last one and its node mask, and any
+other iterable is checked on every call.  Each root's hash is set from the
+key that sorts it, the value ``__hash__`` gives, so a weight hashes,
+compares, orders and pickles as the dataclass of its two ``Fraction``
+parts.  ``gram_matrix``, ``cartan_matrix`` and ``dual_basis`` hold
+``Fraction``s read off the record; no package path calls them.
 
 The classical families A, B, B(0,n), C and D are built from their word in
 epsilon and delta (``_word``): simple roots and positive roots alike, each
-coordinate set from a shared ``Fraction``, not summed.  D(2,1;alpha), F(4)
-and G(3) keep hand-written weights.
+coordinate set from a shared ``Fraction``, not summed, and its key from the
+same ``int``.  D(2,1;alpha), F(4) and G(3) keep hand-written weights.
 
 Data derived from a diagram is kept in a record on the ``Diagram`` by the
 ``stored`` functions, here and in ``vogan``, so it lives and dies with its
@@ -44,7 +51,7 @@ from collections import OrderedDict, namedtuple
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import update_wrapper
-from itertools import count
+from itertools import chain, count
 from math import lcm
 from operator import itemgetter, mul
 from typing import Optional, Sequence
@@ -128,8 +135,32 @@ def _exact(part: tuple[Fraction, ...]) -> tuple:
 
 
 def _exact_key(v: WeightVector) -> tuple[tuple, tuple]:
-    """``(e_part, d_part)`` as ``_exact`` tuples: ``v``'s order and hash."""
-    return _exact(v.e_part), _exact(v.d_part)
+    """``(e_part, d_part)`` as ``_exact`` tuples: ``v``'s order and hash, and
+    the ``int``s the root layer reads.  Made once per vector and kept on it
+    as ``_key``.  ``_weights`` presets it on every classical root it builds,
+    so only the roots of D(2,1;alpha), F(4) and G(3) and vectors made by
+    arithmetic read their coordinates' numerators and denominators here."""
+    # getattr with a default, not try/except: a miss then raises nothing
+    key = getattr(v, "_key", None)
+    if key is None:
+        key = _exact(v.e_part), _exact(v.d_part)
+        object.__setattr__(v, "_key", key)
+    return key
+
+
+def _scaled(values: Sequence, s: int) -> Sequence[int]:
+    """``values``, ``int``s and ``Fraction``s whose denominators divide ``s``,
+    times ``s``: a part of an ``_exact_key`` or a weight's ``Fraction`` part.
+    Over ``s`` 1 a key's part holds only ``int``s (it keeps a ``Fraction``
+    only off the integers) and is returned as it is."""
+    if s == 1 and (not values or type(values[0]) is int):
+        return values
+    return [x * s if type(x) is int else x.numerator * (s // x.denominator) for x in values]
+
+
+def _denominator(values) -> int:
+    """The lcm of the denominators of ``values``, ``int``s and ``Fraction``s."""
+    return lcm(*[x.denominator for x in values if type(x) is not int])
 
 
 def _coordinates(part: Sequence) -> tuple[Fraction, ...]:
@@ -435,11 +466,15 @@ def gram_record(diagram: Diagram) -> GramRecord:
     node, ``(1, max_j |n_ij|)`` for an isotropic one (``q`` is 0 when that
     row is zero; ``cartan_scales`` rejects it).
     """
+    # each root's key where _weights set it, else its Fraction parts, which
+    # _denominator and _scaled read alike: the record makes no key, so a cold
+    # D(2,1;alpha), F(4) or G(3) diagram converts each coordinate once
     roots = [node.root for node in diagram.nodes]
-    s = lcm(*(x.denominator for root in roots for x in root.coords()))
-    e = [[x.numerator * (s // x.denominator) for x in root.e_part] for root in roots]
-    d = [[x.numerator * (s // x.denominator) for x in root.d_part] for root in roots]
-    size = len(roots)
+    parts = [getattr(r, "_key", None) or (r.e_part, r.d_part) for r in roots]
+    s = _denominator(chain.from_iterable(chain.from_iterable(parts)))
+    e = [_scaled(e_part, s) for e_part, _ in parts]
+    d = [_scaled(d_part, s) for _, d_part in parts]
+    size = len(parts)
     rows = [[0] * size for _ in range(size)]
     for i in range(size):
         for j in range(i, size):
@@ -463,8 +498,9 @@ def gram_matrix(diagram: Diagram) -> tuple[tuple[Fraction, ...], ...]:
 # Construction of the eight families.
 
 
-# Coordinates are set from these shared values, never summed.
-_ZERO, _ONE, _MINUS_ONE, _TWO = Q(0), Q(1), Q(-1), Q(2)
+_ZERO = Q(0)
+# A classical root's coordinates are set from these shared values, never summed.
+_SHARED = {1: Q(1), -1: Q(-1), 2: Q(2)}
 
 
 def _word(fam: FamilyId) -> tuple[str, str]:
@@ -485,16 +521,21 @@ def _word(fam: FamilyId) -> tuple[str, str]:
 
 def _weights(word: str):
     """``w(*(letter, coeff))``: the weight of ``word``'s space with ``coeff``
-    on the coordinate of each letter (a position in ``word``), 0 elsewhere."""
+    (1, -1 or 2) on the coordinate of each letter (a position in ``word``),
+    0 elsewhere.  Its ``_exact_key``, the same coordinates as ``int``s, is
+    set beside it."""
     e_dim = word.count("e")
     places = {"e": count(0), "d": count(e_dim)}
     place = [next(places[letter]) for letter in word]
 
-    def w(*terms: tuple[int, Fraction]) -> WeightVector:
-        coords = [_ZERO] * len(word)
+    def w(*terms: tuple[int, int]) -> WeightVector:
+        key, coords = [0] * len(word), [_ZERO] * len(word)
         for letter, coeff in terms:
-            coords[place[letter]] = coeff
-        return WeightVector(tuple(coords[:e_dim]), tuple(coords[e_dim:]))
+            at = place[letter]
+            key[at], coords[at] = coeff, _SHARED[coeff]
+        v = WeightVector(tuple(coords[:e_dim]), tuple(coords[e_dim:]))
+        object.__setattr__(v, "_key", (tuple(key[:e_dim]), tuple(key[e_dim:])))
+        return v
 
     return w
 
@@ -542,14 +583,14 @@ def build_diagram(fam: FamilyId) -> Diagram:
         word, end = _word(fam)
         w = _weights(word)
         for b in range(1, len(word)):
-            add(w((b - 1, _ONE), (b, _MINUS_ONE)), EVEN if word[b - 1] == word[b] else ODD_ISO)
+            add(w((b - 1, 1), (b, -1)), EVEN if word[b - 1] == word[b] else ODD_ISO)
         last = len(word) - 1
         if end == "x":
-            add(w((last, _ONE)), EVEN if word[last] == "e" else ODD_NONISO)
+            add(w((last, 1)), EVEN if word[last] == "e" else ODD_NONISO)
         elif end == "2x":
-            add(w((last, _TWO)), EVEN)
+            add(w((last, 2)), EVEN)
         elif end == "x'+x":
-            add(w((last - 1, _ONE), (last, _ONE)), EVEN)
+            add(w((last - 1, 1), (last, 1)), EVEN)
     return Diagram(tuple(nodes), fam)
 
 
@@ -766,17 +807,18 @@ def generate_roots(diagram: Diagram) -> RootSystem:
         for b, y in enumerate(word):
             for a, x in enumerate(word[:b]):
                 roots = part.get(x + y, odd)
-                roots.append(w((a, _ONE), (b, _MINUS_ONE)))
+                roots.append(w((a, 1), (b, -1)))
                 if end:
-                    roots.append(w((a, _ONE), (b, _ONE)))
+                    roots.append(w((a, 1), (b, 1)))
             if end and y == "d":
-                even_2.append(w((b, _TWO)))
+                even_2.append(w((b, 2)))
             if end == "x":
-                (even_1 if y == "e" else odd).append(w((b, _ONE)))
+                (even_1 if y == "e" else odd).append(w((b, 1)))
 
     # the dataclass order, compared over ints where the coordinates allow; each
-    # root's key is made once and also sets its hash, the value __hash__ gives,
-    # so the parity table keys these positive roots without hashing them again
+    # root's key (set by _weights on a classical root) also sets its hash, the
+    # value __hash__ gives, so the parity table keys these positive roots
+    # without hashing them again
     parts = []
     for part in (even_1, even_2, odd):
         keyed = sorted(zip(map(_exact_key, part), part), key=itemgetter(0))
@@ -827,16 +869,17 @@ def _integer_expansion(diagram: Diagram, v: WeightVector) -> tuple[tuple[int, ..
     solve, vanish, d, shape = _expansion_operator(diagram)
     if (len(v.e_part), len(v.d_part)) != shape:
         raise ValueError(f"{v} is not a weight of the {shape[0]}|{shape[1]} space")
-    terms = [(r, x) for r, x in enumerate(v.coords()) if x]
-    s = lcm(*(x.denominator for _, x in terms))
+    e_key, d_key = _exact_key(v)
+    coords = e_key + d_key
+    s = _denominator(coords)
     out = [0] * len(diagram)
     residual = [0] * len(vanish)
-    for r, x in terms:
-        x = x.numerator * (s // x.denominator)
-        for i, w in solve[r]:
-            out[i] += w * x
-        for k, w in vanish[r]:
-            residual[k] += w * x
+    for r, x in enumerate(_scaled(coords, s)):
+        if x:
+            for i, w in solve[r]:
+                out[i] += w * x
+            for k, w in vanish[r]:
+                residual[k] += w * x
     if any(residual):
         raise ValueError(f"{v} is outside the span of the simple roots")
     return tuple(out), d * s
@@ -849,8 +892,11 @@ def root_expansion(diagram: Diagram, v: WeightVector) -> tuple[Fraction, ...]:
     gets 0 and the odd roots get half-integer coefficients.
 
     Raises ValueError when ``v`` is outside the span of the simple roots,
-    or is not a weight of the diagram's shape.
+    or is not a weight of the diagram's shape, and SupervoganError when it
+    is not a ``WeightVector``.
     """
+    if not isinstance(v, WeightVector):
+        raise SupervoganError(f"{v!r} is not a WeightVector")
     coeffs, den = _integer_expansion(diagram, v)
     return tuple([Q(c, den) if c else _ZERO for c in coeffs])
 

@@ -27,7 +27,7 @@ from typing import Optional
 
 from .algebra import Diagram, FamilyId, even_blocks, gram_record, stored
 from .errors import InvalidFamily
-from .vogan import VoganDiagram, automorphisms, canonical_block_painting, flip_orbits
+from .vogan import VoganDiagram, automorphisms, canonical_block_painting, check_vogan, flip_orbits
 
 Pair = Optional[tuple[int, int]]
 # a namer's answer: the super name and the even parts
@@ -118,6 +118,7 @@ def _chain_position(canon: frozenset[int], half: tuple[tuple[int, ...], ...]) ->
 
 def classify(vd: VoganDiagram) -> RealFormDescriptor:
     """Real form named by a painted diagram; constant on flip orbits."""
+    check_vogan(vd)
     fam = vd.diagram.family
     super_name, even_parts = _NAMERS[fam.kind](vd, fam)
     return RealFormDescriptor(fam, vd.involution.name, super_name, even_parts)

@@ -30,6 +30,9 @@ def bareiss(rows: list[list[int]], scales: list[int]) -> tuple[list[int], list[l
     below, and ``t`` is the transform that made it times ``diag(scales)``:
     for unit scales and a square nonsingular ``rows``, ``rows @ t`` is ``d``
     times the identity.  Every step divides exactly by the previous pivot.
+    A row with 0 in the pivot column is left as it is when the pivot equals
+    the previous one, since the step would give it back unchanged; the
+    coordinate matrices of the chain diagrams are mostly such rows.
     ``scales`` is permuted in place along with the rows.
     """
     count, cols = len(rows), len(rows[0]) if rows else 0
@@ -51,8 +54,9 @@ def bareiss(rows: list[list[int]], scales: list[int]) -> tuple[list[int], list[l
         top = aug[r]
         p = top[c]
         for k in range(count):
-            if k != r:
-                f = aug[k][c]
+            f = aug[k][c]
+            # (p * row - 0 * top) / prev is the row itself when p == prev
+            if k != r and (f or p != prev):
                 new = [p * x - f * y for x, y in zip(aug[k], top)]
                 if prev != 1:
                     if any(x % prev for x in new):

@@ -39,7 +39,7 @@ from .algebra import (
     stored,
 )
 from .errors import InvalidFamily, ParseError, SupervoganError
-from .vogan import FlipMove, VoganDiagram, automorphisms
+from .vogan import FlipMove, VoganDiagram, automorphisms, check_vogan
 
 SCHEMA_VERSION = "1"
 
@@ -143,7 +143,9 @@ def _frame(diagram: Diagram, perm: tuple[int, ...], fmt: str) -> tuple[str, tupl
 
 def _fill(vd: VoganDiagram, fmt: str, on: str, off: str, *head: str) -> str:
     """``vd``'s text in ``fmt``: its frame with ``head`` in the first slots
-    and ``on`` or ``off`` in each node's, as the node is painted or not."""
+    and ``on`` or ``off`` in each node's, as the node is painted or not.
+    Raises BadIndex unless ``vd`` is a ``VoganDiagram``."""
+    check_vogan(vd)
     template, nodes = _frame(vd.diagram, vd.involution.perm, fmt)
     painted = vd.painted
     return template % (*head, *[on if i in painted else off for i in nodes])
@@ -266,6 +268,7 @@ def emit_document(
     realform: Optional[dict] = None,
     trail: Optional[tuple[FlipMove, ...]] = None,
 ) -> dict:
+    check_vogan(vd)
     doc = _document(vd.diagram, vd.involution.perm, vd.painted.__contains__)
     if realform is not None:
         doc["realform"] = realform

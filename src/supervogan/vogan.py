@@ -164,6 +164,13 @@ class VoganDiagram:
                 raise BadIndex(f"painted index {i} is not fixed by the involution")
 
 
+def check_vogan(vd) -> None:
+    """Raise BadIndex unless ``vd`` is a ``VoganDiagram``, whose constructor
+    checked its painting; each entry point that takes one checks it first."""
+    if not isinstance(vd, VoganDiagram):
+        raise BadIndex(f"{vd!r} is not a VoganDiagram")
+
+
 def _made(diagram: Diagram, inv: DiagramInvolution, mask: int) -> VoganDiagram:
     """``VoganDiagram(diagram, inv, _nodes(mask))`` without the constructor's
     checks, for a mask the kernel made: a painting of fixed even nodes of
@@ -257,6 +264,7 @@ def _kernel(diagram: Diagram, fixed: frozenset[int]) -> _Kernel:
 
 def flip(vd: VoganDiagram, at: int) -> VoganDiagram:
     """Flip at a painted node: it stays painted, eligible neighbours toggle."""
+    check_vogan(vd)
     if type(at) is not int:  # not isinstance(): a bool is an int to isinstance
         raise BadIndex(f"flip index {at!r} is not an integer")
     if not 0 <= at < len(vd.diagram):
@@ -292,6 +300,7 @@ def _painting_orbit(diagram: Diagram, fixed: frozenset[int], start: int) -> dict
 def flip_orbit(vd: VoganDiagram) -> tuple[VoganDiagram, ...]:
     """Every Vogan diagram reachable from ``vd`` by flips, in painting order:
     the walked masks sorted by painted-node count, then by sorted nodes."""
+    check_vogan(vd)
     orbit = _painting_orbit(vd.diagram, vd.involution.fixed_set, _mask(vd.painted))
     return tuple(
         _made(vd.diagram, vd.involution, p)
@@ -343,8 +352,7 @@ def canonical_block_painting(vd: VoganDiagram) -> frozenset[int]:
     ``_kernel``): on each painted even block, the one vertex
     ``_block_target`` chooses.  Raises BadIndex unless ``vd`` is a
     ``VoganDiagram``, whose constructor checked its painting."""
-    if not isinstance(vd, VoganDiagram):
-        raise BadIndex(f"{vd!r} is not a VoganDiagram")
+    check_vogan(vd)
     return _nodes(_kernel(vd.diagram, vd.involution.fixed_set).key(_mask(vd.painted)))
 
 
@@ -352,6 +360,7 @@ def reduce_with_trail(vd: VoganDiagram) -> tuple[VoganDiagram, tuple[FlipMove, .
     """Reduce to the canonical painting; also return the flip sequence used:
     the lexicographically least shortest one, read off the distances table
     (see the module docstring)."""
+    check_vogan(vd)
     diagram, fixed = vd.diagram, vd.involution.fixed_set
     masks, _, dist, moves, key = _kernel(diagram, fixed)
     start = _mask(vd.painted)
@@ -396,6 +405,8 @@ def equivalent(vd1: VoganDiagram, vd2: VoganDiagram) -> bool:
     g perm1 g^-1 = perm2, the painting g(painted1) has vd2's key under vd2's
     involution.  Each diagram lists at most one nontrivial involution, so
     the automorphisms are already a group (a test checks this)."""
+    check_vogan(vd1)
+    check_vogan(vd2)
     if vd1.diagram != vd2.diagram:
         a, b = vd1.diagram.family.display(), vd2.diagram.family.display()
         raise FamilyMismatch(f"cannot compare {a} with {b}")

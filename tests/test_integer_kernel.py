@@ -110,6 +110,87 @@ def test_root_hashes_and_order_are_the_dataclass_ones(fam):
         assert list(part) == sorted(part)
 
 
+CLASSICAL = ("A", "B", "B0", "C", "D")
+
+
+def test_a_classical_census_builds_no_root_key_from_fractions(monkeypatch):
+    """With ``algebra._exact`` raising, a cold census still runs on every
+    classical guard family: ``generate_roots``, ``gram_record`` and
+    ``noncompact_parity`` on every positive even root read the ``int`` key
+    that ``_weights`` set beside each root, and never rebuild it from the
+    ``Fraction`` coordinates."""
+    from supervogan import algebra
+
+    def forbidden(part):
+        raise AssertionError("a classical root's key was rebuilt from its coordinates")
+
+    monkeypatch.setattr(algebra, "_exact", forbidden)
+    fams = [f for f in guard_families() if f.kind in CLASSICAL]
+    assert len(fams) == 221
+    build_diagram.cache_clear()
+    try:
+        for fam in fams:
+            diagram = build_diagram(fam)
+            gram_record(diagram)
+            painted = frozenset(diagram.even_indices()[::2])
+            for v in generate_roots(diagram).even():
+                noncompact_parity(diagram, painted, v)
+    finally:
+        build_diagram.cache_clear()
+
+
+def coordinate_key(part):
+    """A part of the exact key, rebuilt here: each coordinate as an ``int``
+    when it is one, else as its ``Fraction``; and the type of each entry."""
+    key = tuple(int(x) if x.denominator == 1 else x for x in part)
+    return key, tuple(map(type, key))
+
+
+def test_every_root_keeps_the_key_its_coordinates_give():
+    """On every simple and positive root of every guard family and of each
+    of ``ADMISSIBLE_ALPHAS``, and on each negative, the key that orders and
+    hashes it holds its coordinates, integral ones as ``int``s, and its hash
+    is the hash of its two ``Fraction`` parts."""
+    from supervogan.algebra import _exact_key
+
+    fams = guard_families() + [FamilyId("D21alpha", alpha=a) for a in ADMISSIBLE_ALPHAS]
+    fams = list(dict.fromkeys(fams))
+    assert len(fams) == 231
+    for fam in fams:
+        diagram = build_diagram(fam)
+        simple = [node.root for node in diagram.nodes]
+        for r in simple + list(generate_roots(diagram).all_positive()):
+            for v in (r, -r):
+                e, d = _exact_key(v)
+                assert (coordinate_key(e), coordinate_key(d)) == (
+                    coordinate_key(v.e_part),
+                    coordinate_key(v.d_part),
+                ), (fam.display(), v)
+                assert hash(v) == hash((v.e_part, v.d_part))
+
+
+def test_a_gram_record_reads_a_root_without_a_key_as_one_with_it():
+    """On fresh roots of D(2,1;alpha), F(4) and G(3) the Gram record reads
+    their ``Fraction`` coordinates and makes no key; it equals, ``int`` for
+    ``int``, the record made after every root's key.  G(3) needs no scale,
+    so its ``Fraction`` coordinates must still become ``int``s."""
+    from supervogan.algebra import _exact_key
+
+    fams = [FamilyId("F4"), FamilyId("G3")]
+    fams += [FamilyId("D21alpha", alpha=a) for a in ADMISSIBLE_ALPHAS]
+    for fam in fams:
+        fresh = build_diagram.__wrapped__(fam)
+        cold = gram_record.__wrapped__(fresh)
+        assert not any(hasattr(node.root, "_key") for node in fresh.nodes)
+        keyed = build_diagram.__wrapped__(fam)
+        for node in keyed.nodes:
+            _exact_key(node.root)
+        warm = gram_record.__wrapped__(keyed)
+        assert cold == warm, fam.display()
+        for record in (cold, warm):
+            assert all(type(x) is int for row in record.rows + record.coords for x in row)
+
+
 # ----------------------------------------------------- integer Gram readings
 
 # 60 digits above and below the line; 1 + alpha < 0

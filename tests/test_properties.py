@@ -10,6 +10,7 @@ from hypothesis import given, settings, strategies as st
 
 from supervogan import (
     FamilyId,
+    InvariantViolation,
     NotAnEvenRoot,
     build_diagram,
     enumerate_vogan,
@@ -65,6 +66,71 @@ def test_bareiss_gives_an_integer_inverse_up_to_its_last_pivot(n):
     if rank == size:
         product = [[sum(map(int.__mul__, row, col)) for col in zip(*r)] for row in n]
         assert product == [[d if i == j else 0 for j in range(size)] for i in range(size)]
+
+
+def eliminate_every_row(rows, scales):
+    """Fraction-free Gauss-Jordan on ``[rows | diag(scales)]`` that steps every
+    row at every pivot, as ``bareiss`` did before it left unchanged rows
+    alone: ``(pivots, t, d)``, and ``scales`` permuted with the rows."""
+    count, cols = len(rows), len(rows[0])
+    aug = [
+        row + [s if i == j else 0 for j in range(count)]
+        for i, (row, s) in enumerate(zip(rows, scales))
+    ]
+    pivots, prev = [], 1
+    for c in range(cols):
+        r = len(pivots)
+        found = [k for k in range(r, count) if aug[k][c]]
+        if r == count or not found:
+            continue
+        k = found[0]
+        aug[r], aug[k] = aug[k], aug[r]
+        scales[r], scales[k] = scales[k], scales[r]
+        top, p = aug[r], aug[r][c]
+        for k in range(count):
+            if k != r:
+                new = [p * x - aug[k][c] * y for x, y in zip(aug[k], top)]
+                assert all(x % prev == 0 for x in new)
+                aug[k] = [x // prev for x in new]
+        prev = p
+        pivots.append(c)
+    return pivots, [row[cols:] for row in aug], prev
+
+
+@st.composite
+def sparse_integer_matrices(draw):
+    """Mostly zeros in -2..2, up to 12 columns, square or with up to two more
+    rows than columns (A(m,n)'s coordinates have one vanishing row)."""
+    cols = draw(st.integers(min_value=1, max_value=12))
+    count = cols + draw(st.integers(min_value=0, max_value=2))
+    entry = st.sampled_from((0, 0, 0, 0, 0, 0, -2, -1, 1, 2))
+    rows = [[draw(entry) for _ in range(cols)] for _ in range(count)]
+    scales = [draw(st.integers(min_value=1, max_value=4)) for _ in range(count)]
+    return rows, scales
+
+
+@settings(max_examples=300, deadline=None)
+@given(sparse_integer_matrices())
+def test_bareiss_gives_what_stepping_every_row_gives(drawn):
+    """Leaving a row with 0 in the pivot column alone when the pivot equals
+    the previous one changes no output: pivots, transform, last pivot and
+    the permuted scales all match an elimination that steps every row."""
+    rows, scales = drawn
+    ours, theirs = scales[:], scales[:]
+    got = bareiss([row[:] for row in rows], ours)
+    assert got == eliminate_every_row([row[:] for row in rows], theirs)
+    assert ours == theirs
+
+
+def test_bareiss_still_checks_that_the_previous_pivot_divides():
+    """Over integers every step divides exactly; entries off the integers
+    break that, and the check still fires on a row it steps, one with 0 in
+    the pivot column under a new pivot included."""
+    with pytest.raises(InvariantViolation, match="does not divide row 0"):
+        bareiss([[Q(1, 2), 1], [1, 1]], [1, 1])
+    # row 0 has 0 in column 1, but the pivot 1/6 differs from the last, 1/2
+    with pytest.raises(InvariantViolation, match="does not divide row 0"):
+        bareiss([[Q(1, 2), 0], [0, Q(1, 3)]], [1, 1])
 
 
 @settings(max_examples=60, deadline=None)

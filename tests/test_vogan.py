@@ -31,8 +31,15 @@ from supervogan import (
     flip_orbit,
     identity_involution,
     node_count,
+    SupervoganError,
+    classify,
+    document_json,
+    emit_document,
     reduce,
     reduce_with_trail,
+    render_ascii,
+    render_dot,
+    root_expansion,
 )
 from test_acceptance import families
 from test_algebra import all_families, guard_families
@@ -262,6 +269,45 @@ def test_canonical_block_painting_takes_a_vogan_diagram():
         for block in even_blocks(diagram):
             assert len(canon & set(block)) == bool(painted & set(block)), (painted, block)
         assert canon <= {0, 2, 3}
+
+
+# Each public call that takes a VoganDiagram, given ``bad`` in its place;
+# ``good`` is a VoganDiagram of the same diagram for the other argument.
+VOGAN_ENTRIES = {
+    "flip": lambda bad, good: flip(bad, 0),
+    "flip_orbit": lambda bad, good: flip_orbit(bad),
+    "reduce": lambda bad, good: reduce(bad),
+    "reduce_with_trail": lambda bad, good: reduce_with_trail(bad),
+    "equivalent/first": lambda bad, good: equivalent(bad, good),
+    "equivalent/second": lambda bad, good: equivalent(good, bad),
+    "canonical_block_painting": lambda bad, good: canonical_block_painting(bad),
+    "classify": lambda bad, good: classify(bad),
+    "render_ascii": lambda bad, good: render_ascii(bad),
+    "render_dot": lambda bad, good: render_dot(bad),
+    "document_json": lambda bad, good: document_json(bad),
+    "emit_document": lambda bad, good: emit_document(bad),
+}
+NOT_VOGAN = ("x", None, 0, (1, 2))
+
+
+@pytest.mark.parametrize("bad", NOT_VOGAN, ids=repr)
+@pytest.mark.parametrize("entry", VOGAN_ENTRIES)
+def test_entry_points_refuse_what_is_not_a_vogan_diagram(entry, bad):
+    """``BadIndex``, checked once on entry; before, every entry point but
+    ``canonical_block_painting`` raised a bare ``AttributeError``."""
+    diagram = build_diagram(FamilyId("B", 2, 2))
+    good = VoganDiagram(diagram, identity_involution(len(diagram)), frozenset({0}))
+    with pytest.raises(BadIndex, match="not a VoganDiagram"):
+        VOGAN_ENTRIES[entry](bad, good)
+
+
+@pytest.mark.parametrize("bad", NOT_VOGAN, ids=repr)
+def test_root_expansion_refuses_what_is_not_a_weight(bad):
+    """A ``SupervoganError``, where it raised ``AttributeError`` on ``e_part``;
+    a weight of the wrong shape stays a ``ValueError``."""
+    diagram = build_diagram(FamilyId("B", 2, 2))
+    with pytest.raises(SupervoganError, match="not a WeightVector"):
+        root_expansion(diagram, bad)
 
 
 def test_enumerate_counts():
