@@ -9,23 +9,22 @@ it builds; D(2,1;alpha), F(4) and G(3), and weights made by arithmetic,
 make it from their coordinates on first use.  The root layer reads this key
 where it needs integers.  Each diagram keeps one integer Gram record
 (``gram_record``), the one place where its simple roots become integers:
-every simple root's key, or its ``Fraction`` coordinates when it has none,
-scaled by one lcm s of their denominators, the Gram matrix as ``int`` rows
-over den = s**2, and each row's Cartan scale.  Every package path reads
-that record: even blocks, diagram symmetries, flip masks, the root lengths
-that pick canonical vertices, rendered bonds and, through the integer
-transform of ``linalg.bareiss``, the root expansions.  An expansion is
-summed over ``int``, each weight's key scaled by the lcm of its
-denominators; ``root_expansion`` wraps it in ``Fraction``s, and
-``noncompact_parity`` keeps two node masks per positive even root over its
-numerators (the nodes of its odd coefficients, and of its non-integer
-ones), reads a negative root through its negation and a painting's parity
-as one masked popcount.  It checks a painting once per ``frozenset``
-object: the diagram's record keeps the last one and its node mask, and any
-other iterable is checked on every call.  Each root's hash is set from the
-key that sorts it, the value ``__hash__`` gives, so a weight hashes,
-compares, orders and pickles as the dataclass of its two ``Fraction``
-parts.  ``gram_matrix``, ``cartan_matrix`` and ``dual_basis`` hold
+every simple root's key scaled by one lcm s of their denominators, the
+Gram matrix as ``int`` rows over den = s**2, and each row's Cartan scale.
+Every package path reads that record: even blocks, diagram symmetries,
+flip masks, the root lengths that pick canonical vertices, rendered bonds
+and, through the integer transform of ``linalg.bareiss``, the root
+expansions.  An expansion is summed over ``int``, each weight's key
+scaled by the lcm of its denominators; ``root_expansion`` wraps it in
+``Fraction``s, and ``noncompact_parity`` keeps two node masks per positive
+even root over its numerators (the nodes of its odd coefficients, and of
+its non-integer ones), reads a negative root through its negation and a
+painting's parity as one masked popcount.  It checks a painting once per
+``frozenset`` object: the diagram's record keeps the last one and its node
+mask, and any other iterable is checked on every call.  Each root's hash
+is set from the key that sorts it, the value ``__hash__`` gives, so a
+weight hashes, compares, orders and pickles as the dataclass of its two
+``Fraction`` parts.  ``gram_matrix``, ``cartan_matrix`` and ``dual_basis`` hold
 ``Fraction``s read off the record; no package path calls them.
 
 The classical families A, B, B(0,n), C and D are built from their word in
@@ -148,14 +147,13 @@ def _exact_key(v: WeightVector) -> tuple[tuple, tuple]:
     return key
 
 
-def _scaled(values: Sequence, s: int) -> Sequence[int]:
-    """``values``, ``int``s and ``Fraction``s whose denominators divide ``s``,
-    times ``s``: a part of an ``_exact_key`` or a weight's ``Fraction`` part.
-    Over ``s`` 1 a key's part holds only ``int``s (it keeps a ``Fraction``
-    only off the integers) and is returned as it is."""
-    if s == 1 and (not values or type(values[0]) is int):
-        return values
-    return [x * s if type(x) is int else x.numerator * (s // x.denominator) for x in values]
+def _scaled(part: tuple, s: int) -> tuple[int, ...]:
+    """A part of an ``_exact_key`` times ``s``, a multiple of the
+    denominators of its ``Fraction``s.  Over ``s`` 1 the part holds only
+    ``int``s and is returned as it is."""
+    if s == 1:
+        return part
+    return tuple([x * s if type(x) is int else x.numerator * (s // x.denominator) for x in part])
 
 
 def _denominator(values) -> int:
@@ -466,11 +464,7 @@ def gram_record(diagram: Diagram) -> GramRecord:
     node, ``(1, max_j |n_ij|)`` for an isotropic one (``q`` is 0 when that
     row is zero; ``cartan_scales`` rejects it).
     """
-    # each root's key where _weights set it, else its Fraction parts, which
-    # _denominator and _scaled read alike: the record makes no key, so a cold
-    # D(2,1;alpha), F(4) or G(3) diagram converts each coordinate once
-    roots = [node.root for node in diagram.nodes]
-    parts = [getattr(r, "_key", None) or (r.e_part, r.d_part) for r in roots]
+    parts = [_exact_key(node.root) for node in diagram.nodes]
     s = _denominator(chain.from_iterable(chain.from_iterable(parts)))
     e = [_scaled(e_part, s) for e_part, _ in parts]
     d = [_scaled(d_part, s) for _, d_part in parts]
@@ -482,7 +476,7 @@ def gram_record(diagram: Diagram) -> GramRecord:
     scales = tuple(
         (2, row[i]) if row[i] else (1, max(map(abs, row))) for i, row in enumerate(rows)
     )
-    coords = tuple(tuple(a + b) for a, b in zip(e, d))
+    coords = tuple(a + b for a, b in zip(e, d))
     return GramRecord(tuple(map(tuple, rows)), s * s, scales, s, coords)
 
 

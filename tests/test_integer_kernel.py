@@ -170,25 +170,28 @@ def test_every_root_keeps_the_key_its_coordinates_give():
 
 
 def test_a_gram_record_reads_a_root_without_a_key_as_one_with_it():
-    """On fresh roots of D(2,1;alpha), F(4) and G(3) the Gram record reads
-    their ``Fraction`` coordinates and makes no key; it equals, ``int`` for
-    ``int``, the record made after every root's key.  G(3) needs no scale,
-    so its ``Fraction`` coordinates must still become ``int``s."""
-    from supervogan.algebra import _exact_key
+    """On a diagram whose simple roots carry no key (rebuilt as -(-r), as a
+    hand-built or replaced node's root may be), the Gram record equals,
+    ``int`` for ``int``, the one made from the keys ``_weights`` set.  B(0,n)
+    has no e-part, and G(3) and the classical families need no scale."""
+    from dataclasses import replace
 
-    fams = [FamilyId("F4"), FamilyId("G3")]
+    from supervogan.algebra import Diagram
+
+    fams = [FamilyId("B0", 0, n) for n in (1, 2, 5)]
+    fams += [FamilyId("A", 2, 1), FamilyId("B", 2, 3), FamilyId("C", n=4), FamilyId("D", 3, 2)]
+    fams += [FamilyId("F4"), FamilyId("G3")]
     fams += [FamilyId("D21alpha", alpha=a) for a in ADMISSIBLE_ALPHAS]
     for fam in fams:
-        fresh = build_diagram.__wrapped__(fam)
-        cold = gram_record.__wrapped__(fresh)
-        assert not any(hasattr(node.root, "_key") for node in fresh.nodes)
-        keyed = build_diagram.__wrapped__(fam)
-        for node in keyed.nodes:
-            _exact_key(node.root)
-        warm = gram_record.__wrapped__(keyed)
-        assert cold == warm, fam.display()
-        for record in (cold, warm):
-            assert all(type(x) is int for row in record.rows + record.coords for x in row)
+        built = build_diagram.__wrapped__(fam)
+        nodes = tuple(replace(node, root=-(-node.root)) for node in built.nodes)
+        assert not any(hasattr(node.root, "_key") for node in nodes)
+        bare = Diagram(nodes, fam)
+        assert bare == built
+        cold = gram_record.__wrapped__(bare)
+        assert cold == gram_record.__wrapped__(built), fam.display()
+        assert all(type(x) is int for row in cold.rows + cold.coords for x in row)
+        assert all(type(row) is tuple for row in cold.rows + cold.coords)
 
 
 # ----------------------------------------------------- integer Gram readings
