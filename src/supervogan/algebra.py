@@ -5,8 +5,9 @@ inner product ``<e_i, e_j> = delta_ij``, ``<d_i, d_j> = -delta_ij`` and all
 coordinates are ``fractions.Fraction``.  Each weight also keeps its exact
 key (``_exact_key``): its coordinates with the integral ones as ``int``s,
 made once and kept on it.  ``_weights`` sets it beside every classical root
-it builds; D(2,1;alpha), F(4) and G(3), and weights made by arithmetic,
-make it from their coordinates on first use.  The root layer reads this key
+it builds, and ``_keyed`` beside each simple root of F(4) and G(3);
+D(2,1;alpha)'s, and weights made by arithmetic, make it from their
+coordinates on first use.  The root layer reads this key
 where it needs integers.  Each diagram keeps one integer Gram record
 (``gram_record``), the one place where its simple roots become integers:
 every simple root's key scaled by one lcm s of their denominators, the
@@ -30,7 +31,8 @@ weight hashes, compares, orders and pickles as the dataclass of its two
 The classical families A, B, B(0,n), C and D are built from their word in
 epsilon and delta (``_word``): simple roots and positive roots alike, each
 coordinate set from a shared ``Fraction``, not summed, and its key from the
-same ``int``.  D(2,1;alpha), F(4) and G(3) keep hand-written weights.
+same ``int``.  D(2,1;alpha), F(4) and G(3) keep hand-written weights, the
+simple roots of F(4) and G(3) keyed from their literal coordinates.
 
 Data derived from a diagram is kept in a record on the ``Diagram`` by the
 ``stored`` functions, here and in ``vogan``, so it lives and dies with its
@@ -136,9 +138,10 @@ def _exact(part: tuple[Fraction, ...]) -> tuple:
 def _exact_key(v: WeightVector) -> tuple[tuple, tuple]:
     """``(e_part, d_part)`` as ``_exact`` tuples: ``v``'s order and hash, and
     the ``int``s the root layer reads.  Made once per vector and kept on it
-    as ``_key``.  ``_weights`` presets it on every classical root it builds,
-    so only the roots of D(2,1;alpha), F(4) and G(3) and vectors made by
-    arithmetic read their coordinates' numerators and denominators here."""
+    as ``_key``.  ``_weights`` presets it on every classical root it builds
+    and ``_keyed`` on the simple roots of F(4) and G(3), so only the simple
+    roots of D(2,1;alpha) and vectors made by arithmetic read their
+    coordinates' numerators and denominators here."""
     # getattr with a default, not try/except: a miss then raises nothing
     key = getattr(v, "_key", None)
     if key is None:
@@ -534,6 +537,14 @@ def _weights(word: str):
     return w
 
 
+def _keyed(e_part: tuple, d_part: tuple) -> WeightVector:
+    """The weight of literal coordinates, ``int``s and non-integral
+    ``Fraction``s, with its ``_exact_key`` set from them as they stand."""
+    v = WeightVector(tuple(map(Q, e_part)), tuple(map(Q, d_part)))
+    object.__setattr__(v, "_key", (e_part, d_part))
+    return v
+
+
 @_interned
 def build_diagram(fam: FamilyId) -> Diagram:
     """Distinguished simple system of ``fam`` with exactly one odd node.
@@ -565,14 +576,14 @@ def build_diagram(fam: FamilyId) -> Diagram:
         add(eps3.scale(Q(2)), EVEN)
     elif k == "F4":
         half = Q(1, 2)
-        add(weight((-half, -half, -half), (half, half, half)), ODD_ISO)
-        add(weight((0, 0, 1), (0, 0, 0)), EVEN)
-        add(weight((0, 1, -1), (0, 0, 0)), EVEN)
-        add(weight((1, -1, 0), (0, 0, 0)), EVEN)
+        add(_keyed((-half, -half, -half), (half, half, half)), ODD_ISO)
+        add(_keyed((0, 0, 1), (0, 0, 0)), EVEN)
+        add(_keyed((0, 1, -1), (0, 0, 0)), EVEN)
+        add(_keyed((1, -1, 0), (0, 0, 0)), EVEN)
     elif k == "G3":
-        add(weight((0, 1, -1), (1, 1)), ODD_ISO)
-        add(weight((1, -1, 0), (0, 0)), EVEN)
-        add(weight((-2, 1, 1), (0, 0)), EVEN)
+        add(_keyed((0, 1, -1), (1, 1)), ODD_ISO)
+        add(_keyed((1, -1, 0), (0, 0)), EVEN)
+        add(_keyed((-2, 1, 1), (0, 0)), EVEN)
     else:
         word, end = _word(fam)
         w = _weights(word)

@@ -10,6 +10,8 @@ named by ``_side``, the one dictionary of su, so, sp and G2 forms.
 namer that reads a position computes the canonical painting once per call
 and reads every side off it, and the namers of B(0,n), D(2,1;alpha) and the
 A(n,n) reversal, which read no position, never compute it.
+``enumerate_real_forms`` hands the same namers each orbit's canonical
+painting, which its block walk already holds, and computes none.
 
 The symplectic side of B(m,n), B(0,n) and D(m,n) is the delta chain plus
 the long root 2 delta_n, which no diagram node carries.  No flip toggles
@@ -27,7 +29,14 @@ from typing import Optional
 
 from .algebra import Diagram, FamilyId, even_blocks, gram_record, stored
 from .errors import InvalidFamily
-from .vogan import VoganDiagram, automorphisms, canonical_block_painting, check_vogan, flip_orbits
+from .vogan import (
+    VoganDiagram,
+    _made,
+    _orbit_keys,
+    automorphisms,
+    canonical_block_painting,
+    check_vogan,
+)
 
 Pair = Optional[tuple[int, int]]
 # a namer's answer: the super name and the even parts
@@ -120,18 +129,28 @@ def classify(vd: VoganDiagram) -> RealFormDescriptor:
     """Real form named by a painted diagram; constant on flip orbits."""
     check_vogan(vd)
     fam = vd.diagram.family
-    super_name, even_parts = _NAMERS[fam.kind](vd, fam)
+    super_name, even_parts = _NAMERS[fam.kind](vd, fam, False)
     return RealFormDescriptor(fam, vd.involution.name, super_name, even_parts)
 
 
-def _name_a(vd: VoganDiagram, fam: FamilyId) -> _Name:
+def _canon(vd: VoganDiagram, canonical: bool) -> frozenset[int]:
+    """The canonical painting of ``vd``'s flip orbit: ``vd``'s own painting
+    when the namer's caller says it is ``canonical``."""
+    return vd.painted if canonical else canonical_block_painting(vd)
+
+
+# Each namer takes (vd, fam, canonical): a painting, its family, and
+# whether the painting is already its orbit's canonical painting.
+
+
+def _name_a(vd: VoganDiagram, fam: FamilyId, canonical: bool) -> _Name:
     m, n = fam.m, fam.n
     M, N = m + 1, n + 1
     if vd.involution.name == "reversal":
         if N % 2 == 0:
             return f"psl({N}|{N};H)", (f"su*({N})", f"su*({N})")
         return f"psl({N}|{N};R)", (f"sl({N},R)", f"sl({N},R)")
-    canon, (eps, delta) = canonical_block_painting(vd), _halves(vd.diagram)
+    canon, (eps, delta) = _canon(vd, canonical), _halves(vd.diagram)
     e = _side("su", M, _chain_position(canon, eps))
     f = _side("su", N, _chain_position(canon, delta))
     if m == n:
@@ -142,14 +161,14 @@ def _name_a(vd: VoganDiagram, fam: FamilyId) -> _Name:
     return f"su({pe[0]},{pe[1]}|{pf[0]},{pf[1]})", tuple(evens)
 
 
-def _name_c(vd: VoganDiagram, fam: FamilyId) -> _Name:
+def _name_c(vd: VoganDiagram, fam: FamilyId, canonical: bool) -> _Name:
     n = fam.n
-    pos = _chain_position(canonical_block_painting(vd), _halves(vd.diagram).delta)
+    pos = _chain_position(_canon(vd, canonical), _halves(vd.diagram).delta)
     sp_pair, sp = _side("sp", n, pos)
     return _osp(2, None, n, sp_pair), ("so*(2)", sp)
 
 
-def _name_osp(vd: VoganDiagram, fam: FamilyId) -> _Name:
+def _name_osp(vd: VoganDiagram, fam: FamilyId, canonical: bool) -> _Name:
     """B(m,n), B(0,n) and D(m,n): the orthogonal side so(2m+1) or so(2m) on
     the epsilon half, and the symplectic side sp(n), the delta chain plus 2
     delta_n.  B(0,n) has no orthogonal side: its so(1) is left out, and
@@ -158,7 +177,7 @@ def _name_osp(vd: VoganDiagram, fam: FamilyId) -> _Name:
     if fam.kind == "B0":
         sp_pair, sp = _side("sp", n, n)
         return _osp(1, None, n, sp_pair), (sp,)
-    canon, (eps, delta) = canonical_block_painting(vd), _halves(vd.diagram)
+    canon, (eps, delta) = _canon(vd, canonical), _halves(vd.diagram)
     size = 2 * m if fam.kind == "D" else 2 * m + 1
     if vd.involution.name == "swap":
         # the swap fixes no prong, and D2 = A1 + A1 is its two prongs alone
@@ -176,7 +195,7 @@ def _name_osp(vd: VoganDiagram, fam: FamilyId) -> _Name:
     return _osp(size, so_pair, n, sp_pair), (sp, so)
 
 
-def _name_d21(vd: VoganDiagram, fam: FamilyId) -> _Name:
+def _name_d21(vd: VoganDiagram, fam: FamilyId, canonical: bool) -> _Name:
     a = fam.alpha
     if vd.involution.name == "swap":
         return f"D(2,1;{a};2)", ("sl(2,C)", "sl(2,R)")
@@ -188,9 +207,9 @@ def _name_d21(vd: VoganDiagram, fam: FamilyId) -> _Name:
 _F4_LEVEL = {(0, 7): 0, (1, 6): 3, (2, 5): 2, (3, 4): 1}
 
 
-def _name_f4(vd: VoganDiagram, fam: FamilyId) -> _Name:
+def _name_f4(vd: VoganDiagram, fam: FamilyId, canonical: bool) -> _Name:
     # block positions run away from the odd node; the Bourbaki count is reversed
-    pos = _chain_position(canonical_block_painting(vd), _halves(vd.diagram).eps)
+    pos = _chain_position(_canon(vd, canonical), _halves(vd.diagram).eps)
     pair, so = _side("so", 7, None if pos is None else 4 - pos)
     # g1 = C^2 (x) S is of real type, so C^2 has the type of the spinor S of
     # so(p,q): real, sl(2,R), for p - q = +-1 mod 8; quaternionic, su(2), for +-3
@@ -198,8 +217,8 @@ def _name_f4(vd: VoganDiagram, fam: FamilyId) -> _Name:
     return f"F(4;{_F4_LEVEL[pair]})", (sl2, so)
 
 
-def _name_g3(vd: VoganDiagram, fam: FamilyId) -> _Name:
-    pos = _chain_position(canonical_block_painting(vd), _halves(vd.diagram).eps)
+def _name_g3(vd: VoganDiagram, fam: FamilyId, canonical: bool) -> _Name:
+    pos = _chain_position(_canon(vd, canonical), _halves(vd.diagram).eps)
     return f"G(3,{0 if pos is None else 1})", ("sl(2,R)", _side("G2", 2, pos)[1])
 
 
@@ -218,13 +237,18 @@ _NAMERS = {
 def enumerate_real_forms(diagram: Diagram) -> tuple[RealFormDescriptor, ...]:
     """Distinct real forms over all painted diagrams, in first-seen order.
 
-    ``classify`` is constant on flip orbits, so it runs once per orbit, on
-    the orbit's first painting in enumeration order (``flip_orbits``).
+    The name is constant on flip orbits, so each orbit is named once, in
+    enumeration order of its first painting, from the canonical painting
+    the block walk of ``vogan._orbit_keys`` already gives, by the namer
+    ``classify`` uses; a descriptor is built only for a new name.
     """
+    fam = diagram.family
+    namer = _NAMERS[fam.kind]
     seen: dict[str, RealFormDescriptor] = {}
-    for vd in flip_orbits(diagram):
-        desc = classify(vd)
-        seen.setdefault(desc.super_name, desc)
+    for inv, _, canon in _orbit_keys(diagram):
+        super_name, even_parts = namer(_made(diagram, inv, canon), fam, True)
+        if super_name not in seen:
+            seen[super_name] = RealFormDescriptor(fam, inv.name, super_name, even_parts)
     return tuple(seen.values())
 
 

@@ -1,7 +1,8 @@
 """Painted diagrams, their flip calculus, and reduction to canonical form.
 
-The painting order is kept here alone: under each involution, identity
-first, ``_paintings`` lists fewest painted nodes first, then lexicographic.
+The painting order is kept here alone: involutions identity first, and
+under each ``_paintings`` lists fewest painted nodes first, then
+lexicographic.
 
 A painting marks even nodes whose root vectors act noncompactly; a flip at a
 painted node re-chooses the Cartan involution through that node's reflection
@@ -11,8 +12,10 @@ blocks' orbits.  ``_block_target``, the Borel-de Siebenthal step, picks each
 painted block's one painted node, its orbit's single vertex of the longest
 simple root (the lowest on a tie), and their union, the orbit key, is the
 orbit's canonical painting and the one way an orbit is known:
-``flip_orbits`` keeps the first painting of each key, ``equivalent``
-compares keys, ``reduce_with_trail`` reduces to it, and
+``_orbit_keys`` lists every orbit once, as the product of its block
+orbits, with its first painting and its key (``flip_orbits`` yields the
+first paintings, and ``classify.enumerate_real_forms`` names the keys),
+``equivalent`` compares keys, ``reduce_with_trail`` reduces to it, and
 ``canonical_block_painting``, its public face, returns it.
 
 One kernel does every flip; its state is one record per (diagram, fixed
@@ -180,18 +183,21 @@ def _made(diagram: Diagram, inv: DiagramInvolution, mask: int) -> VoganDiagram:
     return vd
 
 
-def _paintings(diagram: Diagram, inv: DiagramInvolution) -> Iterator[int]:
-    """The painting order: every painting of the involution's fixed even
-    nodes, as a mask, fewest painted nodes first, then lexicographic on the
-    sorted nodes."""
-    bits = [1 << i for i in diagram.even_indices() if i in inv.fixed_set]
+def _paintings(nodes: Iterable[int]) -> Iterator[int]:
+    """The painting order: every painting of ``nodes``, ascending, as a
+    mask, fewest painted nodes first, then lexicographic on the sorted
+    nodes."""
+    bits = [1 << i for i in nodes]
     return map(sum, chain.from_iterable(combinations(bits, r) for r in range(len(bits) + 1)))
 
 
 def enumerate_vogan(diagram: Diagram) -> tuple[VoganDiagram, ...]:
-    """All paintings of all involutions, identity first, in painting order."""
+    """All paintings of all involutions, identity first, in painting order:
+    under each, the paintings of its fixed even nodes."""
     return tuple(
-        _made(diagram, inv, mask) for inv in automorphisms(diagram) for mask in _paintings(diagram, inv)
+        _made(diagram, inv, mask)
+        for inv in automorphisms(diagram)
+        for mask in _paintings(i for i in diagram.even_indices() if i in inv.fixed_set)
     )
 
 
@@ -203,16 +209,23 @@ def _mask(nodes: Iterable[int]) -> int:
     return sum(1 << i for i in nodes)
 
 
-def _bits(mask: int) -> Iterable[int]:
+def _bits(mask: int) -> list[int]:
     """Set bits of ``mask``, lowest first."""
+    out = []
     while mask:
         low = mask & -mask
-        yield low.bit_length() - 1
+        out.append(low.bit_length() - 1)
         mask ^= low
+    return out
 
 
 def _nodes(mask: int) -> frozenset[int]:
     return frozenset(_bits(mask))
+
+
+def _order(mask: int) -> tuple[int, list[int]]:
+    """A painting's place in the painting order of ``_paintings``."""
+    return mask.bit_count(), _bits(mask)
 
 
 @dataclass(frozen=True)
@@ -302,21 +315,38 @@ def flip_orbit(vd: VoganDiagram) -> tuple[VoganDiagram, ...]:
     the walked masks sorted by painted-node count, then by sorted nodes."""
     check_vogan(vd)
     orbit = _painting_orbit(vd.diagram, vd.involution.fixed_set, _mask(vd.painted))
-    return tuple(
-        _made(vd.diagram, vd.involution, p)
-        for p in sorted(orbit, key=lambda p: (p.bit_count(), tuple(_bits(p))))
-    )
+    return tuple(_made(vd.diagram, vd.involution, p) for p in sorted(orbit, key=_order))
+
+
+def _orbit_keys(diagram: Diagram) -> Iterator[tuple[DiagramInvolution, int, int]]:
+    """Every flip orbit once, in ``enumerate_vogan`` order of its first
+    painting, as (involution, first painting, canonical painting), masks.
+
+    Read off the blocks alone: each block's paintings are walked once, in
+    painting order, filling ``targets``, and each block orbit keeps its first
+    painting and its target.  An orbit is the product of its block orbits:
+    its canonical painting is the union of their targets, and its first
+    painting the union of their first ones, since the fewest painted nodes
+    are the fewest on each block, and of two paintings of one size the
+    least node of their symmetric difference, which lies in one block,
+    decides the order."""
+    for inv in automorphisms(diagram):
+        fixed = inv.fixed_set
+        targets = _kernel(diagram, fixed).targets
+        orbits = {0: 0}  # first painting: canonical painting
+        for block in even_blocks(diagram):
+            firsts = {0: 0}  # each block orbit's target: its first painting
+            for part in _paintings(i for i in block if i in fixed):
+                if part:
+                    firsts.setdefault(targets[part] or _block_target(diagram, fixed, block, part), part)
+            orbits = {f | g: t | u for f, t in orbits.items() for u, g in firsts.items()}
+        yield from ((inv, first, orbits[first]) for first in sorted(orbits, key=_order))
 
 
 def flip_orbits(diagram: Diagram) -> Iterator[VoganDiagram]:
     """Every flip orbit once, by its first painting in ``enumerate_vogan``
-    order: the first painting of each orbit key (``_kernel``'s ``key``)."""
-    for inv in automorphisms(diagram):
-        key = _kernel(diagram, inv.fixed_set).key
-        firsts: dict[int, int] = {}  # canonical painting: first painting
-        for mask in _paintings(diagram, inv):
-            firsts.setdefault(key(mask), mask)
-        yield from (_made(diagram, inv, mask) for mask in firsts.values())
+    order (``_orbit_keys``)."""
+    return (_made(diagram, inv, first) for inv, first, _ in _orbit_keys(diagram))
 
 
 def _block_target(

@@ -48,6 +48,10 @@ def families_up_to(nodes):
 
 # the 12-node families with the largest flip orbits, one to 1,024 paintings
 TRAIL_GIANTS = (("C", 0, 11), ("A", 11, 0), ("B", 6, 6), ("D", 6, 6))
+# every family the rank guard admits, and D(2,1;alpha) at each alpha
+GUARD_AND_ALPHAS = list(
+    dict.fromkeys(guard_families() + [FamilyId("D21alpha", alpha=a) for a in ALPHAS])
+)
 
 
 def set_orbit(diagram, perm, painted):
@@ -164,11 +168,7 @@ def orbit_count(diagram):
     return count
 
 
-@pytest.mark.parametrize(
-    "fam",
-    list(dict.fromkeys(guard_families() + [FamilyId("D21alpha", alpha=a) for a in ALPHAS])),
-    ids=lambda fam: fam.display(),
-)
+@pytest.mark.parametrize("fam", GUARD_AND_ALPHAS, ids=lambda fam: fam.display())
 def test_every_block_orbit_holds_a_single_vertex(fam):
     """The Borel-de Siebenthal step on set orbits: under every involution,
     every nonempty painting of an even block is flip-equivalent to a single
@@ -223,20 +223,18 @@ def test_flip_orbit_is_in_enumeration_order():
     assert checked > 5000
 
 
-def test_flip_orbits_yield_the_first_painting_of_each_set_orbit():
+@pytest.mark.parametrize("fam", GUARD_AND_ALPHAS, ids=lambda fam: fam.display())
+def test_flip_orbits_yield_the_first_painting_of_each_set_orbit(fam):
     """``flip_orbits`` yields, in enumeration order, exactly the paintings of
     ``enumerate_vogan`` that come first in their set-based BFS orbit."""
-    checked = 0
-    for diagram in families_up_to(8):
-        firsts, covered = [], set()
-        for vd in enumerate_vogan(diagram):
-            perm = vd.involution.perm
-            if (perm, vd.painted) not in covered:
-                covered |= {(perm, p) for p in set_orbit(diagram, perm, vd.painted)}
-                firsts.append(vd)
-        assert list(flip_orbits(diagram)) == firsts
-        checked += len(covered)
-    assert checked > 5000
+    diagram = build_diagram(fam)
+    firsts, covered = [], set()
+    for vd in enumerate_vogan(diagram):
+        perm = vd.involution.perm
+        if (perm, vd.painted) not in covered:
+            covered |= {(perm, p) for p in set_orbit(diagram, perm, vd.painted)}
+            firsts.append(vd)
+    assert list(flip_orbits(diagram)) == firsts
 
 
 def test_enumerate_real_forms_is_first_seen_dedup_of_classify():
@@ -263,14 +261,16 @@ def test_enumerate_real_forms_is_first_seen_dedup_of_classify():
     ],
 )
 def test_classify_runs_once_per_flip_orbit(fam, monkeypatch):
+    """``enumerate_real_forms`` names each flip orbit once, through the
+    family's namer, and never names a painting twice."""
     module = importlib.import_module("supervogan.classify")
-    calls = []
+    namer, calls = module._NAMERS[fam.kind], []
 
-    def counting(vd):
+    def counting(vd, *args):
         calls.append(vd)
-        return classify(vd)
+        return namer(vd, *args)
 
-    monkeypatch.setattr(module, "classify", counting)
+    monkeypatch.setitem(module._NAMERS, fam.kind, counting)
     diagram = build_diagram(fam)
     module.enumerate_real_forms(diagram)
     assert len(calls) == orbit_count(diagram)

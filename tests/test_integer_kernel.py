@@ -139,6 +139,20 @@ def test_a_classical_census_builds_no_root_key_from_fractions(monkeypatch):
         build_diagram.cache_clear()
 
 
+@pytest.mark.parametrize("fam", [FamilyId("F4"), FamilyId("G3")], ids=lambda fam: fam.display())
+def test_an_exceptional_gram_record_builds_no_key_from_fractions(fam, monkeypatch):
+    """F(4)'s and G(3)'s simple roots carry the key of their literal
+    coordinates, so a cold Gram record of a fresh diagram never rebuilds one
+    from the ``Fraction`` coordinates."""
+    from supervogan import algebra
+
+    def forbidden(part):
+        raise AssertionError("a simple root's key was rebuilt from its coordinates")
+
+    monkeypatch.setattr(algebra, "_exact", forbidden)
+    gram_record(build_diagram.__wrapped__(fam))
+
+
 def coordinate_key(part):
     """A part of the exact key, rebuilt here: each coordinate as an ``int``
     when it is one, else as its ``Fraction``; and the type of each entry."""
