@@ -25,8 +25,8 @@ painting's parity as one masked popcount.  It checks a painting once per
 mask, and any other iterable is checked on every call.  Each root's hash
 is set from the key that sorts it, the value ``__hash__`` gives, so a
 weight hashes, compares, orders and pickles as the dataclass of its two
-``Fraction`` parts.  ``gram_matrix``, ``cartan_matrix`` and ``dual_basis`` hold
-``Fraction``s read off the record; no package path calls them.
+``Fraction`` parts.  ``cartan_matrix`` and ``dual_basis`` hold ``Fraction``s
+read off the record; no package path calls them.
 
 The classical families A, B, B(0,n), C and D are built from their word in
 epsilon and delta (``_word``): simple roots and positive roots alike, each
@@ -283,6 +283,8 @@ def validate_family(fam: FamilyId) -> None:
     every accepted family displays; types and bound are checked before
     anything is formatted.
     """
+    if not isinstance(fam, FamilyId):
+        raise InvalidFamily(f"{fam!r} is not a FamilyId")
     k = fam.kind
     if type(k) is not str:
         raise InvalidFamily(f"family kind must be a string, got {type(k).__name__}")
@@ -327,6 +329,8 @@ def validate_family(fam: FamilyId) -> None:
 
 def node_count(fam: FamilyId) -> int:
     """Number of nodes of ``fam``'s distinguished diagram, without building it."""
+    if not isinstance(fam, FamilyId):
+        raise InvalidFamily(f"{fam!r} is not a FamilyId")
     return {
         "A": fam.m + fam.n + 1,
         "B": fam.m + fam.n,
@@ -407,7 +411,10 @@ def stored(func):
     """``func(diagram, *args)``, computed once and kept in the diagram's record."""
 
     def read(diagram, *args):
-        values = diagram._record
+        try:
+            values = diagram._record
+        except AttributeError:  # checked here, where every diagram path reads first
+            raise BadIndex(f"{diagram!r} is not a Diagram") from None
         if values is None:
             values = {}
             object.__setattr__(diagram, "_record", values)
@@ -430,6 +437,8 @@ def _interned(build):
     counts = [0, 0]  # hits, misses
 
     def build_interned(fam: FamilyId) -> Diagram:
+        if not isinstance(fam, FamilyId):  # before the lookup: a list is unhashable
+            raise InvalidFamily(f"{fam!r} is not a FamilyId")
         diagram = diagrams.get(fam)
         if diagram is None:
             check_rank_guard(fam)
@@ -481,14 +490,6 @@ def gram_record(diagram: Diagram) -> GramRecord:
     )
     coords = tuple(a + b for a, b in zip(e, d))
     return GramRecord(tuple(map(tuple, rows)), s * s, scales, s, coords)
-
-
-@stored
-def gram_matrix(diagram: Diagram) -> tuple[tuple[Fraction, ...], ...]:
-    """Inner products of the simple roots, read off ``gram_record``: one
-    ``Fraction`` per entry."""
-    record = gram_record(diagram)
-    return tuple(tuple(Q(x, record.den) for x in row) for row in record.rows)
 
 
 # ----------------------------------------------------------------------------
@@ -644,10 +645,11 @@ def cartan_matrix(diagram: Diagram) -> CartanData:
 
     Rows of non-isotropic nodes are the usual ``2<a_i,a_j>/<a_i,a_i>``; rows of
     isotropic nodes are scaled so the largest entry in absolute value is 1.
-    Built from ``gram_record``; ``cartan_scales`` gives each row's scale.
+    Built from ``gram_record``, whose rows over ``den`` are the Gram matrix
+    ``symmetrized``; ``cartan_scales`` gives each row's scale.
     """
-    g = gram_matrix(diagram)
     record = gram_record(diagram)
+    g = tuple(tuple(Q(x, record.den) for x in row) for row in record.rows)
     scales = cartan_scales(diagram)
     a_rows = tuple(tuple(Q(c * x, q) for x in row) for row, (c, q) in zip(record.rows, scales))
     eps = tuple(Q(q, c * record.den) for c, q in scales)
@@ -697,13 +699,13 @@ def _component(diagram: Diagram, component: Sequence[int]) -> tuple[int, ...]:
     iterable of ``int`` node indices in ``0..len(diagram)-1`` (the indices
     checked by ``_painted_mask``) whose Gram diagonal entries are nonzero:
     an isotropic node has no eps_i to divide by, and no definite side."""
+    rows = gram_record(diagram).rows
     try:
         nodes = tuple(component)
     except TypeError:
         raise BadIndex(f"component {component!r} is not an iterable of node indices") from None
     if not _painted_mask(diagram, nodes):
         raise BadIndex(f"component {component!r} holds no node")
-    rows = gram_record(diagram).rows
     if not all(rows[i][i] for i in nodes):
         raise BadIndex(f"component {component!r} holds an isotropic node")
     return nodes

@@ -11,7 +11,8 @@ namer that reads a position computes the canonical painting once per call
 and reads every side off it, and the namers of B(0,n), D(2,1;alpha) and the
 A(n,n) reversal, which read no position, never compute it.
 ``enumerate_real_forms`` hands the same namers each orbit's canonical
-painting, which its block walk already holds, and computes none.
+painting, which ``vogan._orbit_keys`` lists from each block's single
+vertices through the flip kernel's record, and computes none.
 
 The symplectic side of B(m,n), B(0,n) and D(m,n) is the delta chain plus
 the long root 2 delta_n, which no diagram node carries.  No flip toggles
@@ -239,13 +240,14 @@ def enumerate_real_forms(diagram: Diagram) -> tuple[RealFormDescriptor, ...]:
 
     The name is constant on flip orbits, so each orbit is named once, in
     enumeration order of its first painting, from the canonical painting
-    the block walk of ``vogan._orbit_keys`` already gives, by the namer
-    ``classify`` uses; a descriptor is built only for a new name.
+    ``vogan._orbit_keys`` lists with it, by the namer ``classify`` uses; a
+    descriptor is built only for a new name.
     """
+    orbits = _orbit_keys(diagram)  # first: a non-Diagram raises BadIndex
     fam = diagram.family
     namer = _NAMERS[fam.kind]
     seen: dict[str, RealFormDescriptor] = {}
-    for inv, _, canon in _orbit_keys(diagram):
+    for inv, _, canon in orbits:
         super_name, even_parts = namer(_made(diagram, inv, canon), fam, True)
         if super_name not in seen:
             seen[super_name] = RealFormDescriptor(fam, inv.name, super_name, even_parts)
@@ -396,8 +398,8 @@ def _expected_rows(fam: FamilyId, diagram: Diagram) -> list[tuple[str, tuple[str
 
 
 def table_report(diagram: Diagram) -> TableReport:
-    fam = diagram.family
     computed = enumerate_real_forms(diagram)
+    fam = diagram.family
     expected = tuple(_expected_rows(fam, diagram))
     computed_by_name = {d.super_name: d for d in computed}
     expected_names = {name for name, _ in expected}

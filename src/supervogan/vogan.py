@@ -8,14 +8,13 @@ A painting marks even nodes whose root vectors act noncompactly; a flip at a
 painted node re-chooses the Cartan involution through that node's reflection
 and toggles exactly the fixed even neighbours paired with it by an odd
 integer.  Flips never mix even blocks, so a flip orbit is the product of its
-blocks' orbits.  ``_block_target``, the Borel-de Siebenthal step, picks each
-painted block's one painted node, its orbit's single vertex of the longest
-simple root (the lowest on a tie), and their union, the orbit key, is the
-orbit's canonical painting and the one way an orbit is known:
-``_orbit_keys`` lists every orbit once, as the product of its block
-orbits, with its first painting and its key (``flip_orbits`` yields the
-first paintings, and ``classify.enumerate_real_forms`` names the keys),
-``equivalent`` compares keys, ``reduce_with_trail`` reduces to it, and
+blocks' orbits.  The Borel-de Siebenthal step picks each painted block's
+one painted node, its orbit's single vertex of the longest simple root (the
+lowest on a tie), and their union, the orbit key, is the orbit's canonical
+painting and the one way an orbit is known: ``_orbit_keys`` lists every
+orbit once, as the product of its block orbits, with its first painting and
+its key (``classify.enumerate_real_forms`` names the keys), ``equivalent``
+compares keys, ``reduce_with_trail`` reduces to it, and
 ``canonical_block_painting``, its public face, returns it.
 
 One kernel does every flip; its state is one record per (diagram, fixed
@@ -23,20 +22,21 @@ nodes), ``_kernel``, built once and kept in the diagram's record, which
 ``build_diagram.cache_clear()`` drops.  Inside the kernel a painting is an
 ``int`` bitmask, bit i for node i, and a flip at node i is one XOR with the
 record's ``masks[i]``, read off the integer Gram rows of
-``algebra.gram_record``.  Walks only fill its two flat tables, ``targets``
-and ``dist``, indexed by painting mask: each block painting's target,
-filled for its block orbit by one walk, and each painting's flip distance
-to its orbit's canonical painting, filled for a whole orbit by one walk
-from that painting the first time the orbit is reduced.  Only the public
-``flip_orbit`` walks an orbit without filling a table.  The record also
-holds ``key``, the orbit key, and ``moves``, one ``FlipMove`` per node.
+``algebra.gram_record``.  The record owns its walks, and they only fill its
+two flat tables, ``targets`` and ``dist``, indexed by painting mask: each
+block painting's target, filled for its block orbit by one walk of the
+record's ``target``, and each painting's flip distance to its orbit's
+canonical painting, filled for a whole orbit by one walk from that painting
+the first time the orbit is reduced.  Only the public ``flip_orbit`` walks
+an orbit without filling a table.  The record also holds ``key``, the orbit
+key, and ``moves``, one ``FlipMove`` per node; it holds nothing that refers
+back to its diagram, so a diagram no one holds is freed at once.
 
 ``reduce_with_trail`` reads the trail greedily, flipping at each step the
 lowest painted node whose flip lowers the distance by one: the
 lexicographically least shortest trail, the one a breadth-first walk from
 the painting records.  The orbit BFS expands flips in ascending node order,
-so its tie-breaks are deterministic.  A root's length is read off the Gram
-rows' diagonal.
+so its tie-breaks are deterministic.
 """
 
 from __future__ import annotations
@@ -46,7 +46,6 @@ from collections import namedtuple
 from dataclasses import dataclass, field
 from itertools import chain, combinations
 from typing import Iterable, Iterator
-from weakref import ref
 
 from .algebra import (
     EVEN,
@@ -147,6 +146,8 @@ class VoganDiagram:
                 object.__setattr__(self, "painted", frozenset(self.painted))
             except TypeError:  # not iterable, or an index that is not hashable
                 raise BadIndex(f"painting {self.painted!r} is not a set of node indices") from None
+        if not isinstance(self.diagram, Diagram):
+            raise BadIndex(f"{self.diagram!r} is not a Diagram")
         inv, nodes = self.involution, self.diagram.nodes
         if not isinstance(inv, DiagramInvolution):
             raise BadIndex(f"involution {inv!r} is not a DiagramInvolution")
@@ -233,7 +234,7 @@ class FlipMove:
     at: int
 
 
-_Kernel = namedtuple("Kernel", "masks targets dist moves key")
+_Kernel = namedtuple("Kernel", "masks targets dist moves key target")
 
 
 @stored
@@ -244,13 +245,16 @@ def _kernel(diagram: Diagram, fixed: frozenset[int]) -> _Kernel:
     toggles.  The entry a_ij = c n_ij / q is read off the integer Gram rows
     n (``cartan_scales``): it is an odd integer, q (2k + 1), exactly when
     c n_ij = q mod 2q (for either sign of q, as Python's ``%`` takes the
-    sign of the modulus).  ``_block_target`` fills ``targets`` with each
-    nonempty block painting's target, and ``reduce_with_trail`` fills
-    ``dist`` with each painting's flip distance to its orbit's canonical
-    painting, plus one; 0 marks an entry not yet filled (no nonempty block
-    painting has the target 0).  ``key(mask)`` ORs the targets of
-    ``mask``'s block parts; each block orbit holds one target, so two
-    paintings share a key exactly when they share an orbit."""
+    sign of the modulus).  ``target(part)``, the Borel-de Siebenthal step,
+    maps a block's nonempty painting to its orbit's single vertex of the
+    longest root (largest |n_ii|), the lowest on a tie, as a mask: read off
+    the orbit alone, and filled in ``targets`` for the whole block orbit by
+    one walk.  An orbit with no single vertex raises ``InvariantViolation``.
+    ``reduce_with_trail`` fills ``dist`` with each painting's flip distance
+    to its orbit's canonical painting, plus one; 0 marks an entry not yet
+    filled (no nonempty block painting has the target 0).  ``key(mask)`` ORs
+    the targets of ``mask``'s block parts; each block orbit holds one
+    target, so two paintings share a key exactly when they share an orbit."""
     rows = gram_record(diagram).rows
     even = [j for j in diagram.even_indices() if j in fixed]
     masks = tuple(
@@ -259,20 +263,32 @@ def _kernel(diagram: Diagram, fixed: frozenset[int]) -> _Kernel:
     )
     size = 1 << len(diagram)
     targets, dist = array("I", [0]) * size, array("I", [0]) * size
-    blocks = [(block, _mask(block)) for block in even_blocks(diagram)]
-    # the record is kept on the diagram: a weak reference back makes no
-    # cycle, so a diagram no one holds is freed at once, record and all
-    held = ref(diagram)
+    lengths = [abs(row[i]) for i, row in enumerate(rows)]
+    blocks = [_mask(block) for block in even_blocks(diagram)]
+
+    def target(part: int) -> int:
+        found = targets[part]
+        if not found:
+            orbit = _painting_orbit(masks, part)
+            singles = [p.bit_length() - 1 for p in orbit if p.bit_count() == 1]
+            if not singles:
+                raise InvariantViolation(
+                    f"the flip orbit of block painting {_bits(part)} holds no single vertex"
+                )
+            found = 1 << min(singles, key=lambda i: (-lengths[i], i))
+            for p in orbit:
+                targets[p] = found
+        return found
 
     def key(mask: int) -> int:
         goal = 0
-        for block, block_mask in blocks:
-            part = mask & block_mask
+        for block in blocks:
+            part = mask & block
             if part:
-                goal |= targets[part] or _block_target(held(), fixed, block, part)
+                goal |= targets[part] or target(part)
         return goal
 
-    return _Kernel(masks, targets, dist, tuple(map(FlipMove, range(len(diagram)))), key)
+    return _Kernel(masks, targets, dist, tuple(map(FlipMove, range(len(diagram)))), key, target)
 
 
 def flip(vd: VoganDiagram, at: int) -> VoganDiagram:
@@ -291,10 +307,10 @@ def flip(vd: VoganDiagram, at: int) -> VoganDiagram:
     return _made(vd.diagram, vd.involution, _mask(vd.painted) ^ masks[at])
 
 
-def _painting_orbit(diagram: Diagram, fixed: frozenset[int], start: int) -> dict[int, int]:
-    """BFS over flips; maps each painting reachable from ``start`` to its flip
-    distance from it, in the order the walk reaches them."""
-    masks = _kernel(diagram, fixed).masks
+def _painting_orbit(masks: tuple[int, ...], start: int) -> dict[int, int]:
+    """BFS over the flips of a kernel's ``masks``; maps each painting
+    reachable from ``start`` to its flip distance from it, in the order the
+    walk reaches them."""
     dist = {start: 0}
     queue = [start]
     for cur in queue:  # a list iterated while it grows: first in, first out
@@ -314,73 +330,42 @@ def flip_orbit(vd: VoganDiagram) -> tuple[VoganDiagram, ...]:
     """Every Vogan diagram reachable from ``vd`` by flips, in painting order:
     the walked masks sorted by painted-node count, then by sorted nodes."""
     check_vogan(vd)
-    orbit = _painting_orbit(vd.diagram, vd.involution.fixed_set, _mask(vd.painted))
+    masks = _kernel(vd.diagram, vd.involution.fixed_set).masks
+    orbit = _painting_orbit(masks, _mask(vd.painted))
     return tuple(_made(vd.diagram, vd.involution, p) for p in sorted(orbit, key=_order))
 
 
-def _orbit_keys(diagram: Diagram) -> Iterator[tuple[DiagramInvolution, int, int]]:
+def _orbit_keys(diagram: Diagram) -> list[tuple[DiagramInvolution, int, int]]:
     """Every flip orbit once, in ``enumerate_vogan`` order of its first
     painting, as (involution, first painting, canonical painting), masks.
 
-    Read off the blocks alone: each block's paintings are walked once, in
-    painting order, filling ``targets``, and each block orbit keeps its first
-    painting and its target.  An orbit is the product of its block orbits:
-    its canonical painting is the union of their targets, and its first
-    painting the union of their first ones, since the fewest painted nodes
-    are the fewest on each block, and of two paintings of one size the
-    least node of their symmetric difference, which lies in one block,
-    decides the order."""
+    Read off the blocks alone.  Every nonempty block orbit holds a single
+    vertex, so its first painting is its lowest one: each block's orbits
+    are listed from its fixed single vertices, ascending, by their targets.
+    An orbit is the product of its block orbits: its canonical painting is
+    the union of their targets, and its first painting the union of their
+    first ones, since the fewest painted nodes are the fewest on each
+    block, and of two paintings of one size the least node of their
+    symmetric difference, which lies in one block, decides the order."""
+    out = []
     for inv in automorphisms(diagram):
         fixed = inv.fixed_set
-        targets = _kernel(diagram, fixed).targets
+        target = _kernel(diagram, fixed).target
         orbits = {0: 0}  # first painting: canonical painting
         for block in even_blocks(diagram):
             firsts = {0: 0}  # each block orbit's target: its first painting
-            for part in _paintings(i for i in block if i in fixed):
-                if part:
-                    firsts.setdefault(targets[part] or _block_target(diagram, fixed, block, part), part)
+            for i in block:
+                if i in fixed:
+                    firsts.setdefault(target(1 << i), 1 << i)
             orbits = {f | g: t | u for f, t in orbits.items() for u, g in firsts.items()}
-        yield from ((inv, first, orbits[first]) for first in sorted(orbits, key=_order))
-
-
-def flip_orbits(diagram: Diagram) -> Iterator[VoganDiagram]:
-    """Every flip orbit once, by its first painting in ``enumerate_vogan``
-    order (``_orbit_keys``)."""
-    return (_made(diagram, inv, first) for inv, first, _ in _orbit_keys(diagram))
-
-
-def _block_target(
-    diagram: Diagram, fixed: frozenset[int], block: tuple[int, ...], part: int
-) -> int:
-    """The Borel-de Siebenthal step: the canonical painting, as a mask, of
-    ``block``'s nonempty painting ``part``, read off the targets table or
-    filled there for the whole block orbit by one walk.  It is the orbit's
-    single vertex of the longest simple root (largest |n_ii| in
-    ``gram_record``'s rows), the lowest on a tie: read off the orbit alone,
-    so two paintings share a target exactly when they share an orbit.
-    Every nonempty block orbit holds a single vertex; one that does not
-    raises ``InvariantViolation``."""
-    targets = _kernel(diagram, fixed).targets
-    target = targets[part]
-    if not target:
-        orbit = _painting_orbit(diagram, fixed, part)
-        singles = [p for p in orbit if p.bit_count() == 1]
-        if not singles:
-            raise InvariantViolation(
-                f"the flip orbit of block {list(block)} holds no single vertex"
-            )
-        rows = gram_record(diagram).rows
-        at = min((p.bit_length() - 1 for p in singles), key=lambda i: (-abs(rows[i][i]), i))
-        target = 1 << at
-        for p in orbit:
-            targets[p] = target
-    return target
+        out += ((inv, first, orbits[first]) for first in sorted(orbits, key=_order))
+    return out
 
 
 def canonical_block_painting(vd: VoganDiagram) -> frozenset[int]:
     """The canonical painting of ``vd``'s flip orbit, its orbit key (see
-    ``_kernel``): on each painted even block, the one vertex
-    ``_block_target`` chooses.  Raises BadIndex unless ``vd`` is a
+    ``_kernel``): on each painted even block, the one vertex the record's
+    ``target`` chooses.  Raises BadIndex unless ``vd`` is a
     ``VoganDiagram``, whose constructor checked its painting."""
     check_vogan(vd)
     return _nodes(_kernel(vd.diagram, vd.involution.fixed_set).key(_mask(vd.painted)))
@@ -392,11 +377,11 @@ def reduce_with_trail(vd: VoganDiagram) -> tuple[VoganDiagram, tuple[FlipMove, .
     (see the module docstring)."""
     check_vogan(vd)
     diagram, fixed = vd.diagram, vd.involution.fixed_set
-    masks, _, dist, moves, key = _kernel(diagram, fixed)
+    masks, _, dist, moves, key, _ = _kernel(diagram, fixed)
     start = _mask(vd.painted)
     goal = key(start)
     if not dist[goal]:
-        for p, d in _painting_orbit(diagram, fixed, goal).items():
+        for p, d in _painting_orbit(masks, goal).items():
             dist[p] = d + 1
     trail: list[FlipMove] = []
     cur, left = start, dist[start]

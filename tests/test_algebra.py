@@ -21,11 +21,13 @@ from supervogan import (
     SingularNormalization,
     SupervoganError,
     WeightVector,
+    automorphisms,
     build_diagram,
     block_sign,
     cartan_matrix,
     dual_basis,
     enumerate_real_forms,
+    enumerate_vogan,
     even_blocks,
     flip_orbit,
     generate_roots,
@@ -33,6 +35,7 @@ from supervogan import (
     noncompact_parity,
     reduce,
     root_expansion,
+    table_report,
     validate_family,
     weight,
 )
@@ -41,7 +44,6 @@ from supervogan.algebra import (
     RankGuardExceeded,
     _block_gram_inverse,
     check_rank_guard,
-    gram_matrix,
     read_alpha,
 )
 from supervogan.classify import classify
@@ -285,7 +287,7 @@ def test_integer_gram_matches_weight_vector_inner_products():
         expected = tuple(
             tuple(a.root.inner(b.root) for b in diagram.nodes) for a in diagram.nodes
         )
-        assert gram_matrix(diagram) == expected, fam.display()
+        assert cartan_matrix(diagram).symmetrized == expected, fam.display()
 
 
 def test_gram_cartan_and_block_inverses_hold_only_fractions():
@@ -295,7 +297,6 @@ def test_gram_cartan_and_block_inverses_hold_only_fractions():
     for fam in guard_families():
         diagram = build_diagram(fam)
         data = cartan_matrix(diagram)
-        assert fractions_only(gram_matrix(diagram)), fam.display()
         assert fractions_only(data.matrix), fam.display()
         assert fractions_only([data.eps]), fam.display()
         assert fractions_only(data.symmetrized), fam.display()
@@ -324,6 +325,54 @@ def test_equal_diagrams_hash_equal():
         assert clone == a and hash(clone) == hash(a)
 
 
+FAMILY_ENTRIES = {
+    "build_diagram": build_diagram,
+    "check_rank_guard": check_rank_guard,
+    "node_count": node_count,
+    "validate_family": validate_family,
+}
+NOT_FAMILIES = ["C(4)", "C", None, ["C", 0, 3], ("C", 0, 3)]
+
+
+@pytest.mark.parametrize("value", NOT_FAMILIES, ids=repr)
+@pytest.mark.parametrize("entry", FAMILY_ENTRIES)
+def test_a_family_entry_refuses_what_is_not_a_family_id(entry, value):
+    """A ``FamilyId`` is checked before it is read, or looked up: a list is
+    unhashable."""
+    with pytest.raises(InvalidFamily, match="is not a FamilyId"):
+        FAMILY_ENTRIES[entry](value)
+
+
+def _a_root():
+    return build_diagram(FamilyId("C", 0, 3)).root(1)
+
+
+DIAGRAM_ENTRIES = {
+    "automorphisms": automorphisms,
+    "block_sign": lambda d: block_sign(d, (1,)),
+    "cartan_matrix": cartan_matrix,
+    "dual_basis": lambda d: dual_basis(d, (1,)),
+    "enumerate_real_forms": enumerate_real_forms,
+    "enumerate_vogan": enumerate_vogan,
+    "even_blocks": even_blocks,
+    "generate_roots": generate_roots,
+    "noncompact_parity": lambda d: noncompact_parity(d, frozenset(), _a_root()),
+    "root_expansion": lambda d: root_expansion(d, _a_root()),
+    "table_report": table_report,
+    "VoganDiagram": lambda d: VoganDiagram(d, identity_involution(4), ()),
+}
+NOT_DIAGRAMS = [None, "C(4)", FamilyId("C", 0, 3), ["C", 0, 3]]
+
+
+@pytest.mark.parametrize("value", NOT_DIAGRAMS, ids=repr)
+@pytest.mark.parametrize("entry", DIAGRAM_ENTRIES)
+def test_a_diagram_entry_refuses_what_is_not_a_diagram(entry, value):
+    """Every entry point that takes a ``Diagram`` reads a stored value first,
+    and the store raises BadIndex for anything that holds no record."""
+    with pytest.raises(BadIndex, match="is not a Diagram"):
+        DIAGRAM_ENTRIES[entry](value)
+
+
 def test_diagram_requires_a_family():
     nodes = build_diagram(FamilyId("C", 0, 3)).nodes
     with pytest.raises(InvalidFamily):
@@ -333,9 +382,10 @@ def test_diagram_requires_a_family():
 def test_cartan_matrix_rejects_asymmetric_gram(monkeypatch):
     module = importlib.import_module("supervogan.algebra")
     diagram = build_diagram(FamilyId("B", 1, 1))
-    gram = module.gram_matrix(diagram)
-    skewed = (gram[0], (gram[1][0] + 1,) + gram[1][1:])
-    monkeypatch.setattr(module, "gram_matrix", lambda d: skewed)
+    record = module.gram_record(diagram)
+    rows = record.rows
+    skewed = record._replace(rows=(rows[0], (rows[1][0] + 1,) + rows[1][1:]))
+    monkeypatch.setattr(module, "gram_record", lambda d: skewed)
     build_diagram.cache_clear()
     try:
         with pytest.raises(InvariantViolation):

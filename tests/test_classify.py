@@ -27,7 +27,7 @@ from supervogan import (
 )
 from supervogan import cli
 from supervogan.classify import _halves
-from supervogan.vogan import flip_orbits
+from supervogan.vogan import _made, _orbit_keys
 from test_acceptance import families
 from test_algebra import guard_families
 
@@ -211,7 +211,7 @@ def reference_walk(diagram):
 def test_orbit_walk_matches_the_reference_walk(fam):
     diagram = build_diagram.__wrapped__(fam)  # unguarded: A(6,6) has 13 nodes
     reps, forms = reference_walk(diagram)
-    assert list(flip_orbits(diagram)) == reps
+    assert [_made(diagram, inv, first) for inv, first, _ in _orbit_keys(diagram)] == reps
     assert enumerate_real_forms(diagram) == forms
 
 
@@ -336,13 +336,13 @@ def test_table_complex_names():
 def test_classify_rejects_a_canonical_painting_of_two_vertices(fam, painted, monkeypatch):
     module = importlib.import_module("supervogan.vogan")
     real = module._painting_orbit
+    blocks = [(sum(1 << i for i in b), sum(1 << i for i in b[:2])) for b in even_blocks(build_diagram(fam))]
 
-    def two_vertices(diagram, fixed, start):
+    def two_vertices(masks, start):
         """The real orbit with every painted block's first two vertices added,
         so no block's orbit holds a single vertex."""
-        blocks = [(sum(1 << i for i in b), sum(1 << i for i in b[:2])) for b in even_blocks(diagram)]
         out = {}
-        for p in real(diagram, fixed, start):
+        for p in real(masks, start):
             for mask, first_two in blocks:
                 if p & mask:
                     p |= first_two

@@ -34,7 +34,7 @@ from supervogan import (
     reduce_with_trail,
 )
 from supervogan.cli import main as cli_main
-from supervogan.vogan import flip_orbits
+from supervogan.vogan import _nodes, _orbit_keys
 from test_acceptance import ALPHAS
 from test_algebra import all_families, guard_families
 
@@ -225,16 +225,22 @@ def test_flip_orbit_is_in_enumeration_order():
 
 @pytest.mark.parametrize("fam", GUARD_AND_ALPHAS, ids=lambda fam: fam.display())
 def test_flip_orbits_yield_the_first_painting_of_each_set_orbit(fam):
-    """``flip_orbits`` yields, in enumeration order, exactly the paintings of
-    ``enumerate_vogan`` that come first in their set-based BFS orbit."""
+    """``_orbit_keys`` lists, in enumeration order, exactly the paintings of
+    ``enumerate_vogan`` that come first in their set-based BFS orbit, each
+    with a canonical painting in that orbit."""
     diagram = build_diagram(fam)
-    firsts, covered = [], set()
+    firsts, orbits, covered = [], [], set()
     for vd in enumerate_vogan(diagram):
         perm = vd.involution.perm
         if (perm, vd.painted) not in covered:
-            covered |= {(perm, p) for p in set_orbit(diagram, perm, vd.painted)}
-            firsts.append(vd)
-    assert list(flip_orbits(diagram)) == firsts
+            orbit = set_orbit(diagram, perm, vd.painted)
+            covered |= {(perm, p) for p in orbit}
+            firsts.append((vd.involution, vd.painted))
+            orbits.append(orbit)
+    keys = _orbit_keys(diagram)
+    assert [(inv, _nodes(first)) for inv, first, _ in keys] == firsts
+    for (_, _, canon), orbit in zip(keys, orbits):
+        assert _nodes(canon) in orbit
 
 
 def test_enumerate_real_forms_is_first_seen_dedup_of_classify():

@@ -13,8 +13,8 @@ The Gram record, the flip toggle masks and the diagram symmetries are read
 over ``int``; here they are checked against inner products of the simple
 roots, the ``Fraction`` Cartan matrix, and a permutation check written over
 the ``Fraction`` Gram matrix.  No package path touches the ``Fraction``
-layer: with ``row_reduce``, ``invert``, ``solve_exact``, ``gram_matrix``,
-``cartan_matrix`` and the block inverse behind ``dual_basis`` raising, every
+layer: with ``row_reduce``, ``invert``, ``solve_exact``, ``cartan_matrix``
+and the block inverse behind ``dual_basis`` raising, every
 CLI verb and a root census still run, and ``table`` runs with ``bareiss``
 raising.
 """
@@ -38,7 +38,7 @@ from supervogan import (
     root_expansion,
     table_report,
 )
-from supervogan.algebra import gram_matrix, gram_record
+from supervogan.algebra import gram_record
 from supervogan.vogan import _kernel
 from test_algebra import EXPANSION_GRID, Q, guard_families
 from test_vogan import ADMISSIBLE_ALPHAS
@@ -234,7 +234,7 @@ def test_integer_readings_match_fraction_oracles(fam):
     record = gram_record(diagram)
     assert all(type(x) is int for row in record.rows for x in row)
     over_den = [[Q(x, record.den) for x in row] for row in record.rows]
-    assert over_den == g == [list(row) for row in gram_matrix(diagram)]
+    assert over_den == g == [list(row) for row in cartan_matrix(diagram).symmetrized]
 
     # toggle masks: the odd-integer entries of each Fraction Cartan row
     a = cartan_matrix(diagram).matrix
@@ -295,8 +295,8 @@ def pin_family_kinds():
 
 def forbid_the_fraction_layer(monkeypatch):
     """Make ``linalg.row_reduce``, ``invert`` and ``solve_exact``,
-    ``algebra.gram_matrix``, ``cartan_matrix`` and the ``Fraction`` block
-    inverse behind ``dual_basis`` raise, wherever the package binds them."""
+    ``algebra.cartan_matrix`` and the ``Fraction`` block inverse behind
+    ``dual_basis`` raise, wherever the package binds them."""
     from supervogan import algebra, linalg
 
     def forbidden(*args):
@@ -306,7 +306,6 @@ def forbid_the_fraction_layer(monkeypatch):
         ("row_reduce", linalg.row_reduce),
         ("invert", linalg.invert),
         ("solve_exact", linalg.solve_exact),
-        ("gram_matrix", algebra.gram_matrix),
         ("cartan_matrix", algebra.cartan_matrix),
         ("_block_gram_inverse", algebra._block_gram_inverse),
     ]

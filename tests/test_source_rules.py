@@ -6,7 +6,9 @@ parser is the only such cache: data derived from a diagram is kept in the
 store of ``algebra``, which ``build_diagram.cache_clear()`` clears.  Every
 function the benchmark's tracer wraps exists in the package, every name
 a module imports is used there (``__init__.py`` re-exports are exempt), and
-every private module-level function or class is used somewhere in it."""
+every module-level function or class that ``__all__`` does not export is
+used somewhere in it or wrapped by that tracer: none is there for the tests
+alone."""
 
 import ast
 import importlib
@@ -46,9 +48,10 @@ def unused_imports(tree: ast.Module) -> list[str]:
     ]
 
 
-def unreferenced_private_definitions(trees: dict[str, ast.Module]) -> list[str]:
-    """Every private module-level function or class that no code outside its
-    own body names, in any of ``trees`` (by module name)."""
+def unreferenced_definitions(trees: dict[str, ast.Module], kept) -> list[str]:
+    """Every module-level function or class of ``trees`` (by module name),
+    but a dunder or one ``kept(module, name)`` accepts, that no code outside
+    its own body names, in any of ``trees``."""
     top = [(name, node) for name, tree in trees.items() for node in tree.body]
     names = {
         id(node): {
@@ -62,10 +65,16 @@ def unreferenced_private_definitions(trees: dict[str, ast.Module]) -> list[str]:
         f"{module}.{node.name} is never used"
         for module, node in top
         if isinstance(node, (ast.FunctionDef, ast.ClassDef))
-        and node.name.startswith("_")
         and not node.name.startswith("__")
+        and not kept(module, node.name)
         and not any(node.name in names[id(other)] for _, other in top if other is not node)
     ]
+
+
+def unreferenced_private_definitions(trees: dict[str, ast.Module]) -> list[str]:
+    """Every private module-level function or class that no code outside its
+    own body names, in any of ``trees`` (by module name)."""
+    return unreferenced_definitions(trees, lambda module, name: not name.startswith("_"))
 
 
 CACHES = {"lru_cache", "cache", "cached_property"}
@@ -144,6 +153,26 @@ def test_every_private_definition_is_used():
     assert unreferenced_private_definitions(trees) == []
 
 
+def traced_functions(monkeypatch) -> set[tuple[str, str]]:
+    """``bench/spans.py``'s ``TRACED``: the (module, name) pairs its tracer wraps."""
+    monkeypatch.syspath_prepend(str(ROOT / "bench"))
+    return set(importlib.import_module("spans").TRACED)
+
+
+def test_every_definition_outside_all_is_used(monkeypatch):
+    """A module-level function or class that ``__all__`` does not export is
+    named by other package code or wrapped by the benchmark's tracer: no
+    definition in the package is there for the tests alone."""
+    trees = {path.stem: ast.parse(path.read_text(), str(path)) for path in SOURCES}
+    exported = set(importlib.import_module("supervogan").__all__)
+    traced = traced_functions(monkeypatch)
+
+    def kept(module, name):
+        return name in exported or (module, name) in traced
+
+    assert unreferenced_definitions(trees, kept) == []
+
+
 @pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
 def test_caches_are_module_level_and_clearable(path):
     assert cache_violations(ast.parse(path.read_text(), str(path))) == []
@@ -161,8 +190,7 @@ def test_the_cli_parser_is_the_only_functools_cache():
 def test_every_traced_function_exists(monkeypatch):
     """``bench/spans.py``'s ``Tracer`` raises on a missing name, so removing a
     public function it wraps would break only the traced benchmark runs."""
-    monkeypatch.syspath_prepend(str(ROOT / "bench"))
-    traced = importlib.import_module("spans").TRACED
+    traced = traced_functions(monkeypatch)
     assert traced
     missing = [
         f"{module}.{name}"
@@ -211,6 +239,26 @@ def test_the_private_definition_rule_catches_each_kind():
     assert unreferenced_private_definitions(trees) == [
         "a._recursive is never used",
         "a._Unused is never used",
+    ]
+
+
+def test_the_exported_definition_rule_catches_each_kind():
+    trees = {
+        "a": ast.parse(
+            "def exported(): pass\n"
+            "def traced(): pass\n"
+            "def test_only(): pass\n"
+            "class TestOnly: pass\n"
+            "def called(): pass\n"
+            "def _private(): return called()\n"
+        ),
+        "b": ast.parse("import a\nx = a._private\ndef traced(): pass\n"),
+    }
+    kept = {("a", "exported"), ("a", "traced")}
+    assert unreferenced_definitions(trees, lambda module, name: (module, name) in kept) == [
+        "a.test_only is never used",
+        "a.TestOnly is never used",
+        "b.traced is never used",
     ]
 
 

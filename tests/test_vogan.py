@@ -629,13 +629,20 @@ def test_equivalent_matches_a_closure_oracle_on_every_pair(fam):
             assert equivalent(v, w) == (kv == kw), (sorted(v.painted), sorted(w.painted))
 
 
-def test_reduce_rejects_a_target_outside_the_orbit(monkeypatch):
+def test_reduce_rejects_a_target_outside_the_orbit():
     module = importlib.import_module("supervogan.vogan")
     build_diagram.cache_clear()  # no target or distance filled before
-    # a flip keeps the flipped node painted, so no orbit holds the empty painting
-    monkeypatch.setattr(module, "_block_target", lambda *args: 0)
+    vd = vd_of(FamilyId("C", 0, 3), painted=(1, 2))
+    record = module._kernel(vd.diagram, vd.involution.fixed_set)
+    orbit = module._painting_orbit(record.masks, module._mask(vd.painted))
+    # the record's target reads a filled entry as it stands: fill the
+    # orbit's entries with a single vertex of another block orbit
+    outside = next(1 << i for i in (1, 2, 3) if 1 << i not in orbit)
+    for p in orbit:
+        record.targets[p] = outside
+    assert record.target(module._mask(vd.painted)) == outside
     with pytest.raises(InvariantViolation, match="not in the flip orbit"):
-        module.reduce_with_trail(vd_of(FamilyId("C", 0, 3), painted=(1, 2)))
+        module.reduce_with_trail(vd)
 
 
 @pytest.mark.parametrize(
