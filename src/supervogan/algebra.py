@@ -241,8 +241,11 @@ def read_alpha(text: str, source: Optional[str] = None, at: int = 0) -> Fraction
     The text and its exponent are bounded before ``Fraction`` sees them, so
     every accepted alpha has at most a few hundred digits: it prints, and
     ``table`` runs on it, in bounded time.  Errors raise ``ParseError``
-    against ``source`` (default ``text``), with ``text`` starting at ``at``.
+    against ``source`` (default ``text``), with ``text`` starting at ``at``,
+    and so does a ``text`` that is no ``str``, such as a JSON number.
     """
+    if not isinstance(text, str):
+        raise ParseError(f"alpha must be a string p/q, not {type(text).__name__}", "", at)
     source = text if source is None else source
     if len(text) > ALPHA_MAX_CHARS:
         raise ParseError(

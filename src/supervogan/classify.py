@@ -11,8 +11,8 @@ namer that reads a position computes the canonical painting once per call
 and reads every side off it, and the namers of B(0,n), D(2,1;alpha) and the
 A(n,n) reversal, which read no position, never compute it.
 ``enumerate_real_forms`` hands the same namers each orbit's canonical
-painting, which ``vogan._orbit_keys`` lists from each block's single
-vertices through the flip kernel's record, and computes none.
+painting, which ``vogan._orbit_keys`` reads off the block targets that
+the flip kernel's record filled when it was built, and computes none.
 
 The symplectic side of B(m,n), B(0,n) and D(m,n) is the delta chain plus
 the long root 2 delta_n, which no diagram node carries.  No flip toggles

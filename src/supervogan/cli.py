@@ -47,6 +47,8 @@ from .vogan import (
 
 def parse_family_spec(text: str) -> FamilyId:
     """Parse a family spec, reporting the offending position on failure."""
+    if not isinstance(text, str):
+        raise ParseError(f"a family spec is a str, not {type(text).__name__}", "", 0)
     stripped = text.strip()
     base = len(text) - len(text.lstrip())
     if not stripped:

@@ -38,7 +38,7 @@ from .algebra import (
     read_alpha,
     stored,
 )
-from .errors import InvalidFamily, ParseError, SupervoganError
+from .errors import BadIndex, InvalidFamily, ParseError, SupervoganError
 from .vogan import FlipMove, VoganDiagram, automorphisms, check_vogan
 
 SCHEMA_VERSION = "1"
@@ -196,9 +196,6 @@ def _family_from_dict(data: dict) -> FamilyId:
     kind, m, n = data["kind"], data.get("m", 0), data.get("n", 0)
     alpha = None
     if "alpha" in data:
-        # a string only: a JSON number would come in as a float or a bool
-        if not isinstance(data["alpha"], str):
-            raise ParseError("alpha must be a string p/q", _shown(data["alpha"]), 0)
         alpha = read_alpha(data["alpha"])
     try:
         return FamilyId(kind, m, n, alpha)
@@ -273,8 +270,16 @@ def emit_document(
     if realform is not None:
         doc["realform"] = realform
     if trail is not None:
-        doc["trail"] = [move.at + 1 for move in trail]
+        doc["trail"] = _flips(trail, int)
     return doc
+
+
+def _flips(trail: tuple[FlipMove, ...], show: Callable[[int], object]) -> list:
+    """``show`` of each flip's node, from 1; BadIndex on a non-``FlipMove``."""
+    try:
+        return [show(move.at + 1) for move in trail]
+    except (AttributeError, TypeError):  # no ``at``, or no int there
+        raise BadIndex("a trail entry is not a FlipMove") from None
 
 
 def document_json(
@@ -290,7 +295,7 @@ def document_json(
         _write(realform, "\n  ", out)
     if trail is not None:
         # a flat list of ints, in one join: trails run to a few dozen flips
-        flips = ",\n    ".join([str(move.at + 1) for move in trail])
+        flips = ",\n    ".join(_flips(trail, str))
         out.append(f',\n  "trail": [\n    {flips}\n  ]' if trail else ',\n  "trail": []')
     out.append("\n}")
     return "".join(out)

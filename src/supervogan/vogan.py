@@ -22,21 +22,19 @@ nodes), ``_kernel``, built once and kept in the diagram's record, which
 ``build_diagram.cache_clear()`` drops.  Inside the kernel a painting is an
 ``int`` bitmask, bit i for node i, and a flip at node i is one XOR with the
 record's ``masks[i]``, read off the integer Gram rows of
-``algebra.gram_record``.  The record owns its walks, and they only fill its
-two flat tables, ``targets`` and ``dist``, indexed by painting mask: each
-block painting's target, filled for its block orbit by one walk of the
-record's ``target``, and each painting's flip distance to its orbit's
-canonical painting, filled for a whole orbit by one walk from that painting
-the first time the orbit is reduced.  Only the public ``flip_orbit`` walks
-an orbit without filling a table.  The record also holds ``key``, the orbit
-key, and ``moves``, one ``FlipMove`` per node; it holds nothing that refers
-back to its diagram, so a diagram no one holds is freed at once.
+``algebra.gram_record``.  The record is plain data, complete when built:
+one walk per block orbit, from its target, fills its two flat tables,
+indexed by block painting, ``targets`` (the orbit's target) and ``dist``
+(the flip distance to it); nothing is filled later, and only the public
+``flip_orbit`` walks again.  ``_key`` ORs a painting's block targets into
+its orbit key; the record holds nothing that refers back to its diagram,
+so a diagram no one holds is freed at once.
 
-``reduce_with_trail`` reads the trail greedily, flipping at each step the
-lowest painted node whose flip lowers the distance by one: the
-lexicographically least shortest trail, the one a breadth-first walk from
-the painting records.  The orbit BFS expands flips in ascending node order,
-so its tie-breaks are deterministic.
+``reduce_with_trail`` reads the trail greedily off the block distances,
+flipping at each step the lowest painted node whose flip lowers the
+distance by one: the lexicographically least shortest trail, the one a
+breadth-first walk from the painting records.  The orbit BFS expands flips
+in ascending node order, so its tie-breaks are deterministic.
 """
 
 from __future__ import annotations
@@ -234,7 +232,7 @@ class FlipMove:
     at: int
 
 
-_Kernel = namedtuple("Kernel", "masks targets dist moves key target")
+_Kernel = namedtuple("Kernel", "masks blocks targets dist moves")
 
 
 @stored
@@ -245,16 +243,14 @@ def _kernel(diagram: Diagram, fixed: frozenset[int]) -> _Kernel:
     toggles.  The entry a_ij = c n_ij / q is read off the integer Gram rows
     n (``cartan_scales``): it is an odd integer, q (2k + 1), exactly when
     c n_ij = q mod 2q (for either sign of q, as Python's ``%`` takes the
-    sign of the modulus).  ``target(part)``, the Borel-de Siebenthal step,
-    maps a block's nonempty painting to its orbit's single vertex of the
-    longest root (largest |n_ii|), the lowest on a tie, as a mask: read off
-    the orbit alone, and filled in ``targets`` for the whole block orbit by
-    one walk.  An orbit with no single vertex raises ``InvariantViolation``.
-    ``reduce_with_trail`` fills ``dist`` with each painting's flip distance
-    to its orbit's canonical painting, plus one; 0 marks an entry not yet
-    filled (no nonempty block painting has the target 0).  ``key(mask)`` ORs
-    the targets of ``mask``'s block parts; each block orbit holds one
-    target, so two paintings share a key exactly when they share an orbit."""
+    sign of the modulus).  ``blocks[i]`` masks node i's even block, if any.
+
+    The Borel-de Siebenthal step: the fixed even nodes are visited longest
+    root (largest |n_ii|) first, then lowest first, and one walk from each
+    node no walk has reached fills ``targets`` and ``dist`` for its block
+    orbit.  So each block orbit's target is the first single vertex visited,
+    its longest-root one (the lowest on a tie), and a block orbit with no
+    single vertex keeps the target 0, which ``_key`` rejects."""
     rows = gram_record(diagram).rows
     even = [j for j in diagram.even_indices() if j in fixed]
     masks = tuple(
@@ -263,32 +259,30 @@ def _kernel(diagram: Diagram, fixed: frozenset[int]) -> _Kernel:
     )
     size = 1 << len(diagram)
     targets, dist = array("I", [0]) * size, array("I", [0]) * size
-    lengths = [abs(row[i]) for i, row in enumerate(rows)]
-    blocks = [_mask(block) for block in even_blocks(diagram)]
+    for i in sorted(even, key=lambda i: (-abs(rows[i][i]), i)):
+        if not targets[1 << i]:
+            for p, d in _painting_orbit(masks, 1 << i).items():
+                targets[p], dist[p] = 1 << i, d
+    owner = {i: _mask(block) for block in even_blocks(diagram) for i in block}
+    blocks = tuple(owner.get(i, 0) for i in range(len(diagram)))
+    return _Kernel(masks, blocks, targets, dist, tuple(map(FlipMove, range(len(diagram)))))
 
-    def target(part: int) -> int:
-        found = targets[part]
-        if not found:
-            orbit = _painting_orbit(masks, part)
-            singles = [p.bit_length() - 1 for p in orbit if p.bit_count() == 1]
-            if not singles:
-                raise InvariantViolation(
-                    f"the flip orbit of block painting {_bits(part)} holds no single vertex"
-                )
-            found = 1 << min(singles, key=lambda i: (-lengths[i], i))
-            for p in orbit:
-                targets[p] = found
-        return found
 
-    def key(mask: int) -> int:
-        goal = 0
-        for block in blocks:
-            part = mask & block
-            if part:
-                goal |= targets[part] or target(part)
-        return goal
-
-    return _Kernel(masks, targets, dist, tuple(map(FlipMove, range(len(diagram)))), key, target)
+def _key(kernel: _Kernel, mask: int) -> int:
+    """The orbit key of painting ``mask``: the OR of its block parts'
+    targets.  Each block orbit holds one target, so two paintings share a
+    key exactly when they share an orbit."""
+    _, blocks, targets, _, _ = kernel
+    goal = 0
+    while mask:
+        part = mask & blocks[(mask & -mask).bit_length() - 1]
+        if not targets[part]:
+            raise InvariantViolation(
+                f"the flip orbit of block painting {_bits(part)} holds no single vertex"
+            )
+        goal |= targets[part]
+        mask ^= part
+    return goal
 
 
 def flip(vd: VoganDiagram, at: int) -> VoganDiagram:
@@ -350,13 +344,13 @@ def _orbit_keys(diagram: Diagram) -> list[tuple[DiagramInvolution, int, int]]:
     out = []
     for inv in automorphisms(diagram):
         fixed = inv.fixed_set
-        target = _kernel(diagram, fixed).target
+        targets = _kernel(diagram, fixed).targets
         orbits = {0: 0}  # first painting: canonical painting
         for block in even_blocks(diagram):
             firsts = {0: 0}  # each block orbit's target: its first painting
             for i in block:
                 if i in fixed:
-                    firsts.setdefault(target(1 << i), 1 << i)
+                    firsts.setdefault(targets[1 << i], 1 << i)
             orbits = {f | g: t | u for f, t in orbits.items() for u, g in firsts.items()}
         out += ((inv, first, orbits[first]) for first in sorted(orbits, key=_order))
     return out
@@ -364,48 +358,43 @@ def _orbit_keys(diagram: Diagram) -> list[tuple[DiagramInvolution, int, int]]:
 
 def canonical_block_painting(vd: VoganDiagram) -> frozenset[int]:
     """The canonical painting of ``vd``'s flip orbit, its orbit key (see
-    ``_kernel``): on each painted even block, the one vertex the record's
-    ``target`` chooses.  Raises BadIndex unless ``vd`` is a
-    ``VoganDiagram``, whose constructor checked its painting."""
+    ``_key``): on each painted even block, its block orbit's target.
+    Raises BadIndex unless ``vd`` is a ``VoganDiagram``, whose constructor
+    checked its painting."""
     check_vogan(vd)
-    return _nodes(_kernel(vd.diagram, vd.involution.fixed_set).key(_mask(vd.painted)))
+    return _nodes(_key(_kernel(vd.diagram, vd.involution.fixed_set), _mask(vd.painted)))
 
 
 def reduce_with_trail(vd: VoganDiagram) -> tuple[VoganDiagram, tuple[FlipMove, ...]]:
     """Reduce to the canonical painting; also return the flip sequence used:
-    the lexicographically least shortest one, read off the distances table
+    the lexicographically least shortest one, read off the block distances
     (see the module docstring)."""
     check_vogan(vd)
-    diagram, fixed = vd.diagram, vd.involution.fixed_set
-    masks, _, dist, moves, key, _ = _kernel(diagram, fixed)
-    start = _mask(vd.painted)
-    goal = key(start)
-    if not dist[goal]:
-        for p, d in _painting_orbit(masks, goal).items():
-            dist[p] = d + 1
+    kernel = _kernel(vd.diagram, vd.involution.fixed_set)
+    masks, blocks, _, dist, moves = kernel
+    cur = _mask(vd.painted)
+    goal = _key(kernel, cur)
     trail: list[FlipMove] = []
-    cur, left = start, dist[start]
-    while left > 1:
-        left -= 1
-        # the lowest painted node whose flip lowers the distance by one
-        # (_bits, inlined); the walk that filled the distances leaves one
-        rest = cur
-        while rest:
-            low = rest & -rest
-            at = low.bit_length() - 1
-            if dist[cur ^ masks[at]] == left:
-                break
+    # after each flip, the lowest painted node whose flip lowers its block's
+    # distance, so the total, by one (it moves by at most one; _bits, inlined)
+    rest = cur
+    while rest:
+        low = rest & -rest
+        at = low.bit_length() - 1
+        part = cur & blocks[at]
+        if dist[part ^ masks[at]] < dist[part]:
+            cur ^= masks[at]
+            trail.append(moves[at])
+            rest = cur
+        else:
             rest ^= low
-        cur ^= masks[at]
-        trail.append(moves[at])
-    # an unfilled start, or one whose distances lead elsewhere, is not in
-    # the goal's orbit
+    # a start whose distances lead elsewhere is not in the goal's orbit
     if cur != goal:
         raise InvariantViolation(
             f"canonical painting {sorted(_bits(goal))} is not in the flip orbit "
             f"of {sorted(vd.painted)}"
         )
-    return _made(diagram, vd.involution, goal), tuple(trail)
+    return _made(vd.diagram, vd.involution, goal), tuple(trail)
 
 
 def reduce(vd: VoganDiagram) -> VoganDiagram:
@@ -426,10 +415,10 @@ def equivalent(vd1: VoganDiagram, vd2: VoganDiagram) -> bool:
         a, b = vd1.diagram.family.display(), vd2.diagram.family.display()
         raise FamilyMismatch(f"cannot compare {a} with {b}")
     p1, p2 = vd1.involution.perm, vd2.involution.perm
-    key = _kernel(vd2.diagram, vd2.involution.fixed_set).key
-    target = key(_mask(vd2.painted))
+    kernel = _kernel(vd2.diagram, vd2.involution.fixed_set)
+    target = _key(kernel, _mask(vd2.painted))
     return any(
         all(p2[g[i]] == g[j] for i, j in enumerate(p1))  # g p1 = p2 g
-        and key(_mask(g[i] for i in vd1.painted)) == target
+        and _key(kernel, _mask(g[i] for i in vd1.painted)) == target
         for g in (inv.perm for inv in automorphisms(vd1.diagram))
     )

@@ -333,29 +333,26 @@ def test_table_complex_names():
         (FamilyId("D", 3, 3), (0, 4)),
     ],
 )
-def test_classify_rejects_a_canonical_painting_of_two_vertices(fam, painted, monkeypatch):
+def test_classify_rejects_a_canonical_painting_of_two_vertices(fam, painted):
+    """A record whose walks found no single vertex on the painting's block
+    orbits: their targets stay 0, which the orbit key rejects."""
     module = importlib.import_module("supervogan.vogan")
-    real = module._painting_orbit
-    blocks = [(sum(1 << i for i in b), sum(1 << i for i in b[:2])) for b in even_blocks(build_diagram(fam))]
-
-    def two_vertices(masks, start):
-        """The real orbit with every painted block's first two vertices added,
-        so no block's orbit holds a single vertex."""
-        out = {}
-        for p in real(masks, start):
-            for mask, first_two in blocks:
-                if p & mask:
-                    p |= first_two
-            out[p] = None
-        return out
-
-    build_diagram.cache_clear()  # no block target filled before
-    monkeypatch.setattr(module, "_painting_orbit", two_vertices)
+    build_diagram.cache_clear()
     vd = vd_of(fam, painted)
-    with pytest.raises(InvariantViolation, match="no single vertex"):
-        classify(vd)
-    with pytest.raises(InvariantViolation, match="no single vertex"):
-        module.reduce_with_trail(vd)
+    targets = module._kernel(vd.diagram, vd.involution.fixed_set).targets
+    for block in even_blocks(vd.diagram):
+        # each block orbit holds one target: zero every entry that holds it
+        target = targets[module._mask(vd.painted & set(block))]
+        for p, t in enumerate(targets):
+            if target and t == target:
+                targets[p] = 0
+    try:
+        with pytest.raises(InvariantViolation, match="no single vertex"):
+            classify(vd)
+        with pytest.raises(InvariantViolation, match="no single vertex"):
+            module.reduce_with_trail(vd)
+    finally:
+        build_diagram.cache_clear()  # later tests get a whole record
 
 
 def test_classify_checks_no_painting_again(monkeypatch, capsys):

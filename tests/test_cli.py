@@ -14,15 +14,19 @@ import pytest
 from test_algebra import guard_families
 
 from supervogan import (
+    BadIndex,
     FamilyId,
+    FlipMove,
     ParseError,
     build_diagram,
     classify,
     cli,
+    document_json,
+    emit_document,
     enumerate_vogan,
     parse_document,
 )
-from supervogan.algebra import node_count
+from supervogan.algebra import node_count, read_alpha
 from supervogan.cli import main, parse_family_spec
 
 Q = Fraction
@@ -89,6 +93,42 @@ def test_spec_grammar_invalid_families():
     for text in ["C(1)", "D(1,1)", "D(2,0)", "A(0,0)", "D(2,1;0)", "D(2,1;-1)"]:
         with pytest.raises(InvalidFamily):
             parse_family_spec(text)
+
+
+def with_trail(write):
+    """``write(vd, None, trail)`` on a painted B(2,2) diagram, named as ``write``."""
+
+    def call(trail):
+        return write(enumerate_vogan(build_diagram(FamilyId("B", 2, 2)))[-1], None, trail)
+
+    call.__name__ = write.__name__
+    return call
+
+
+def alpha_document(alpha):
+    doc = {"schema_version": "1", "family": {"kind": "D21alpha", "m": 2, "n": 1, "alpha": alpha}}
+    return parse_document({**doc, "nodes": [], "arrows": []})
+
+
+@pytest.mark.parametrize(
+    "call, arg, error, message",
+    [
+        (parse_family_spec, None, ParseError, "a family spec is a str"),
+        (parse_family_spec, 3, ParseError, "a family spec is a str"),
+        (parse_family_spec, b"A(1,1)", ParseError, "a family spec is a str"),
+        (read_alpha, None, ParseError, "alpha must be a string"),
+        (read_alpha, 2, ParseError, "alpha must be a string"),
+        (alpha_document, 0.5, ParseError, "alpha must be a string"),
+        (alpha_document, True, ParseError, "alpha must be a string"),
+        (with_trail(document_json), [1], BadIndex, "not a FlipMove"),
+        (with_trail(emit_document), [1], BadIndex, "not a FlipMove"),
+        (with_trail(document_json), (FlipMove(0), "1"), BadIndex, "not a FlipMove"),
+        (with_trail(emit_document), (FlipMove(0), None), BadIndex, "not a FlipMove"),
+    ],
+)
+def test_input_of_the_wrong_type_raises_a_typed_error(call, arg, error, message):
+    with pytest.raises(error, match=message):
+        call(arg)
 
 
 # -------------------------------------------------------------------- verbs

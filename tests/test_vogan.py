@@ -631,18 +631,46 @@ def test_equivalent_matches_a_closure_oracle_on_every_pair(fam):
 
 def test_reduce_rejects_a_target_outside_the_orbit():
     module = importlib.import_module("supervogan.vogan")
-    build_diagram.cache_clear()  # no target or distance filled before
+    build_diagram.cache_clear()
     vd = vd_of(FamilyId("C", 0, 3), painted=(1, 2))
     record = module._kernel(vd.diagram, vd.involution.fixed_set)
     orbit = module._painting_orbit(record.masks, module._mask(vd.painted))
-    # the record's target reads a filled entry as it stands: fill the
-    # orbit's entries with a single vertex of another block orbit
+    # ``_key`` reads the targets as they stand: fill the orbit's entries
+    # with a single vertex of another block orbit
     outside = next(1 << i for i in (1, 2, 3) if 1 << i not in orbit)
     for p in orbit:
         record.targets[p] = outside
-    assert record.target(module._mask(vd.painted)) == outside
-    with pytest.raises(InvariantViolation, match="not in the flip orbit"):
-        module.reduce_with_trail(vd)
+    try:
+        assert module._key(record, module._mask(vd.painted)) == outside
+        with pytest.raises(InvariantViolation, match="not in the flip orbit"):
+            module.reduce_with_trail(vd)
+    finally:
+        build_diagram.cache_clear()  # later tests get a whole record
+
+
+def block_orbits(diagram):
+    """Every nonempty block orbit under each involution, as (perm, orbit),
+    by ``set_orbit`` on the paintings of each block's fixed nodes."""
+    out = set()
+    for inv in automorphisms(diagram):
+        for block in even_blocks(diagram):
+            nodes = [i for i in block if i in inv.fixed_set]
+            for r in range(1, len(nodes) + 1):
+                for part in combinations(nodes, r):
+                    out.add((inv.perm, set_orbit(diagram, inv.perm, frozenset(part))))
+    return out
+
+
+def counted_walks(module, monkeypatch):
+    """The starts of every ``_painting_orbit`` walk from now on."""
+    real, starts = module._painting_orbit, []
+
+    def counted(masks, start):
+        starts.append(start)
+        return real(masks, start)
+
+    monkeypatch.setattr(module, "_painting_orbit", counted)
+    return starts
 
 
 @pytest.mark.parametrize(
@@ -651,34 +679,41 @@ def test_reduce_rejects_a_target_outside_the_orbit():
     ids=lambda fam: fam.display(),
 )
 def test_reduce_walks_the_orbit_once(fam, monkeypatch):
-    """Reducing every painting walks once per flip orbit (its distances) and
-    once per nonempty block orbit (its target), and a second pass walks
-    nothing: both are read off the tables in the diagram's record."""
+    """Reducing every painting walks once per nonempty block orbit, when
+    the record is built, and a second pass walks nothing: trails are read
+    off the block distances in the diagram's record."""
     module = importlib.import_module("supervogan.vogan")
-    real = module._painting_orbit
-    walks = []
-
-    def counted(*args):
-        walks.append(args)
-        return real(*args)
-
-    diagram = build_diagram(fam)
-    paintings = enumerate_vogan(diagram)
-    orbits, block_orbits = set(), set()  # (perm, orbit)
-    for vd in paintings:
-        perm = vd.involution.perm
-        orbits.add((perm, set_orbit(diagram, perm, vd.painted)))
-        parts = (vd.painted & set(block) for block in even_blocks(diagram))
-        block_orbits |= {(perm, set_orbit(diagram, perm, part)) for part in parts if part}
+    paintings = enumerate_vogan(build_diagram(fam))
+    orbits = block_orbits(paintings[0].diagram)
     build_diagram.cache_clear()
-    monkeypatch.setattr(module, "_painting_orbit", counted)
+    walks = counted_walks(module, monkeypatch)
     for vd in paintings:
         module.reduce_with_trail(vd)
-    assert len(walks) == len(orbits) + len(block_orbits)
+    assert len(walks) == len(orbits)
     walks.clear()
     for vd in paintings:
         module.reduce_with_trail(vd)
     assert walks == []
+
+
+@pytest.mark.parametrize("fam", [FamilyId("D", 6, 6), FamilyId("B", 6, 6)], ids=lambda f: f.display())
+def test_reducing_every_painting_walks_each_block_orbit_once(fam, monkeypatch):
+    """Flips never mix blocks, so the record walks block orbits alone: no
+    walk starts on two blocks, one walk labels each nonempty block orbit,
+    and the record it leaves is plain data."""
+    module = importlib.import_module("supervogan.vogan")
+    diagram = build_diagram(fam)
+    paintings = enumerate_vogan(diagram)
+    orbits = block_orbits(diagram)
+    blocks = [sum(1 << i for i in block) for block in even_blocks(diagram)]
+    build_diagram.cache_clear()
+    walks = counted_walks(module, monkeypatch)
+    for vd in paintings:
+        module.reduce_with_trail(vd)
+    assert all(sum(1 for b in blocks if start & b) == 1 for start in walks)
+    assert len(walks) == len(orbits)
+    for inv in automorphisms(diagram):
+        assert not any(map(callable, module._kernel(diagram, inv.fixed_set)))
 
 
 @pytest.mark.parametrize(
@@ -715,20 +750,6 @@ def test_cold_table_walks_block_orbits_only(fam, monkeypatch):
     monkeypatch.setattr(module, "_painting_orbit", counted)
     enumerate_real_forms(build_diagram(fam))
     assert len(walks) == len(block_orbits)
-
-
-def test_equivalent_fills_no_distance_table():
-    """``equivalent`` compares orbit keys: it reads block targets and leaves
-    the distances, which only a reduction reads, unfilled."""
-    build_diagram.cache_clear()
-    items = enumerate_vogan(build_diagram(FamilyId("A", 3, 3)))
-    for v in items:
-        for w in items[::7]:
-            equivalent(v, w)
-    module = importlib.import_module("supervogan.vogan")
-    for inv in automorphisms(items[0].diagram):
-        assert not any(module._kernel(items[0].diagram, inv.fixed_set).dist)
-    assert any(module._kernel(items[0].diagram, items[0].involution.fixed_set).targets)
 
 
 def test_reducing_every_painting_of_c12_grows_the_store_by_at_most_64_kb():
