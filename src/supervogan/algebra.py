@@ -26,7 +26,8 @@ mask, and any other iterable is checked on every call.  Each root's hash
 is set from the key that sorts it, the value ``__hash__`` gives, so a
 weight hashes, compares, orders and pickles as the dataclass of its two
 ``Fraction`` parts.  ``cartan_matrix`` and ``dual_basis`` hold ``Fraction``s
-read off the record; no package path calls them.
+read off the record, ``dual_basis`` inverting its block through
+``linalg.invert``; no package path calls them.
 
 The classical families A, B, B(0,n), C and D are built from their word in
 epsilon and delta (``_word``): simple roots and positive roots alike, each
@@ -69,7 +70,7 @@ from .errors import (
     SingularNormalization,
     SupervoganError,
 )
-from .linalg import Q, bareiss
+from .linalg import Q, bareiss, invert
 
 # Node kinds, also used verbatim in the JSON document schema.
 EVEN = "even"
@@ -720,34 +721,22 @@ def block_sign(diagram: Diagram, component: Sequence[int]) -> int:
     return 1 if gram_record(diagram).rows[first][first] > 0 else -1
 
 
-def _block_gram_inverse(diagram: Diagram, component: Sequence[int]):
-    """G^-1 for the component's Gram matrix G, and eps_i = G_ii / 2.  The dual
-    basis is w_j = sum_i (G^-1)_ji a_i / eps_j, so <w_i, w_j> = (G^-1)_ij / (eps_i eps_j).
-    With G = n / den for the component's block n of ``gram_record``'s rows,
-    and n r = d I for the integer transform r and last pivot d of
-    ``linalg.bareiss`` on n, G^-1 = den r / d.  Raises SingularBlock when n
-    is singular."""
-    record = gram_record(diagram)
-    n = [[record.rows[i][j] for j in component] for i in component]
-    pivots, r, d = bareiss(n, [1] * len(n))
-    if len(pivots) < len(n):
-        raise SingularBlock(f"block {tuple(component)} has singular Gram matrix")
-    den = record.den
-    eps = [Q(row[k], 2 * den) for k, row in enumerate(n)]
-    return [[Q(den * x, d) for x in row] for row in r], eps
-
-
 def dual_basis(diagram: Diagram, component: Sequence[int]) -> tuple[WeightVector, ...]:
-    """Vectors w_j in the span of the component with <w_j, a_k> = delta_jk / eps_k."""
+    """Vectors w_j in the span of the component with <w_j, a_k> = delta_jk / eps_k:
+    w_j = sum_k (G^-1)_jk a_k / eps_j for its Gram matrix G, read off
+    ``gram_record``, and eps_j = G_jj / 2.  Raises SingularBlock when G is singular."""
     component = _component(diagram, component)
-    inv, eps = _block_gram_inverse(diagram, component)
+    record = gram_record(diagram)
+    gram = [[Q(record.rows[i][j], record.den) for j in component] for i in component]
+    try:
+        inv = invert(gram)
+    except ValueError:
+        raise SingularBlock(f"block {component} has singular Gram matrix") from None
+    eps = [row[j] / 2 for j, row in enumerate(gram)]
     zero = diagram.root(0).scale(Q(0))
     return tuple(
-        sum(
-            (diagram.root(i).scale(inv[j][k] / eps[j]) for k, i in enumerate(component)),
-            zero,
-        )
-        for j in range(len(component))
+        sum((diagram.root(i).scale(x / e) for x, i in zip(row, component)), zero)
+        for row, e in zip(inv, eps)
     )
 
 

@@ -3,9 +3,9 @@
 Matrices are plain lists of lists of ``fractions.Fraction`` and vectors are
 tuples; no floating point anywhere.  The one elimination loop, ``bareiss``,
 runs fraction-free Gauss-Jordan on ``int``s and returns the integer transform
-and the last pivot; the package calls nothing else here.  ``row_reduce``,
-behind the public ``invert`` and ``solve_exact``, clears each row's
-denominators before it and divides after it.
+and the last pivot.  ``row_reduce``, behind the public ``invert``, which
+``algebra.dual_basis`` calls, and ``solve_exact``, which no package path
+calls, clears each row's denominators before it and divides after it.
 """
 
 from __future__ import annotations

@@ -11,7 +11,8 @@ arrows, the document's family and nodes, DOT's nodes and edges, as a
 %-template with one slot per fixed even node's paint (and DOT's graph
 name), and keeps it in the diagram's record.  ``render_ascii``,
 ``render_dot`` and ``document_json`` are one fill of that frame; a
-document's ``realform`` and ``trail`` follow its frame.  ``document_array``
+document's ``realform`` and ``trail`` follow its frame, and
+``emit_document`` is its text read back.  ``document_array``
 writes a list of documents as it is made, each ``document_json`` text one
 level deeper.
 
@@ -123,8 +124,15 @@ def _dot(diagram: Diagram, perm: tuple[int, ...], slots: frozenset[int]) -> tupl
 def _json(diagram: Diagram, perm: tuple[int, ...], slots: frozenset[int]) -> tuple[str, list[int]]:
     """The document of the painting, unclosed after its ``arrows``: each
     slot is written as the string ``_MARK``, then unquoted."""
-    text = to_json(_document(diagram, perm, lambda i: _MARK if i in slots else False))
-    text = text.replace(encode_basestring_ascii(_MARK), _MARK)
+    text = to_json({
+        "schema_version": SCHEMA_VERSION,
+        "family": _family_dict(diagram.family),
+        "nodes": [
+            {"index": i + 1, "kind": node.kind, "painted": _MARK if i in slots else False}
+            for i, node in enumerate(diagram.nodes)
+        ],
+        "arrows": [[i + 1, j + 1] for i, j in enumerate(perm) if i < j],
+    }).replace(encode_basestring_ascii(_MARK), _MARK)
     return text[: -len("\n}")], list(range(len(diagram)))
 
 
@@ -247,39 +255,26 @@ def _write(value, newline: str, out: list[str]) -> None:
         raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
 
 
-def _document(diagram: Diagram, perm: tuple[int, ...], painted: Callable[[int], object]) -> dict:
-    """A document's fields up to its ``arrows``; ``painted(i)`` is node i's flag."""
-    return {
-        "schema_version": SCHEMA_VERSION,
-        "family": _family_dict(diagram.family),
-        "nodes": [
-            {"index": node.index + 1, "kind": node.kind, "painted": painted(node.index)}
-            for node in diagram.nodes
-        ],
-        "arrows": [[i + 1, j + 1] for i, j in enumerate(perm) if i < j],
-    }
-
-
 def emit_document(
     vd: VoganDiagram,
     realform: Optional[dict] = None,
     trail: Optional[tuple[FlipMove, ...]] = None,
 ) -> dict:
-    check_vogan(vd)
-    doc = _document(vd.diagram, vd.involution.perm, vd.painted.__contains__)
-    if realform is not None:
-        doc["realform"] = realform
-    if trail is not None:
-        doc["trail"] = _flips(trail, int)
-    return doc
+    """``vd``'s JSON document as a dict: ``document_json``'s text read back."""
+    return json.loads(document_json(vd, realform, trail))
 
 
-def _flips(trail: tuple[FlipMove, ...], show: Callable[[int], object]) -> list:
-    """``show`` of each flip's node, from 1; BadIndex on a non-``FlipMove``."""
+def _flips(trail: tuple[FlipMove, ...], size: int) -> str:
+    """Each flip's node, from 1, a line each.  Raises BadIndex on a
+    non-``FlipMove``, or a node that is no ``int`` in ``0..size-1``."""
     try:
-        return [show(move.at + 1) for move in trail]
-    except (AttributeError, TypeError):  # no ``at``, or no int there
+        ats = [move.at for move in trail]
+    except (AttributeError, TypeError):  # no ``at``, or no iterable trail
         raise BadIndex("a trail entry is not a FlipMove") from None
+    for at in ats:
+        if type(at) is not int or not 0 <= at < size:  # True equals 1 but is no node
+            raise BadIndex(f"trail node {_shown(at, repr)} is not in 0..{size - 1}")
+    return ",\n    ".join([str(at + 1) for at in ats])
 
 
 def document_json(
@@ -287,16 +282,20 @@ def document_json(
     realform: Optional[dict] = None,
     trail: Optional[tuple[FlipMove, ...]] = None,
 ) -> str:
-    """``to_json(emit_document(vd, realform, trail))``: ``vd``'s JSON frame
-    filled, then ``realform`` written by ``_write`` and ``trail``."""
+    """``vd``'s JSON document: its JSON frame filled, then ``realform``
+    written by ``_write`` and ``trail``.  Raises SupervoganError on a
+    ``realform`` JSON cannot hold, and BadIndex on a bad trail node."""
     out = [_fill(vd, "json", "true", "false")]
     if realform is not None:
         out.append(',\n  "realform": ')
-        _write(realform, "\n  ", out)
+        try:
+            _write(realform, "\n  ", out)
+        except TypeError as exc:
+            raise SupervoganError(f"realform {_shown(realform, repr)} is not JSON: {exc}") from None
     if trail is not None:
         # a flat list of ints, in one join: trails run to a few dozen flips
-        flips = ",\n    ".join(_flips(trail, str))
-        out.append(f',\n  "trail": [\n    {flips}\n  ]' if trail else ',\n  "trail": []')
+        flips = _flips(trail, len(vd.diagram))
+        out.append(f',\n  "trail": [\n    {flips}\n  ]' if flips else ',\n  "trail": []')
     out.append("\n}")
     return "".join(out)
 

@@ -18,6 +18,7 @@ from supervogan import (
     FamilyId,
     FlipMove,
     ParseError,
+    SupervoganError,
     build_diagram,
     classify,
     cli,
@@ -95,11 +96,11 @@ def test_spec_grammar_invalid_families():
             parse_family_spec(text)
 
 
-def with_trail(write):
-    """``write(vd, None, trail)`` on a painted B(2,2) diagram, named as ``write``."""
+def writing(write, field):
+    """``write(vd, **{field: arg})`` on a painted B(2,2) diagram, named as ``write``."""
 
-    def call(trail):
-        return write(enumerate_vogan(build_diagram(FamilyId("B", 2, 2)))[-1], None, trail)
+    def call(arg):
+        return write(enumerate_vogan(build_diagram(FamilyId("B", 2, 2)))[-1], **{field: arg})
 
     call.__name__ = write.__name__
     return call
@@ -120,10 +121,22 @@ def alpha_document(alpha):
         (read_alpha, 2, ParseError, "alpha must be a string"),
         (alpha_document, 0.5, ParseError, "alpha must be a string"),
         (alpha_document, True, ParseError, "alpha must be a string"),
-        (with_trail(document_json), [1], BadIndex, "not a FlipMove"),
-        (with_trail(emit_document), [1], BadIndex, "not a FlipMove"),
-        (with_trail(document_json), (FlipMove(0), "1"), BadIndex, "not a FlipMove"),
-        (with_trail(emit_document), (FlipMove(0), None), BadIndex, "not a FlipMove"),
+        (writing(document_json, "trail"), [1], BadIndex, "not a FlipMove"),
+        (writing(emit_document, "trail"), [1], BadIndex, "not a FlipMove"),
+        (writing(document_json, "trail"), (FlipMove(0), "1"), BadIndex, "not a FlipMove"),
+        (writing(emit_document, "trail"), (FlipMove(0), None), BadIndex, "not a FlipMove"),
+        (writing(document_json, "trail"), (FlipMove(99),), BadIndex, "trail node 99 "),
+        (writing(emit_document, "trail"), (FlipMove(99), FlipMove(-1)), BadIndex, "trail node 99 "),
+        (writing(document_json, "trail"), (FlipMove(0), FlipMove(-1)), BadIndex, "trail node -1 "),
+        (writing(emit_document, "trail"), (FlipMove(-1),), BadIndex, "trail node -1 "),
+        (writing(document_json, "trail"), (FlipMove(True),), BadIndex, "trail node True "),
+        (writing(emit_document, "trail"), (FlipMove(False),), BadIndex, "trail node False "),
+        (writing(document_json, "trail"), (FlipMove("1"),), BadIndex, "trail node '1' "),
+        (writing(document_json, "realform"), {"name": (1, 2)}, SupervoganError, "realform .* is not JSON"),
+        (writing(emit_document, "realform"), {"name": (1, 2)}, SupervoganError, "realform .* is not JSON"),
+        (writing(document_json, "realform"), {1: "x"}, SupervoganError, "realform .* is not JSON"),
+        (writing(emit_document, "realform"), {("a",): "x"}, SupervoganError, "realform .* is not JSON"),
+        (writing(emit_document, "realform"), {"x": Q(1, 2)}, SupervoganError, "realform .* is not JSON"),
     ],
 )
 def test_input_of_the_wrong_type_raises_a_typed_error(call, arg, error, message):

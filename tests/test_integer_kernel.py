@@ -294,9 +294,9 @@ def pin_family_kinds():
 
 
 def forbid_the_fraction_layer(monkeypatch):
-    """Make ``linalg.row_reduce``, ``invert`` and ``solve_exact``,
-    ``algebra.cartan_matrix`` and the ``Fraction`` block inverse behind
-    ``dual_basis`` raise, wherever the package binds them."""
+    """Make ``linalg.row_reduce``, ``invert`` and ``solve_exact`` and
+    ``algebra.cartan_matrix`` raise, wherever the package binds them:
+    ``dual_basis`` inverts its block through ``invert``, so it raises too."""
     from supervogan import algebra, linalg
 
     def forbidden(*args):
@@ -307,7 +307,6 @@ def forbid_the_fraction_layer(monkeypatch):
         ("invert", linalg.invert),
         ("solve_exact", linalg.solve_exact),
         ("cartan_matrix", algebra.cartan_matrix),
-        ("_block_gram_inverse", algebra._block_gram_inverse),
     ]
     patched = set()
     for name, module in list(sys.modules.items()):

@@ -8,7 +8,9 @@ function the benchmark's tracer wraps exists in the package, every name
 a module imports is used there (``__init__.py`` re-exports are exempt), and
 every module-level function or class that ``__all__`` does not export is
 used somewhere in it or wrapped by that tracer: none is there for the tests
-alone."""
+alone.  ``linalg.bareiss``, the one elimination loop, is named only by
+``linalg.row_reduce`` and ``algebra._expansion_operator``, so every rational
+inverse goes through ``row_reduce``."""
 
 import ast
 import importlib
@@ -75,6 +77,25 @@ def unreferenced_private_definitions(trees: dict[str, ast.Module]) -> list[str]:
     """Every private module-level function or class that no code outside its
     own body names, in any of ``trees`` (by module name)."""
     return unreferenced_definitions(trees, lambda module, name: not name.startswith("_"))
+
+
+def users(trees: dict[str, ast.Module], name: str) -> list[str]:
+    """Every module-level definition of ``trees`` (by module name) whose code
+    names ``name``, bare or as an attribute, as ``module.definition``; and
+    ``module`` for other module-level code that does, or that imports
+    ``name`` under another name."""
+    found = set()
+    for module, tree in trees.items():
+        for node in tree.body:
+            if any(
+                isinstance(sub, ast.Name) and sub.id == name
+                or isinstance(sub, ast.Attribute) and sub.attr == name
+                or isinstance(sub, ast.alias) and sub.name == name and sub.asname not in (None, name)
+                for sub in ast.walk(node)
+            ):
+                named = isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+                found.add(f"{module}.{node.name}" if named else module)
+    return sorted(found)
 
 
 CACHES = {"lru_cache", "cache", "cached_property"}
@@ -173,6 +194,11 @@ def test_every_definition_outside_all_is_used(monkeypatch):
     assert unreferenced_definitions(trees, kept) == []
 
 
+def test_one_elimination_loop_backs_every_rational_inverse():
+    trees = {path.stem: ast.parse(path.read_text(), str(path)) for path in SOURCES}
+    assert users(trees, "bareiss") == ["algebra._expansion_operator", "linalg.row_reduce"]
+
+
 @pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
 def test_caches_are_module_level_and_clearable(path):
     assert cache_violations(ast.parse(path.read_text(), str(path))) == []
@@ -260,6 +286,28 @@ def test_the_exported_definition_rule_catches_each_kind():
         "a.TestOnly is never used",
         "b.traced is never used",
     ]
+
+
+def test_the_elimination_rule_catches_each_kind():
+    trees = {
+        "a": ast.parse(
+            "def elim(): pass\n"
+            "def allowed(): return elim()\n"
+            "def nested():\n"
+            "    def inner(): return elim()\n"
+            "class C:\n"
+            "    step = staticmethod(elim)\n"
+            "def quoted(): return 'elim'\n"
+            "f = elim\n"
+        ),
+        "b": ast.parse(
+            "import a\n"
+            "from a import elim\n"
+            "def by_attribute(): return a.elim([])\n"
+        ),
+        "c": ast.parse("from a import elim as e\n"),
+    }
+    assert users(trees, "elim") == ["a", "a.C", "a.allowed", "a.nested", "b.by_attribute", "c"]
 
 
 def test_the_cache_rule_catches_each_kind():
