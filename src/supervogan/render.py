@@ -290,7 +290,7 @@ def document_json(
         out.append(',\n  "realform": ')
         try:
             _write(realform, "\n  ", out)
-        except TypeError as exc:
+        except (TypeError, ValueError) as exc:  # no JSON type, or an int too long to print
             raise SupervoganError(f"realform {_shown(realform, repr)} is not JSON: {exc}") from None
     if trail is not None:
         # a flat list of ints, in one join: trails run to a few dozen flips

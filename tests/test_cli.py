@@ -137,6 +137,8 @@ def alpha_document(alpha):
         (writing(document_json, "realform"), {1: "x"}, SupervoganError, "realform .* is not JSON"),
         (writing(emit_document, "realform"), {("a",): "x"}, SupervoganError, "realform .* is not JSON"),
         (writing(emit_document, "realform"), {"x": Q(1, 2)}, SupervoganError, "realform .* is not JSON"),
+        (writing(document_json, "realform"), {"x": 10**5000}, SupervoganError, "realform <an integer too long"),
+        (writing(emit_document, "realform"), {"x": [10**5000]}, SupervoganError, "realform <an integer too long"),
     ],
 )
 def test_input_of_the_wrong_type_raises_a_typed_error(call, arg, error, message):
