@@ -7,27 +7,27 @@ key (``_exact_key``): its coordinates with the integral ones as ``int``s,
 made once and kept on it.  ``_weights`` sets it beside every classical root
 it builds, and ``_keyed`` beside each simple root of F(4) and G(3);
 D(2,1;alpha)'s, and weights made by arithmetic, make it from their
-coordinates on first use.  The root layer reads this key
-where it needs integers.  Each diagram keeps one integer Gram record
-(``gram_record``), the one place where its simple roots become integers:
-every simple root's key scaled by one lcm s of their denominators, the
-Gram matrix as ``int`` rows over den = s**2, and each row's Cartan scale.
-Every package path reads that record: even blocks, diagram symmetries,
-flip masks, the root lengths that pick canonical vertices, rendered bonds
-and, through the integer transform of ``linalg.bareiss``, the root
-expansions.  An expansion is summed over ``int``, each weight's key
-scaled by the lcm of its denominators; ``root_expansion`` wraps it in
-``Fraction``s, and ``noncompact_parity`` keeps two node masks per positive
-even root over its numerators (the nodes of its odd coefficients, and of
-its non-integer ones), reads a negative root through its negation and a
-painting's parity as one masked popcount.  It checks a painting once per
-``frozenset`` object: the diagram's record keeps the last one and its node
-mask, and any other iterable is checked on every call.  Each root's hash
-is set from the key that sorts it, the value ``__hash__`` gives, so a
-weight hashes, compares, orders and pickles as the dataclass of its two
-``Fraction`` parts.  ``cartan_matrix`` and ``dual_basis`` hold ``Fraction``s
-read off the record, ``dual_basis`` inverting its block through
-``linalg.invert``; no package path calls them.
+coordinates on first use.  The root layer reads this key where it needs
+integers.  Each diagram keeps one integer Gram record (``gram_record``),
+the one place where its simple roots become integers: every simple root's
+key scaled by one lcm s of their denominators, the Gram matrix as ``int``
+rows over den = s**2, and each row's Cartan scale; its build rejects an
+isotropic node orthogonal to the whole diagram.  Every package path reads
+that record: even blocks, diagram symmetries, flip masks, the root lengths
+that pick canonical vertices, rendered bonds and, through the integer
+transform of ``linalg.bareiss``, the root expansions.  An expansion is
+summed over ``int``, each weight's key scaled by the lcm of its
+denominators; ``root_expansion`` wraps it in ``Fraction``s, and
+``noncompact_parity`` keeps one node mask per positive even root, of its
+odd coefficients, checked integral as the table is built, reads a negative
+root through its negation and a painting's parity as one masked popcount.
+It checks a painting once per ``frozenset`` object: the diagram's record
+keeps the last one and its node mask, and any other iterable is checked on
+every call.  Each root's hash is set from the key that sorts it, the value
+``__hash__`` gives, so a weight hashes, compares, orders and pickles as the
+dataclass of its two ``Fraction`` parts.  ``cartan_matrix`` and
+``dual_basis`` hold ``Fraction``s read off the record, ``dual_basis``
+inverting its block through ``linalg.invert``; no package path calls them.
 
 The classical families A, B, B(0,n), C and D are built from their word in
 epsilon and delta (``_word``): simple roots and positive roots alike, each
@@ -477,8 +477,9 @@ def gram_record(diagram: Diagram) -> GramRecord:
     coordinates, and ``rows`` their Gram matrix n, with G = n / den and den =
     s**2.  ``scales`` holds the Cartan reading of each row,
     ``(c, q)`` with ``a_ij = c n_ij / q``: ``(2, n_ii)`` for a non-isotropic
-    node, ``(1, max_j |n_ij|)`` for an isotropic one (``q`` is 0 when that
-    row is zero; ``cartan_scales`` rejects it).
+    node, ``(1, max_j |n_ij|)`` for an isotropic one; a zero row there, an
+    isotropic node orthogonal to the whole diagram, raises
+    SingularNormalization.
     """
     parts = [_exact_key(node.root) for node in diagram.nodes]
     s = _denominator(chain.from_iterable(chain.from_iterable(parts)))
@@ -492,6 +493,9 @@ def gram_record(diagram: Diagram) -> GramRecord:
     scales = tuple(
         (2, row[i]) if row[i] else (1, max(map(abs, row))) for i, row in enumerate(rows)
     )
+    for i, (_, q) in enumerate(scales):
+        if not q:
+            raise SingularNormalization(f"isotropic node {i} is orthogonal to the whole diagram")
     coords = tuple(a + b for a, b in zip(e, d))
     return GramRecord(tuple(map(tuple, rows)), s * s, scales, s, coords)
 
@@ -629,20 +633,6 @@ class CartanData:
     symmetrized: tuple[tuple[Fraction, ...], ...]
 
 
-def cartan_scales(diagram: Diagram) -> tuple[tuple[int, int], ...]:
-    """Per node i, ``(c, q)`` with Cartan entry ``a_ij = c n_ij / q`` over
-    the rows n of ``gram_record``.
-
-    Raises SingularNormalization for an isotropic node orthogonal to the
-    whole diagram, whose row has no entry to normalize by.
-    """
-    scales = gram_record(diagram).scales
-    for i, (_, q) in enumerate(scales):
-        if not q:
-            raise SingularNormalization(f"isotropic node {i} is orthogonal to the whole diagram")
-    return scales
-
-
 @stored
 def cartan_matrix(diagram: Diagram) -> CartanData:
     """Cartan matrix normalized so that diag(eps) @ matrix equals the Gram matrix.
@@ -650,13 +640,12 @@ def cartan_matrix(diagram: Diagram) -> CartanData:
     Rows of non-isotropic nodes are the usual ``2<a_i,a_j>/<a_i,a_i>``; rows of
     isotropic nodes are scaled so the largest entry in absolute value is 1.
     Built from ``gram_record``, whose rows over ``den`` are the Gram matrix
-    ``symmetrized``; ``cartan_scales`` gives each row's scale.
+    ``symmetrized``, and whose ``scales`` give each row's scale.
     """
     record = gram_record(diagram)
     g = tuple(tuple(Q(x, record.den) for x in row) for row in record.rows)
-    scales = cartan_scales(diagram)
-    a_rows = tuple(tuple(Q(c * x, q) for x in row) for row, (c, q) in zip(record.rows, scales))
-    eps = tuple(Q(q, c * record.den) for c, q in scales)
+    a_rows = tuple(tuple(Q(c * x, q) for x in row) for row, (c, q) in zip(record.rows, record.scales))
+    eps = tuple(Q(q, c * record.den) for c, q in record.scales)
     # eps_i a_ij == g_ij, cross-multiplied over the integers
     if any(g[i][j] != g[j][i] for i in range(len(g)) for j in range(i)) or any(
         e.numerator * x.numerator * y.denominator != y.numerator * e.denominator * x.denominator
@@ -901,34 +890,36 @@ def root_expansion(diagram: Diagram, v: WeightVector) -> tuple[Fraction, ...]:
 
 
 class _ParityTable:
-    """``masks``: every positive even root mapped to its two node masks.
-    ``last``: the last frozenset painting that ``noncompact_parity`` checked,
-    with its node mask, as one ``(painting, mask)`` tuple."""
+    """``masks``: every positive even root mapped to the node mask of its
+    odd coefficients.  ``last``: the last frozenset painting that
+    ``noncompact_parity`` checked, with its node mask, as one tuple."""
 
     __slots__ = ("masks", "last")
 
-    def __init__(self, masks: dict[WeightVector, tuple[int, int]]):
+    def __init__(self, masks: dict[WeightVector, int]):
         self.masks = masks
         self.last = (frozenset(), 0)
 
 
 @stored
 def _even_root_masks(diagram: Diagram) -> _ParityTable:
-    """Every positive even root mapped to two node masks over its integer
-    expansion: the nodes with an odd integer coefficient, and the nodes with
-    a non-integer one.  A negative root has the same masks, so
-    ``noncompact_parity`` reads it through its negation.  The returned
-    table's ``last`` starts as the empty painting."""
+    """Every positive even root mapped to the node mask of its odd
+    coefficients, over its integer expansion; raises InvariantViolation,
+    once per diagram, if any coefficient is not an integer.  A negative
+    root has the same mask, so ``noncompact_parity`` reads it through its
+    negation.  The returned table's ``last`` starts as the empty painting."""
     table = {}
     for r in generate_roots(diagram).even():
-        odd = frac = 0
+        odd = 0
         coeffs, den = _integer_expansion(diagram, r)
         for i, c in enumerate(coeffs):
             if c % den:
-                frac |= 1 << i
-            elif (c // den) & 1:
+                raise InvariantViolation(
+                    f"{r} has the non-integer coefficient {Q(c, den)} at node {i}"
+                )
+            if (c // den) & 1:
                 odd |= 1 << i
-        table[r] = (odd, frac)
+        table[r] = odd
     return _ParityTable(table)
 
 
@@ -970,14 +961,13 @@ def noncompact_parity(diagram: Diagram, painted: frozenset[int], v: WeightVector
     """
     table = _even_root_masks(diagram)
     try:
-        masks = table.masks.get(v)
+        odd = table.masks.get(v)
     except TypeError:  # v is not hashable
-        masks = None
-    if masks is None and isinstance(v, WeightVector):
-        masks = table.masks.get(-v)
-    if masks is None:
+        odd = None
+    if odd is None and isinstance(v, WeightVector):
+        odd = table.masks.get(-v)
+    if odd is None:
         raise NotAnEvenRoot(f"{v} is not an even root of {diagram.family.display()}")
-    odd, frac = masks
     last = table.last
     # by identity: equal paintings (a set changed since, or {True} for {1})
     # compare and hash equal, and only a frozenset cannot have changed
@@ -987,9 +977,4 @@ def noncompact_parity(diagram: Diagram, painted: frozenset[int], v: WeightVector
         mask = _painted_mask(diagram, painted)
         if type(painted) is frozenset:
             table.last = (painted, mask)
-    bad = mask & frac
-    if bad:
-        c, den = _integer_expansion(diagram, v)
-        i = (bad & -bad).bit_length() - 1
-        raise InvariantViolation(f"{v} has the non-integer coefficient {Q(c[i], den)} at node {i}")
     return (mask & odd).bit_count() & 1

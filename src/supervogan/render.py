@@ -3,7 +3,7 @@
 Node glyphs: ``o`` even, ``*`` even painted, ``(x)`` odd isotropic,
 ``(*)`` odd non-isotropic.  Multiple bonds carry an arrow pointing at the
 node whose Cartan row holds the larger entry in absolute value, read over
-``int`` off ``algebra.gram_record`` and ``cartan_scales``.
+``int`` off ``algebra.gram_record``'s rows and scales.
 
 Each format has one writer, and it runs once per (diagram, involution,
 format): ``_frame`` writes the text every painting shares, glyphs, bonds,
@@ -34,7 +34,6 @@ from .algebra import (
     Diagram,
     FamilyId,
     build_diagram,
-    cartan_scales,
     gram_record,
     read_alpha,
     stored,
@@ -51,9 +50,9 @@ _MARK = "\x00"
 def _strength(diagram: Diagram, i: int, j: int) -> tuple[int, bool]:
     """The floor of max(|a_ij|, |a_ji|), and whether |a_ji| is the larger:
     both entries over the common denominator |q_i q_j|, in ``int``s."""
-    n = abs(gram_record(diagram).rows[i][j])
-    scales = cartan_scales(diagram)
-    (ci, qi), (cj, qj) = scales[i], scales[j]
+    record = gram_record(diagram)
+    n = abs(record.rows[i][j])
+    (ci, qi), (cj, qj) = record.scales[i], record.scales[j]
     left, right = ci * n * abs(qj), cj * n * abs(qi)
     return max(left, right) // abs(qi * qj), right > left
 
@@ -185,12 +184,12 @@ def _family_dict(fam: FamilyId) -> dict:
 
 def _shown(value, show=str) -> str:
     """``show(value)`` for an error message; a dict source may carry an
-    integer past the interpreter's limit on decimal digits, which no
-    formatter prints."""
+    integer past the interpreter's limit on decimal digits, or nesting past
+    its recursion limit, which no formatter prints."""
     try:
         return show(value)
-    except ValueError:
-        return "<an integer too long to print>"
+    except (ValueError, RecursionError):
+        return "<a value too long or too deep to print>"
 
 
 def _as_json(value) -> str:
@@ -290,7 +289,8 @@ def document_json(
         out.append(',\n  "realform": ')
         try:
             _write(realform, "\n  ", out)
-        except (TypeError, ValueError) as exc:  # no JSON type, or an int too long to print
+        # no JSON type, an int too long to print, or nesting too deep to write
+        except (TypeError, ValueError, RecursionError) as exc:
             raise SupervoganError(f"realform {_shown(realform, repr)} is not JSON: {exc}") from None
     if trail is not None:
         # a flat list of ints, in one join: trails run to a few dozen flips

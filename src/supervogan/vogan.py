@@ -22,18 +22,19 @@ nodes), ``_kernel``, built once and kept in the diagram's record, which
 ``build_diagram.cache_clear()`` drops.  Inside the kernel a painting is an
 ``int`` bitmask, bit i for node i, and a flip at node i is one XOR with the
 record's ``masks[i]``, read off the integer Gram rows of
-``algebra.gram_record``.  The record is plain data, complete when built:
-one walk per block orbit, from its target, fills its two flat tables,
-indexed by block painting, ``targets`` (the orbit's target) and ``dist``
-(the flip distance to it); nothing is filled later, and only the public
-``flip_orbit`` walks again.  ``_key`` ORs a painting's block targets into
-its orbit key; the record holds nothing that refers back to its diagram,
-so a diagram no one holds is freed at once.
+``algebra.gram_record``.  The record is plain data, complete and checked
+when built: one walk per block orbit, from its target, fills its two flat
+tables, indexed by block painting, ``targets`` (the orbit's target) and
+``dist`` (the flip distance to it); nothing is filled or checked later,
+and only the public ``flip_orbit`` walks again.  ``_key`` ORs a painting's
+block targets into its orbit key; the record holds nothing that refers
+back to its diagram, so a diagram no one holds is freed at once.
 
 ``reduce_with_trail`` reads the trail greedily off the block distances,
 flipping at each step the lowest painted node whose flip lowers the
 distance by one: the lexicographically least shortest trail, the one a
-breadth-first walk from the painting records.  The orbit BFS expands flips
+breadth-first walk from the painting records; every other painting has a
+flip one nearer, so it ends on the orbit key.  The orbit BFS expands flips
 in ascending node order, so its tie-breaks are deterministic.
 """
 
@@ -45,14 +46,7 @@ from dataclasses import dataclass, field
 from itertools import chain, combinations
 from typing import Iterable, Iterator
 
-from .algebra import (
-    EVEN,
-    Diagram,
-    cartan_scales,
-    even_blocks,
-    gram_record,
-    stored,
-)
+from .algebra import EVEN, Diagram, even_blocks, gram_record, stored
 from .errors import (
     BadIndex,
     FamilyMismatch,
@@ -241,7 +235,7 @@ def _kernel(diagram: Diagram, fixed: frozenset[int]) -> _Kernel:
     module docstring).  ``masks[i]`` holds the fixed even nodes paired with
     node i by an odd integer in its Cartan row: exactly what a flip there
     toggles.  The entry a_ij = c n_ij / q is read off the integer Gram rows
-    n (``cartan_scales``): it is an odd integer, q (2k + 1), exactly when
+    n and their ``scales``: it is an odd integer, q (2k + 1), exactly when
     c n_ij = q mod 2q (for either sign of q, as Python's ``%`` takes the
     sign of the modulus).  ``blocks[i]`` masks node i's even block, if any.
 
@@ -249,37 +243,42 @@ def _kernel(diagram: Diagram, fixed: frozenset[int]) -> _Kernel:
     root (largest |n_ii|) first, then lowest first, and one walk from each
     node no walk has reached fills ``targets`` and ``dist`` for its block
     orbit.  So each block orbit's target is the first single vertex visited,
-    its longest-root one (the lowest on a tie), and a block orbit with no
-    single vertex keeps the target 0, which ``_key`` rejects."""
-    rows = gram_record(diagram).rows
+    its longest-root one (the lowest on a tie).  The walks stay in their
+    blocks and never meet, so they fill the 2**k - 1 paintings of a block's
+    k fixed even nodes exactly when each of its orbits holds a single
+    vertex; the build raises InvariantViolation otherwise."""
+    rows, _, scales, _, _ = gram_record(diagram)
     even = [j for j in diagram.even_indices() if j in fixed]
     masks = tuple(
         _mask(j for j in even if j != at and c * row[j] % (2 * q) == q)
-        for at, (row, (c, q)) in enumerate(zip(rows, cartan_scales(diagram)))
+        for at, (row, (c, q)) in enumerate(zip(rows, scales))
     )
     size = 1 << len(diagram)
     targets, dist = array("I", [0]) * size, array("I", [0]) * size
+    filled = 0
     for i in sorted(even, key=lambda i: (-abs(rows[i][i]), i)):
         if not targets[1 << i]:
-            for p, d in _painting_orbit(masks, 1 << i).items():
+            orbit = _painting_orbit(masks, 1 << i)
+            filled += len(orbit)
+            for p, d in orbit.items():
                 targets[p], dist[p] = 1 << i, d
-    owner = {i: _mask(block) for block in even_blocks(diagram) for i in block}
-    blocks = tuple(owner.get(i, 0) for i in range(len(diagram)))
-    return _Kernel(masks, blocks, targets, dist, tuple(map(FlipMove, range(len(diagram)))))
+    blocks = even_blocks(diagram)
+    if filled != sum((1 << len(fixed.intersection(block))) - 1 for block in blocks):
+        family = diagram.family.display()
+        raise InvariantViolation(f"a block orbit of {family} holds no single vertex")
+    owner = {i: _mask(block) for block in blocks for i in block}
+    block_of = tuple(owner.get(i, 0) for i in range(len(diagram)))
+    return _Kernel(masks, block_of, targets, dist, tuple(map(FlipMove, range(len(diagram)))))
 
 
 def _key(kernel: _Kernel, mask: int) -> int:
     """The orbit key of painting ``mask``: the OR of its block parts'
-    targets.  Each block orbit holds one target, so two paintings share a
-    key exactly when they share an orbit."""
+    targets.  Each block orbit holds one target (``_kernel`` checks it), so
+    two paintings share a key exactly when they share an orbit."""
     _, blocks, targets, _, _ = kernel
     goal = 0
     while mask:
         part = mask & blocks[(mask & -mask).bit_length() - 1]
-        if not targets[part]:
-            raise InvariantViolation(
-                f"the flip orbit of block painting {_bits(part)} holds no single vertex"
-            )
         goal |= targets[part]
         mask ^= part
     return goal
@@ -370,10 +369,8 @@ def reduce_with_trail(vd: VoganDiagram) -> tuple[VoganDiagram, tuple[FlipMove, .
     the lexicographically least shortest one, read off the block distances
     (see the module docstring)."""
     check_vogan(vd)
-    kernel = _kernel(vd.diagram, vd.involution.fixed_set)
-    masks, blocks, _, dist, moves = kernel
+    masks, blocks, _, dist, moves = _kernel(vd.diagram, vd.involution.fixed_set)
     cur = _mask(vd.painted)
-    goal = _key(kernel, cur)
     trail: list[FlipMove] = []
     # after each flip, the lowest painted node whose flip lowers its block's
     # distance, so the total, by one (it moves by at most one; _bits, inlined)
@@ -388,13 +385,8 @@ def reduce_with_trail(vd: VoganDiagram) -> tuple[VoganDiagram, tuple[FlipMove, .
             rest = cur
         else:
             rest ^= low
-    # a start whose distances lead elsewhere is not in the goal's orbit
-    if cur != goal:
-        raise InvariantViolation(
-            f"canonical painting {sorted(_bits(goal))} is not in the flip orbit "
-            f"of {sorted(vd.painted)}"
-        )
-    return _made(vd.diagram, vd.involution, goal), tuple(trail)
+    # distances from each block orbit's target: the descent ends on the key
+    return _made(vd.diagram, vd.involution, cur), tuple(trail)
 
 
 def reduce(vd: VoganDiagram) -> VoganDiagram:

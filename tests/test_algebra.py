@@ -34,6 +34,7 @@ from supervogan import (
     node_count,
     noncompact_parity,
     reduce,
+    render_ascii,
     root_expansion,
     table_report,
     validate_family,
@@ -403,8 +404,11 @@ def test_noncompact_parity_rejects_fractional_coefficient(monkeypatch):
     )
     build_diagram.cache_clear()
     try:
-        with pytest.raises(InvariantViolation):
-            module.noncompact_parity(diagram, frozenset(diagram.even_indices()), root)
+        # the parity table checks every coefficient as it is built, so an
+        # empty painting, which reads none of them, raises too
+        for painted in (frozenset(), frozenset(diagram.even_indices())):
+            with pytest.raises(InvariantViolation, match="non-integer coefficient 1/2 at node 0"):
+                module.noncompact_parity(diagram, painted, root)
     finally:
         build_diagram.cache_clear()
 
@@ -517,10 +521,25 @@ def isolated_isotropic_node():
         lambda d: flip_orbit(VoganDiagram(d, identity_involution(len(d)), frozenset({0}))),
         lambda d: reduce(VoganDiagram(d, identity_involution(len(d)), frozenset({0, 2}))),
         enumerate_real_forms,
+        even_blocks,
+        lambda d: root_expansion(d, d.root(0)),
+        lambda d: render_ascii(VoganDiagram(d, identity_involution(len(d)), frozenset())),
+        lambda d: noncompact_parity(d, frozenset(), generate_roots(d).even()[0]),
     ],
-    ids=["cartan_matrix", "flip_orbit", "reduce", "enumerate_real_forms"],
+    ids=[
+        "cartan_matrix",
+        "flip_orbit",
+        "reduce",
+        "enumerate_real_forms",
+        "even_blocks",
+        "root_expansion",
+        "render_ascii",
+        "noncompact_parity",
+    ],
 )
 def test_isolated_isotropic_node_raises_singular_normalization(call):
+    """The Gram record's build rejects the diagram, so every reader of it
+    raises, however little of the record it reads."""
     with pytest.raises(SingularNormalization):
         call(isolated_isotropic_node())
 

@@ -333,19 +333,21 @@ def test_table_complex_names():
         (FamilyId("D", 3, 3), (0, 4)),
     ],
 )
-def test_classify_rejects_a_canonical_painting_of_two_vertices(fam, painted):
-    """A record whose walks found no single vertex on the painting's block
-    orbits: their targets stay 0, which the orbit key rejects."""
+def test_classify_rejects_a_canonical_painting_of_two_vertices(fam, painted, monkeypatch):
+    """A walk that misses the painting's block orbits, as if they held no
+    single vertex: the record's build finds block paintings no walk filled
+    and raises, so neither naming nor reducing reads a key of two vertices."""
     module = importlib.import_module("supervogan.vogan")
-    build_diagram.cache_clear()
     vd = vd_of(fam, painted)
-    targets = module._kernel(vd.diagram, vd.involution.fixed_set).targets
-    for block in even_blocks(vd.diagram):
-        # each block orbit holds one target: zero every entry that holds it
-        target = targets[module._mask(vd.painted & set(block))]
-        for p, t in enumerate(targets):
-            if target and t == target:
-                targets[p] = 0
+    parts = {module._mask(vd.painted & set(block)) for block in even_blocks(vd.diagram)}
+    walk = module._painting_orbit
+
+    def missing_the_painting(masks, start):
+        orbit = walk(masks, start)
+        return {} if parts & orbit.keys() else orbit
+
+    monkeypatch.setattr(module, "_painting_orbit", missing_the_painting)
+    build_diagram.cache_clear()  # a cold store: the record is built under the patch
     try:
         with pytest.raises(InvariantViolation, match="no single vertex"):
             classify(vd)

@@ -1,5 +1,6 @@
 """Command-line interface: spec grammar, verbs, formats, exit codes."""
 
+import dataclasses
 import json
 import os
 import re
@@ -12,6 +13,7 @@ from time import perf_counter
 
 import pytest
 from test_algebra import guard_families
+from test_render import nested
 
 from supervogan import (
     BadIndex,
@@ -137,8 +139,10 @@ def alpha_document(alpha):
         (writing(document_json, "realform"), {1: "x"}, SupervoganError, "realform .* is not JSON"),
         (writing(emit_document, "realform"), {("a",): "x"}, SupervoganError, "realform .* is not JSON"),
         (writing(emit_document, "realform"), {"x": Q(1, 2)}, SupervoganError, "realform .* is not JSON"),
-        (writing(document_json, "realform"), {"x": 10**5000}, SupervoganError, "realform <an integer too long"),
-        (writing(emit_document, "realform"), {"x": [10**5000]}, SupervoganError, "realform <an integer too long"),
+        (writing(document_json, "realform"), {"x": 10**5000}, SupervoganError, "realform <a value too long"),
+        (writing(emit_document, "realform"), {"x": [10**5000]}, SupervoganError, "realform <a value too long"),
+        (writing(document_json, "realform"), {"name": nested(5000)}, SupervoganError, "too deep to print"),
+        (writing(emit_document, "realform"), {"name": nested(5000)}, SupervoganError, "too deep to print"),
     ],
 )
 def test_input_of_the_wrong_type_raises_a_typed_error(call, arg, error, message):
@@ -253,6 +257,37 @@ def test_table_mismatch_exit_code(capsys):
     assert "MISSING" in out
 
 
+@pytest.mark.parametrize("fmt", ["ascii", "json"])
+def test_table_shows_even_part_mismatches_and_unexpected_rows(capsys, monkeypatch, fmt):
+    """A reference table that gives F(4;3) another even part and has no
+    F(4;1) row: each reads so, in either format, and the table exits 2."""
+    report = cli.table_report(build_diagram(FamilyId("F4")))
+    expected = (
+        ("F(4;0)", ("sl(2,R)", "so(7)")),
+        ("F(4;3)", ("so(3)", "so(1,6)")),
+        ("F(4;2)", ("su(2)", "so(2,5)")),
+    )
+    changed = dataclasses.replace(
+        report, expected=expected, unexpected=("F(4;1)",), even_mismatches=("F(4;3)",)
+    )
+    monkeypatch.setattr(cli, "table_report", lambda diagram: changed)
+    code, out, err = run(capsys, "table", "F(4)", "--format", fmt)
+    assert (code, err) == (2, "")
+    if fmt == "json":
+        payload = json.loads(out)
+        assert payload["unexpected"] == ["F(4;1)"] and payload["even_mismatches"] == ["F(4;3)"]
+        assert payload["missing"] == [] and payload["clean"] is False
+        return
+    lines = out.splitlines()
+    assert "  g = F(4;0)   g0 = sl(2,R) + so(7)                [ok]" in lines
+    assert (
+        "  g = F(4;3)   g0 = so(3) + so(1,6)                "
+        "[EVEN-PART MISMATCH (computed su(2) + so(1,6))]"
+    ) in lines
+    assert "  g = F(4;1)   g0 = sl(2,R) + so(3,4)              [UNEXPECTED]" in lines
+    assert lines[-1] == "result: MISMATCHES"
+
+
 # ------------------------------------------------------------------- errors
 
 
@@ -350,6 +385,13 @@ def test_rank_guard_boundary(capsys):
     assert code == 0
     code, out, err = run(capsys, "diagram", "B(7,6)")
     assert code == 1
+
+
+@pytest.mark.parametrize("painted", ["2,,4", ",2,4,", "2, ,4"])
+def test_empty_painted_tokens_are_skipped(capsys, painted):
+    assert run(capsys, "reduce", "C(4)", "--painted", painted) == run(
+        capsys, "reduce", "C(4)", "--painted", "2,4"
+    )
 
 
 def test_paint_odd_node(capsys):

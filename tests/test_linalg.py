@@ -58,6 +58,13 @@ def test_solve_exact_inconsistent():
         solve_exact(a, [Q(1), Q(3)])
 
 
+def test_invert_and_solve_exact_reject_mismatched_shapes():
+    with pytest.raises(ValueError, match="not square"):
+        invert([[Q(1), Q(2)]])
+    with pytest.raises(ValueError, match="incompatible shapes"):
+        solve_exact([[Q(1), Q(2)], [Q(3), Q(4)]], [Q(1)])
+
+
 def test_matrix_rank():
     assert matrix_rank([[Q(1), Q(2)], [Q(2), Q(4)]]) == 1
     assert matrix_rank(identity(4)) == 4

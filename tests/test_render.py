@@ -32,6 +32,15 @@ from supervogan.render import document_array, to_json
 Q = Fraction
 
 
+def nested(depth):
+    """An empty list inside ``depth`` lists, past the recursion limit of
+    any printer or writer that recurses."""
+    value = []
+    for _ in range(depth):
+        value = [value]
+    return value
+
+
 def vd_of(fam, painted=(), inv_name="identity"):
     diagram = build_diagram(fam)
     inv = next(g for g in automorphisms(diagram) if g.name == inv_name)
@@ -277,6 +286,8 @@ def _as_a22_with_arrows(arrows):
         # as the reversal
         lambda d: d.__setitem__("arrows", [[3, 3]]),
         _as_a22_with_arrows([[1, 5], [2, 4], [2, 4]]),
+        # a kind that is no string, nested past the recursion limit of a printer
+        lambda d: d.__setitem__("family", {"kind": nested(5000)}),
     ],
 )
 def test_parse_document_rejects_mangled_documents(mangle):
