@@ -6,9 +6,10 @@ The pieces fit together in one pipeline: ``build_diagram`` turns a
 lists its painted diagrams, ``reduce`` normalizes a painting by flips,
 ``classify`` names the corresponding real form, and ``table_report`` checks a
 whole family against the reference classification.  Arithmetic is exact:
-weights carry ``fractions.Fraction`` coordinates, while the pipeline itself
-runs on ``int``, read off one integer Gram record per diagram, with
-paintings as bitmasks; no floating point is involved anywhere.
+a weight's coordinates are ``int``s where integral and
+``fractions.Fraction``s elsewhere, while the pipeline itself runs on
+``int``, read off one integer Gram record per diagram, with paintings as
+bitmasks; no floating point is involved anywhere.
 """
 
 from .algebra import (

@@ -1,39 +1,34 @@
 """Distinguished root data for the basic classical families.
 
 Every quantity is exact: weights live in a split coordinate space with
-inner product ``<e_i, e_j> = delta_ij``, ``<d_i, d_j> = -delta_ij`` and all
-coordinates are ``fractions.Fraction``.  Each weight also keeps its exact
-key (``_exact_key``): its coordinates with the integral ones as ``int``s,
-made once and kept on it.  ``_weights`` sets it beside every classical root
-it builds, and ``_keyed`` beside each simple root of F(4) and G(3);
-D(2,1;alpha)'s, and weights made by arithmetic, make it from their
-coordinates on first use.  The root layer reads this key where it needs
-integers.  Each diagram keeps one integer Gram record (``gram_record``),
-the one place where its simple roots become integers: every simple root's
-key scaled by one lcm s of their denominators, the Gram matrix as ``int``
+inner product ``<e_i, e_j> = delta_ij``, ``<d_i, d_j> = -delta_ij``, and
+each coordinate is held in exact form, an ``int`` where integral and a
+``fractions.Fraction`` elsewhere; ``_exact`` is the one normalizer, called
+by ``weight`` and the weight arithmetic.  An ``int`` compares, hashes and
+orders as the equal ``Fraction`` does, so a weight's coordinates are its
+key.  Each diagram keeps one integer Gram record (``gram_record``), the
+one place where its simple roots become integers: every simple root
+scaled by one lcm s of their denominators, the Gram matrix as ``int``
 rows over den = s**2, and each row's Cartan scale; its build rejects an
 isotropic node orthogonal to the whole diagram.  Every package path reads
 that record: even blocks, diagram symmetries, flip masks, the root lengths
 that pick canonical vertices, rendered bonds and, through the integer
 transform of ``linalg.bareiss``, the root expansions.  An expansion is
-summed over ``int``, each weight's key scaled by the lcm of its
-denominators; ``root_expansion`` wraps it in ``Fraction``s, and
-``noncompact_parity`` keeps one node mask per positive even root, of its
-odd coefficients, checked integral as the table is built, reads a negative
-root through its negation and a painting's parity as one masked popcount.
-It checks a painting once per ``frozenset`` object: the diagram's record
-keeps the last one and its node mask, and any other iterable is checked on
-every call.  Each root's hash is set from the key that sorts it, the value
-``__hash__`` gives, so a weight hashes, compares, orders and pickles as the
-dataclass of its two ``Fraction`` parts.  ``cartan_matrix`` and
-``dual_basis`` hold ``Fraction``s read off the record, ``dual_basis``
-inverting its block through ``linalg.invert``; no package path calls them.
+summed over ``int``, each weight scaled by the lcm of its denominators;
+``root_expansion`` wraps it in ``Fraction``s, and ``noncompact_parity``
+keeps one node mask per positive even root, of its odd coefficients,
+checked integral as the table is built, reads a negative root through
+its negation and a painting's parity as one masked popcount.  It checks a
+painting once per ``frozenset`` object: the diagram's record keeps the
+last one and its node mask, and any other iterable is checked on every
+call.  ``cartan_matrix`` and ``dual_basis`` hold ``Fraction``s read off the
+record, ``dual_basis`` inverting its block through ``linalg.invert``; no
+package path calls them.
 
 The classical families A, B, B(0,n), C and D are built from their word in
 epsilon and delta (``_word``): simple roots and positive roots alike, each
-coordinate set from a shared ``Fraction``, not summed, and its key from the
-same ``int``.  D(2,1;alpha), F(4) and G(3) keep hand-written weights, the
-simple roots of F(4) and G(3) keyed from their literal coordinates.
+coordinate set to an ``int``, not summed.  D(2,1;alpha), F(4) and G(3)
+keep hand-written weights, made through ``weight``.
 
 Data derived from a diagram is kept in a record on the ``Diagram`` by the
 ``stored`` functions, here and in ``vogan``, so it lives and dies with its
@@ -55,7 +50,7 @@ from fractions import Fraction
 from functools import update_wrapper
 from itertools import chain, count
 from math import lcm
-from operator import itemgetter, mul
+from operator import attrgetter, mul
 from typing import Optional, Sequence
 from weakref import WeakValueDictionary
 
@@ -80,46 +75,46 @@ ODD_NONISO = "odd_nonisotropic"
 
 @dataclass(frozen=True, order=True)
 class WeightVector:
-    """Vector in the split weight space; e-coordinates carry +1, d-coordinates -1."""
+    """Vector in the split weight space; e-coordinates carry +1, d-coordinates -1.
+    Each coordinate is an ``int`` where integral, else a ``Fraction``."""
 
-    e_part: tuple[Fraction, ...]
-    d_part: tuple[Fraction, ...]
+    e_part: tuple[int | Fraction, ...]
+    d_part: tuple[int | Fraction, ...]
 
     def __hash__(self) -> int:
-        # Roots key sets and caches; hash the coordinates only once, integral
-        # ones as ints (hash(Fraction(k)) == hash(k): the value is unchanged).
-        # Number hashes are the same in every process, so pickles may carry it.
-        # generate_roots presets it from its sort key: change the two together.
+        # Roots key sets and caches, and noncompact_parity hashes a root on
+        # every call: hash the coordinates only once.  Number hashes are the
+        # same in every process, so pickles may carry it.
         try:
             return self._hash
         except AttributeError:
-            h = hash(_exact_key(self))
+            h = hash((self.e_part, self.d_part))
             object.__setattr__(self, "_hash", h)
             return h
 
     def __add__(self, other: "WeightVector") -> "WeightVector":
         return WeightVector(
-            tuple(a + b for a, b in zip(self.e_part, other.e_part)),
-            tuple(a + b for a, b in zip(self.d_part, other.d_part)),
+            _exact([a + b for a, b in zip(self.e_part, other.e_part)]),
+            _exact([a + b for a, b in zip(self.d_part, other.d_part)]),
         )
 
     def __sub__(self, other: "WeightVector") -> "WeightVector":
         return WeightVector(
-            tuple(a - b for a, b in zip(self.e_part, other.e_part)),
-            tuple(a - b for a, b in zip(self.d_part, other.d_part)),
+            _exact([a - b for a, b in zip(self.e_part, other.e_part)]),
+            _exact([a - b for a, b in zip(self.d_part, other.d_part)]),
         )
 
     def __neg__(self) -> "WeightVector":
-        # a root has few nonzero coordinates, and a zero is its own negative
-        return WeightVector(
-            tuple([-a if a else a for a in self.e_part]),
-            tuple([-a if a else a for a in self.d_part]),
-        )
+        return WeightVector(tuple([-a for a in self.e_part]), tuple([-a for a in self.d_part]))
 
-    def scale(self, c: Fraction) -> "WeightVector":
+    def scale(self, c: int | Fraction) -> "WeightVector":
+        """``c`` times this weight.  Raises SupervoganError unless ``c`` is an
+        ``int`` (not a ``bool``) or a ``Fraction``."""
+        if type(c) is not int and not isinstance(c, Fraction):
+            raise SupervoganError(f"scale factor {c!r} is neither an int nor a Fraction")
         return WeightVector(
-            tuple(c * a for a in self.e_part),
-            tuple(c * a for a in self.d_part),
+            _exact([c * a for a in self.e_part]),
+            _exact([c * a for a in self.d_part]),
         )
 
     def inner(self, other: "WeightVector") -> Fraction:
@@ -131,30 +126,16 @@ class WeightVector:
         return self.e_part + self.d_part
 
 
-def _exact(part: tuple[Fraction, ...]) -> tuple:
-    # an int compares and hashes as the equal Fraction does, and is cheaper
+def _exact(part) -> tuple:
+    """``part``'s ``int``s and ``Fraction``s in exact form: each integral one
+    as an ``int``, the rest as they are."""
     return tuple([x.numerator if x.denominator == 1 else x for x in part])
 
 
-def _exact_key(v: WeightVector) -> tuple[tuple, tuple]:
-    """``(e_part, d_part)`` as ``_exact`` tuples: ``v``'s order and hash, and
-    the ``int``s the root layer reads.  Made once per vector and kept on it
-    as ``_key``.  ``_weights`` presets it on every classical root it builds
-    and ``_keyed`` on the simple roots of F(4) and G(3), so only the simple
-    roots of D(2,1;alpha) and vectors made by arithmetic read their
-    coordinates' numerators and denominators here."""
-    # getattr with a default, not try/except: a miss then raises nothing
-    key = getattr(v, "_key", None)
-    if key is None:
-        key = _exact(v.e_part), _exact(v.d_part)
-        object.__setattr__(v, "_key", key)
-    return key
-
-
 def _scaled(part: tuple, s: int) -> tuple[int, ...]:
-    """A part of an ``_exact_key`` times ``s``, a multiple of the
-    denominators of its ``Fraction``s.  Over ``s`` 1 the part holds only
-    ``int``s and is returned as it is."""
+    """A part in exact form times ``s``, a multiple of the denominators of
+    its ``Fraction``s.  Over ``s`` 1 the part holds only ``int``s and is
+    returned as it is."""
     if s == 1:
         return part
     return tuple([x * s if type(x) is int else x.numerator * (s // x.denominator) for x in part])
@@ -165,7 +146,7 @@ def _denominator(values) -> int:
     return lcm(*[x.denominator for x in values if type(x) is not int])
 
 
-def _coordinates(part: Sequence) -> tuple[Fraction, ...]:
+def _coordinates(part: Sequence) -> tuple[int | Fraction, ...]:
     try:
         coords = tuple(part)
     except TypeError:
@@ -174,13 +155,13 @@ def _coordinates(part: Sequence) -> tuple[Fraction, ...]:
         # type(), not isinstance(): a bool is an int to isinstance
         if type(x) is not int and not isinstance(x, Fraction):
             raise SupervoganError(f"coordinate {x!r} is neither an int nor a Fraction")
-    return tuple(Q(x) for x in coords)
+    return _exact(coords)
 
 
 def weight(e_part: Sequence, d_part: Sequence) -> WeightVector:
-    """Coerce sequences of exact coordinates into a WeightVector.  Raises
-    SupervoganError unless every coordinate is an ``int`` (not a ``bool``)
-    or a ``Fraction``."""
+    """Coerce sequences of exact coordinates into a WeightVector, each
+    integral one held as an ``int``.  Raises SupervoganError unless every
+    coordinate is an ``int`` (not a ``bool``) or a ``Fraction``."""
     return WeightVector(_coordinates(e_part), _coordinates(d_part))
 
 
@@ -475,13 +456,16 @@ def gram_record(diagram: Diagram) -> GramRecord:
     """The simple roots over ``int``: ``coords`` holds each root's
     coordinates times s, the lcm of the denominators of all the simple roots'
     coordinates, and ``rows`` their Gram matrix n, with G = n / den and den =
-    s**2.  ``scales`` holds the Cartan reading of each row,
+    s**2; both hold only ``int``s, whatever form a hand-built root's
+    coordinates take.  ``scales`` holds the Cartan reading of each row,
     ``(c, q)`` with ``a_ij = c n_ij / q``: ``(2, n_ii)`` for a non-isotropic
     node, ``(1, max_j |n_ij|)`` for an isotropic one; a zero row there, an
     isotropic node orthogonal to the whole diagram, raises
     SingularNormalization.
     """
-    parts = [_exact_key(node.root) for node in diagram.nodes]
+    # exact form, so each part below is all ints over s 1: a hand-built or
+    # unpickled root may hold integral Fractions
+    parts = [(_exact(node.root.e_part), _exact(node.root.d_part)) for node in diagram.nodes]
     s = _denominator(chain.from_iterable(chain.from_iterable(parts)))
     e = [_scaled(e_part, s) for e_part, _ in parts]
     d = [_scaled(d_part, s) for _, d_part in parts]
@@ -505,8 +489,6 @@ def gram_record(diagram: Diagram) -> GramRecord:
 
 
 _ZERO = Q(0)
-# A classical root's coordinates are set from these shared values, never summed.
-_SHARED = {1: Q(1), -1: Q(-1), 2: Q(2)}
 
 
 def _word(fam: FamilyId) -> tuple[str, str]:
@@ -526,32 +508,20 @@ def _word(fam: FamilyId) -> tuple[str, str]:
 
 
 def _weights(word: str):
-    """``w(*(letter, coeff))``: the weight of ``word``'s space with ``coeff``
-    (1, -1 or 2) on the coordinate of each letter (a position in ``word``),
-    0 elsewhere.  Its ``_exact_key``, the same coordinates as ``int``s, is
-    set beside it."""
+    """``w(*(letter, coeff))``: the weight of ``word``'s space with the
+    ``int`` ``coeff`` (1, -1 or 2) on the coordinate of each letter (a
+    position in ``word``), 0 elsewhere."""
     e_dim = word.count("e")
     places = {"e": count(0), "d": count(e_dim)}
     place = [next(places[letter]) for letter in word]
 
     def w(*terms: tuple[int, int]) -> WeightVector:
-        key, coords = [0] * len(word), [_ZERO] * len(word)
+        coords = [0] * len(word)
         for letter, coeff in terms:
-            at = place[letter]
-            key[at], coords[at] = coeff, _SHARED[coeff]
-        v = WeightVector(tuple(coords[:e_dim]), tuple(coords[e_dim:]))
-        object.__setattr__(v, "_key", (tuple(key[:e_dim]), tuple(key[e_dim:])))
-        return v
+            coords[place[letter]] = coeff
+        return WeightVector(tuple(coords[:e_dim]), tuple(coords[e_dim:]))
 
     return w
-
-
-def _keyed(e_part: tuple, d_part: tuple) -> WeightVector:
-    """The weight of literal coordinates, ``int``s and non-integral
-    ``Fraction``s, with its ``_exact_key`` set from them as they stand."""
-    v = WeightVector(tuple(map(Q, e_part)), tuple(map(Q, d_part)))
-    object.__setattr__(v, "_key", (e_part, d_part))
-    return v
 
 
 @_interned
@@ -578,21 +548,21 @@ def build_diagram(fam: FamilyId) -> Diagram:
     if k == "D21alpha":
         a = fam.alpha
         eps1, eps2, eps3 = _d21_epsilons(a)
-        sign = Q(1) if 1 + a > 0 else Q(-1)
+        sign = 1 if 1 + a > 0 else -1
         add(eps1.scale(2 * sign), EVEN)
         add(eps1 - eps2 - eps3, ODD_ISO)
-        add(eps2.scale(Q(2)), EVEN)
-        add(eps3.scale(Q(2)), EVEN)
+        add(eps2.scale(2), EVEN)
+        add(eps3.scale(2), EVEN)
     elif k == "F4":
         half = Q(1, 2)
-        add(_keyed((-half, -half, -half), (half, half, half)), ODD_ISO)
-        add(_keyed((0, 0, 1), (0, 0, 0)), EVEN)
-        add(_keyed((0, 1, -1), (0, 0, 0)), EVEN)
-        add(_keyed((1, -1, 0), (0, 0, 0)), EVEN)
+        add(weight((-half, -half, -half), (half, half, half)), ODD_ISO)
+        add(weight((0, 0, 1), (0, 0, 0)), EVEN)
+        add(weight((0, 1, -1), (0, 0, 0)), EVEN)
+        add(weight((1, -1, 0), (0, 0, 0)), EVEN)
     elif k == "G3":
-        add(_keyed((0, 1, -1), (1, 1)), ODD_ISO)
-        add(_keyed((1, -1, 0), (0, 0)), EVEN)
-        add(_keyed((-2, 1, 1), (0, 0)), EVEN)
+        add(weight((0, 1, -1), (1, 1)), ODD_ISO)
+        add(weight((1, -1, 0), (0, 0)), EVEN)
+        add(weight((-2, 1, 1), (0, 0)), EVEN)
     else:
         word, end = _word(fam)
         w = _weights(word)
@@ -611,14 +581,8 @@ def build_diagram(fam: FamilyId) -> Diagram:
 def _d21_epsilons(a: Fraction) -> tuple[WeightVector, WeightVector, WeightVector]:
     """Exact orthogonal triple with norms -(1+a), 1, a in a (3|2) space."""
     eps2 = weight((1, 0, 0), (0, 0))
-    eps3 = WeightVector(
-        (Q(0), (a + 1) / 2, Q(0)),
-        ((a - 1) / 2, Q(0)),
-    )
-    eps1 = WeightVector(
-        (Q(0), Q(0), -a / 2),
-        (Q(0), -(2 + a) / 2),
-    )
+    eps3 = weight((0, (a + 1) / 2, 0), ((a - 1) / 2, 0))
+    eps1 = weight((0, 0, -a / 2), (0, -(2 + a) / 2))
     return eps1, eps2, eps3
 
 
@@ -722,7 +686,7 @@ def dual_basis(diagram: Diagram, component: Sequence[int]) -> tuple[WeightVector
     except ValueError:
         raise SingularBlock(f"block {component} has singular Gram matrix") from None
     eps = [row[j] / 2 for j, row in enumerate(gram)]
-    zero = diagram.root(0).scale(Q(0))
+    zero = diagram.root(0).scale(0)
     return tuple(
         sum((diagram.root(i).scale(x / e) for x, i in zip(row, component)), zero)
         for row, e in zip(inv, eps)
@@ -760,13 +724,13 @@ def generate_roots(diagram: Diagram) -> RootSystem:
     k = fam.kind
     if k == "D21alpha":
         eps1, eps2, eps3 = _d21_epsilons(fam.alpha)
-        even_1 = [eps2.scale(Q(2)), eps3.scale(Q(2))]
-        even_2 = [eps1.scale(Q(2))]
-        odd = [eps1 + eps2.scale(s2) + eps3.scale(s3) for s2 in (Q(1), Q(-1)) for s3 in (Q(1), Q(-1))]
+        even_1 = [eps2.scale(2), eps3.scale(2)]
+        even_2 = [eps1.scale(2)]
+        odd = [eps1 + eps2.scale(s2) + eps3.scale(s3) for s2 in (1, -1) for s3 in (1, -1)]
     elif k == "F4":
         delta = weight((0, 0, 0), (1, 1, 1))
         e = [weight(row, (0, 0, 0)) for row in ((1, 0, 0), (0, 1, 0), (0, 0, 1))]
-        signs = (Q(1), Q(-1))
+        signs = (1, -1)
         even_1 = e + [e[i] + e[j].scale(s) for i, j in ((0, 1), (0, 2), (1, 2)) for s in signs]
         even_2 = [delta]
         odd = [
@@ -780,12 +744,12 @@ def generate_roots(diagram: Diagram) -> RootSystem:
         e = [weight(row, (0, 0)) for row in ((1, 0, 0), (0, 1, 0), (0, 0, 1))]
         shorts = [e[0] - e[1], e[2] - e[0], e[2] - e[1]]
         longs = [
-            e[1] + e[2] - e[0].scale(Q(2)),
-            e[0] + e[2] - e[1].scale(Q(2)),
-            e[2].scale(Q(2)) - e[0] - e[1],
+            e[1] + e[2] - e[0].scale(2),
+            e[0] + e[2] - e[1].scale(2),
+            e[2].scale(2) - e[0] - e[1],
         ]
         even_1 = shorts + longs
-        even_2 = [delta.scale(Q(2))]
+        even_2 = [delta.scale(2)]
         odd = [delta] + [delta + s for s in shorts] + [delta - s for s in shorts]
     else:
         word, end = _word(fam)
@@ -803,17 +767,9 @@ def generate_roots(diagram: Diagram) -> RootSystem:
             if end == "x":
                 (even_1 if y == "e" else odd).append(w((b, 1)))
 
-    # the dataclass order, compared over ints where the coordinates allow; each
-    # root's key (set by _weights on a classical root) also sets its hash, the
-    # value __hash__ gives, so the parity table keys these positive roots
-    # without hashing them again
-    parts = []
-    for part in (even_1, even_2, odd):
-        keyed = sorted(zip(map(_exact_key, part), part), key=itemgetter(0))
-        for key, r in keyed:
-            object.__setattr__(r, "_hash", hash(key))
-        parts.append(tuple(r for _, r in keyed))
-    return RootSystem(*parts)
+    # the dataclass order, without building a tuple per comparison
+    order = attrgetter("e_part", "d_part")
+    return RootSystem(*(tuple(sorted(part, key=order)) for part in (even_1, even_2, odd)))
 
 
 @stored
@@ -857,8 +813,7 @@ def _integer_expansion(diagram: Diagram, v: WeightVector) -> tuple[tuple[int, ..
     solve, vanish, d, shape = _expansion_operator(diagram)
     if (len(v.e_part), len(v.d_part)) != shape:
         raise ValueError(f"{v} is not a weight of the {shape[0]}|{shape[1]} space")
-    e_key, d_key = _exact_key(v)
-    coords = e_key + d_key
+    coords = v.e_part + v.d_part
     s = _denominator(coords)
     out = [0] * len(diagram)
     residual = [0] * len(vanish)

@@ -213,11 +213,15 @@ def _family_from_dict(data: dict) -> FamilyId:
 def to_json(value) -> str:
     """``json.dumps(value, indent=2)``, byte for byte, for what a document
     holds: dicts with ``str`` keys, lists, ``str``, ``int``, ``bool`` and
-    ``None``; any other type raises ``TypeError``.  With ``indent`` set,
-    CPython's ``json`` (up to 3.13) leaves its C encoder for a pure-Python
-    one; here strings still go through the C ``encode_basestring_ascii``."""
+    ``None``; any other type, or nesting past the recursion limit, raises
+    ``TypeError``.  With ``indent`` set, CPython's ``json`` (up to 3.13)
+    leaves its C encoder for a pure-Python one; here strings still go
+    through the C ``encode_basestring_ascii``."""
     out: list[str] = []
-    _write(value, "\n", out)
+    try:
+        _write(value, "\n", out)
+    except RecursionError:
+        raise TypeError("value is nested too deep to write") from None
     return "".join(out)
 
 

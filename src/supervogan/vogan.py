@@ -26,9 +26,9 @@ record's ``masks[i]``, read off the integer Gram rows of
 when built: one walk per block orbit, from its target, fills its two flat
 tables, indexed by block painting, ``targets`` (the orbit's target) and
 ``dist`` (the flip distance to it); nothing is filled or checked later,
-and only the public ``flip_orbit`` walks again.  ``_key`` ORs a painting's
-block targets into its orbit key; the record holds nothing that refers
-back to its diagram, so a diagram no one holds is freed at once.
+and only the public ``flip_orbit`` walks again.  ``_orbit_key`` ORs a
+painting's block targets into its orbit key; the record holds nothing that
+refers back to its diagram, so a diagram no one holds is freed at once.
 
 ``reduce_with_trail`` reads the trail greedily off the block distances,
 flipping at each step the lowest painted node whose flip lowers the
@@ -271,7 +271,7 @@ def _kernel(diagram: Diagram, fixed: frozenset[int]) -> _Kernel:
     return _Kernel(masks, block_of, targets, dist, tuple(map(FlipMove, range(len(diagram)))))
 
 
-def _key(kernel: _Kernel, mask: int) -> int:
+def _orbit_key(kernel: _Kernel, mask: int) -> int:
     """The orbit key of painting ``mask``: the OR of its block parts'
     targets.  Each block orbit holds one target (``_kernel`` checks it), so
     two paintings share a key exactly when they share an orbit."""
@@ -357,11 +357,11 @@ def _orbit_keys(diagram: Diagram) -> list[tuple[DiagramInvolution, int, int]]:
 
 def canonical_block_painting(vd: VoganDiagram) -> frozenset[int]:
     """The canonical painting of ``vd``'s flip orbit, its orbit key (see
-    ``_key``): on each painted even block, its block orbit's target.
+    ``_orbit_key``): on each painted even block, its block orbit's target.
     Raises BadIndex unless ``vd`` is a ``VoganDiagram``, whose constructor
     checked its painting."""
     check_vogan(vd)
-    return _nodes(_key(_kernel(vd.diagram, vd.involution.fixed_set), _mask(vd.painted)))
+    return _nodes(_orbit_key(_kernel(vd.diagram, vd.involution.fixed_set), _mask(vd.painted)))
 
 
 def reduce_with_trail(vd: VoganDiagram) -> tuple[VoganDiagram, tuple[FlipMove, ...]]:
@@ -408,9 +408,9 @@ def equivalent(vd1: VoganDiagram, vd2: VoganDiagram) -> bool:
         raise FamilyMismatch(f"cannot compare {a} with {b}")
     p1, p2 = vd1.involution.perm, vd2.involution.perm
     kernel = _kernel(vd2.diagram, vd2.involution.fixed_set)
-    target = _key(kernel, _mask(vd2.painted))
+    target = _orbit_key(kernel, _mask(vd2.painted))
     return any(
         all(p2[g[i]] == g[j] for i, j in enumerate(p1))  # g p1 = p2 g
-        and _key(kernel, _mask(g[i] for i in vd1.painted)) == target
+        and _orbit_key(kernel, _mask(g[i] for i in vd1.painted)) == target
         for g in (inv.perm for inv in automorphisms(vd1.diagram))
     )

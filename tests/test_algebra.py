@@ -290,6 +290,12 @@ def test_integer_gram_matches_weight_vector_inner_products():
         assert cartan_matrix(diagram).symmetrized == expected, fam.display()
 
 
+def exact_form(values):
+    """Every value an ``int`` where integral, else a ``Fraction``: never an
+    integral ``Fraction``, a ``float`` or a ``bool``."""
+    return all(type(x) is int or type(x) is Fraction and x.denominator != 1 for x in values)
+
+
 def test_gram_cartan_and_block_inverses_hold_only_fractions():
     def fractions_only(rows):
         return all(type(x) is Fraction for row in rows for x in row)
@@ -302,7 +308,7 @@ def test_gram_cartan_and_block_inverses_hold_only_fractions():
         assert fractions_only(data.symmetrized), fam.display()
         for block in even_blocks(diagram):
             duals = [w.e_part + w.d_part for w in dual_basis(diagram, block)]
-            assert fractions_only(duals), (fam.display(), block)
+            assert all(map(exact_form, duals)), (fam.display(), block)
 
 
 def test_node_count_matches_built_diagram():
@@ -592,11 +598,11 @@ def test_negation_and_subtraction_match_scaling(fam):
     for a in roots:
         neg = a.scale(Q(-1))
         assert -a == neg and hash(-a) == hash(neg)
-        assert all(isinstance(x, Fraction) for x in (-a).coords())
+        assert exact_form((-a).coords())
         for b in roots:
             diff = a + b.scale(Q(-1))
             assert a - b == diff and hash(a - b) == hash(diff)
-            assert all(isinstance(x, Fraction) for x in (a - b).coords())
+            assert exact_form((a - b).coords())
 
 
 def _dot(x, y):
@@ -722,9 +728,11 @@ def test_weight_vectors_built_apart_hash_equal():
 
 
 def test_weight_takes_only_exact_coordinates():
-    """An ``int`` (not a ``bool``) or a ``Fraction``, or a SupervoganError.
+    """An ``int`` (not a ``bool``) or a ``Fraction``, or a SupervoganError,
+    for ``weight``'s coordinates and ``WeightVector.scale``'s factor.
     Before, ``0.1`` was stored as its binary fraction, and the others raised
-    a bare ``ValueError``, ``TypeError`` or ``OverflowError``."""
+    a bare ``ValueError``, ``TypeError`` or ``OverflowError``; ``scale``
+    stored ``0.5`` as a float and took ``True`` as 1."""
     for e_part, d_part in [
         ((0.1,), (0,)),
         ("a", "b"),
@@ -739,7 +747,10 @@ def test_weight_takes_only_exact_coordinates():
             weight(e_part, d_part)
     v = weight([1, Q(1, 10)], iter([-2]))
     assert v == WeightVector((Q(1), Q(1, 10)), (Q(-2),))
-    assert all(type(x) is Q for x in v.coords())
+    assert exact_form(v.coords())
+    for c in (0.5, True, "2"):
+        with pytest.raises(SupervoganError):
+            v.scale(c)
 
 
 def test_generate_roots_is_shared_per_diagram():
@@ -767,8 +778,10 @@ def test_noncompact_parity_basics():
 def test_noncompact_parity_rejects_odd_roots():
     diagram = build_diagram(FamilyId("A", 1, 1))
     rs = generate_roots(diagram)
-    with pytest.raises(NotAnEvenRoot):
+    with pytest.raises(NotAnEvenRoot) as raised:
         noncompact_parity(diagram, frozenset(), rs.odd[0])
+    # an integral weight is quoted by its ints
+    assert "Fraction(" not in str(raised.value)
     with pytest.raises(NotAnEvenRoot):
         noncompact_parity(diagram, frozenset(), weight([5, 5], [0, 0]))
 
@@ -796,8 +809,8 @@ def test_noncompact_parity_rejects_every_odd_root_and_a_non_root(fam):
     ids=lambda f: f.display(),
 )
 def test_roots_hash_as_rebuilt_weights_and_read_parity_through_negation(fam):
-    """``generate_roots`` sets each root's hash from its sort key: a weight
-    rebuilt from the same coordinates must hash and compare equal.  The
+    """A weight rebuilt from a root's coordinates hashes and compares equal
+    to the root, whose hash is cached on it.  The
     parity table holds positive roots only; a root, its rebuilt copy and
     both negations read the same parity."""
     diagram = build_diagram(fam)

@@ -223,6 +223,7 @@ ENTRIES = {
     "DiagramInvolution": lambda diagram, name, perm: DiagramInvolution(name, perm),
     "identity_involution": lambda diagram, size: identity_involution(size),
     "weight": lambda diagram, e_part, d_part: weight(e_part, d_part),
+    "scale": lambda diagram, factor: diagram.root(0).scale(factor),
 }
 
 library_calls = st.one_of(
@@ -237,6 +238,7 @@ library_calls = st.one_of(
     st.tuples(st.just("DiagramInvolution"), families, st.text(max_size=3), perms),
     st.tuples(st.just("identity_involution"), families, indices),
     st.tuples(st.just("weight"), families, coordinates, coordinates),
+    st.tuples(st.just("scale"), families, indices),
 )
 
 

@@ -21,6 +21,7 @@ raising.
 
 import random
 import sys
+from dataclasses import replace
 from itertools import combinations
 
 import pytest
@@ -38,9 +39,9 @@ from supervogan import (
     root_expansion,
     table_report,
 )
-from supervogan.algebra import gram_record
+from supervogan.algebra import Diagram, WeightVector, gram_record
 from supervogan.vogan import _kernel
-from test_algebra import EXPANSION_GRID, Q, guard_families
+from test_algebra import EXPANSION_GRID, Q, exact_form, guard_families
 from test_vogan import ADMISSIBLE_ALPHAS
 
 SAMPLED_PAINTINGS = 64
@@ -100,8 +101,8 @@ def test_noncompact_parity_is_the_painted_coefficient_sum_mod_2(fam):
 
 @pytest.mark.parametrize("fam", EXPANSION_GRID, ids=lambda f: f.display())
 def test_root_hashes_and_order_are_the_dataclass_ones(fam):
-    """A root hashes as the tuple of its two ``Fraction`` parts, and each
-    part of ``generate_roots`` is sorted under the dataclass order."""
+    """A root hashes as the tuple of its two parts, and each part of
+    ``generate_roots`` is sorted under the dataclass order."""
     rs = generate_roots(build_diagram(fam))
     for r in rs.all_positive():
         for v in (r, -r):
@@ -114,59 +115,65 @@ CLASSICAL = ("A", "B", "B0", "C", "D")
 
 
 def test_a_classical_census_builds_no_root_key_from_fractions(monkeypatch):
-    """With ``algebra._exact`` raising, a cold census still runs on every
-    classical guard family: ``generate_roots``, ``gram_record`` and
-    ``noncompact_parity`` on every positive even root read the ``int`` key
-    that ``_weights`` set beside each root, and never rebuild it from the
-    ``Fraction`` coordinates."""
+    """A cold census of every classical guard family normalizes nothing but
+    each simple root's two parts, once, in ``gram_record``: ``_weights``
+    builds every root from ``int``s, and ``generate_roots`` and
+    ``noncompact_parity`` on every positive even root read its coordinates
+    as they stand."""
     from supervogan import algebra
 
-    def forbidden(part):
-        raise AssertionError("a classical root's key was rebuilt from its coordinates")
+    exact, seen = algebra._exact, []
 
-    monkeypatch.setattr(algebra, "_exact", forbidden)
+    def recorded(part):
+        seen.append(part)
+        return exact(part)
+
+    monkeypatch.setattr(algebra, "_exact", recorded)
     fams = [f for f in guard_families() if f.kind in CLASSICAL]
     assert len(fams) == 221
     build_diagram.cache_clear()
+    simple_parts = []
     try:
         for fam in fams:
             diagram = build_diagram(fam)
             gram_record(diagram)
+            for node in diagram.nodes:
+                simple_parts += [node.root.e_part, node.root.d_part]
             painted = frozenset(diagram.even_indices()[::2])
             for v in generate_roots(diagram).even():
                 noncompact_parity(diagram, painted, v)
     finally:
         build_diagram.cache_clear()
+    assert list(map(id, seen)) == list(map(id, simple_parts))
 
 
 @pytest.mark.parametrize("fam", [FamilyId("F4"), FamilyId("G3")], ids=lambda fam: fam.display())
 def test_an_exceptional_gram_record_builds_no_key_from_fractions(fam, monkeypatch):
-    """F(4)'s and G(3)'s simple roots carry the key of their literal
-    coordinates, so a cold Gram record of a fresh diagram never rebuilds one
-    from the ``Fraction`` coordinates."""
+    """F(4)'s and G(3)'s simple roots are built in exact form, so the one
+    normalization of a cold Gram record of a fresh diagram, ``_exact`` on
+    each simple root's two parts, gives every part back as it stands, type
+    for type."""
     from supervogan import algebra
 
-    def forbidden(part):
-        raise AssertionError("a simple root's key was rebuilt from its coordinates")
+    exact, seen = algebra._exact, []
 
-    monkeypatch.setattr(algebra, "_exact", forbidden)
-    gram_record(build_diagram.__wrapped__(fam))
+    def unchanged(part):
+        out = exact(part)
+        assert out == part and list(map(type, out)) == list(map(type, part)), part
+        seen.append(part)
+        return out
+
+    diagram = build_diagram.__wrapped__(fam)
+    monkeypatch.setattr(algebra, "_exact", unchanged)
+    gram_record(diagram)
+    assert len(seen) == 2 * len(diagram)
 
 
-def coordinate_key(part):
-    """A part of the exact key, rebuilt here: each coordinate as an ``int``
-    when it is one, else as its ``Fraction``; and the type of each entry."""
-    key = tuple(int(x) if x.denominator == 1 else x for x in part)
-    return key, tuple(map(type, key))
-
-
-def test_every_root_keeps_the_key_its_coordinates_give():
+def test_every_root_holds_the_exact_form():
     """On every simple and positive root of every guard family and of each
-    of ``ADMISSIBLE_ALPHAS``, and on each negative, the key that orders and
-    hashes it holds its coordinates, integral ones as ``int``s, and its hash
-    is the hash of its two ``Fraction`` parts."""
-    from supervogan.algebra import _exact_key
-
+    of ``ADMISSIBLE_ALPHAS``, and on each negative, every coordinate is an
+    ``int`` where integral and a ``Fraction`` elsewhere, and the hash is
+    the hash of its two parts."""
     fams = guard_families() + [FamilyId("D21alpha", alpha=a) for a in ADMISSIBLE_ALPHAS]
     fams = list(dict.fromkeys(fams))
     assert len(fams) == 231
@@ -175,37 +182,49 @@ def test_every_root_keeps_the_key_its_coordinates_give():
         simple = [node.root for node in diagram.nodes]
         for r in simple + list(generate_roots(diagram).all_positive()):
             for v in (r, -r):
-                e, d = _exact_key(v)
-                assert (coordinate_key(e), coordinate_key(d)) == (
-                    coordinate_key(v.e_part),
-                    coordinate_key(v.d_part),
-                ), (fam.display(), v)
+                assert exact_form(v.e_part) and exact_form(v.d_part), (fam.display(), v)
                 assert hash(v) == hash((v.e_part, v.d_part))
 
 
-def test_a_gram_record_reads_a_root_without_a_key_as_one_with_it():
-    """On a diagram whose simple roots carry no key (rebuilt as -(-r), as a
-    hand-built or replaced node's root may be), the Gram record equals,
-    ``int`` for ``int``, the one made from the keys ``_weights`` set.  B(0,n)
-    has no e-part, and G(3) and the classical families need no scale."""
-    from dataclasses import replace
+def integral_fractions(v):
+    """``v`` rebuilt with every coordinate a ``Fraction``, integral ones
+    included, as a hand-built or unpickled weight may hold them."""
+    return WeightVector(tuple(map(Q, v.e_part)), tuple(map(Q, v.d_part)))
 
-    from supervogan.algebra import Diagram
 
+def test_a_diagram_of_integral_fractions_reads_as_the_built_one():
+    """A diagram whose simple roots hold integral ``Fraction``s gives, ``int``
+    for ``int``, the Gram record of the built one, the same expansion and
+    parities of every positive root, each read as built and with integral
+    ``Fraction``s, and the same hashes.  B(0,n) has no e-part, and G(3) and
+    the classical families need no scale, so their records are read over
+    s 1, where nothing but the normalization makes an ``int``."""
     fams = [FamilyId("B0", 0, n) for n in (1, 2, 5)]
     fams += [FamilyId("A", 2, 1), FamilyId("B", 2, 3), FamilyId("C", n=4), FamilyId("D", 3, 2)]
     fams += [FamilyId("F4"), FamilyId("G3")]
     fams += [FamilyId("D21alpha", alpha=a) for a in ADMISSIBLE_ALPHAS]
     for fam in fams:
         built = build_diagram.__wrapped__(fam)
-        nodes = tuple(replace(node, root=-(-node.root)) for node in built.nodes)
-        assert not any(hasattr(node.root, "_key") for node in nodes)
-        bare = Diagram(nodes, fam)
-        assert bare == built
-        cold = gram_record.__wrapped__(bare)
-        assert cold == gram_record.__wrapped__(built), fam.display()
-        assert all(type(x) is int for row in cold.rows + cold.coords for x in row)
-        assert all(type(row) is tuple for row in cold.rows + cold.coords)
+        nodes = tuple(replace(node, root=integral_fractions(node.root)) for node in built.nodes)
+        assert not all(exact_form(node.root.coords()) for node in nodes)
+        hand = Diagram(nodes, fam)
+        assert hand == built and hash(hand) == hash(built)
+        assert [hash(node.root) for node in nodes] == [hash(node.root) for node in built.nodes]
+        record = gram_record(hand)
+        assert record == gram_record(built), fam.display()
+        assert all(type(x) is int for row in record.rows + record.coords for x in row)
+        assert all(type(row) is tuple for row in record.rows + record.coords)
+        roots = generate_roots(built).all_positive()
+        assert generate_roots(hand) == generate_roots(built)
+        for r in roots:
+            want = root_expansion(built, r)
+            assert root_expansion(hand, r) == root_expansion(hand, integral_fractions(r)) == want
+            assert hash(integral_fractions(r)) == hash(r)
+        for painted in (frozenset(), frozenset(built.even_indices())):
+            for r in generate_roots(built).even():
+                want = noncompact_parity(built, painted, r)
+                assert noncompact_parity(hand, painted, r) == want
+                assert noncompact_parity(hand, painted, integral_fractions(r)) == want
 
 
 # ----------------------------------------------------- integer Gram readings

@@ -19,7 +19,9 @@ from supervogan import (
     noncompact_parity,
 )
 from matrix_helpers import fraction_gauss_jordan, identity, is_rref, mat_mul, matrix_rank
+from supervogan.algebra import weight
 from supervogan.linalg import bareiss, invert, row_reduce, solve_exact
+from test_algebra import exact_form
 
 Q = Fraction
 
@@ -177,6 +179,39 @@ def test_row_reduce_matches_fraction_gauss_jordan(a):
     assert all(type(x) is Q for row in e for x in row)
     assert is_rref(mat_mul(e, a), pivots)
     assert len(fraction_gauss_jordan(e)[0]) == len(a)  # e is invertible
+
+
+# ints and Fractions, integral ones included, whose sums and multiples
+# are often integral
+exact_numbers = st.one_of(st.integers(min_value=-9, max_value=9), rationals)
+
+
+@st.composite
+def weight_coordinates(draw):
+    """Two weights' coordinates, ``(e_a, d_a, e_b, d_b)``, in one space."""
+    shape = draw(st.integers(min_value=0, max_value=3)), draw(st.integers(min_value=0, max_value=3))
+    return [[draw(exact_numbers) for _ in range(size)] for size in shape * 2]
+
+
+@settings(max_examples=200, deadline=None)
+@given(weight_coordinates(), exact_numbers)
+def test_weight_arithmetic_is_fraction_arithmetic_in_exact_form(coords, c):
+    """``a + b``, ``a - b``, ``-a`` and ``a.scale(c)`` equal the same sums
+    and products taken over ``Fraction``, and hold each coordinate as an
+    ``int`` where integral, else as a ``Fraction``."""
+    e_a, d_a, e_b, d_b = coords
+    a, b = weight(e_a, d_a), weight(e_b, d_b)
+    assert exact_form(a.coords()) and exact_form(b.coords())
+    e_a, d_a, e_b, d_b = [[Q(x) for x in part] for part in coords]
+    cases = [
+        (a + b, [x + y for x, y in zip(e_a, e_b)], [x + y for x, y in zip(d_a, d_b)]),
+        (a - b, [x - y for x, y in zip(e_a, e_b)], [x - y for x, y in zip(d_a, d_b)]),
+        (-a, [-x for x in e_a], [-x for x in d_a]),
+        (a.scale(c), [Q(c) * x for x in e_a], [Q(c) * x for x in d_a]),
+    ]
+    for v, e_part, d_part in cases:
+        assert v.e_part == tuple(e_part) and v.d_part == tuple(d_part)
+        assert exact_form(v.coords()), v
 
 
 SMALL_FAMILIES = [

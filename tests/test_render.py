@@ -189,7 +189,8 @@ def test_to_json_is_json_dumps_with_indent_2(value):
 
 
 @pytest.mark.parametrize(
-    "value", [Q(1, 2), 1.5, (1, 2), [1, (2,)], {"a": Q(3)}, {1: "a"}, {None: 1}, set()]
+    "value",
+    [Q(1, 2), 1.5, (1, 2), [1, (2,)], {"a": Q(3)}, {1: "a"}, {None: 1}, set(), nested(5000)],
 )
 def test_to_json_refuses_other_types(value):
     with pytest.raises(TypeError):

@@ -10,7 +10,10 @@ every module-level function or class that ``__all__`` does not export is
 used somewhere in it or wrapped by that tracer: none is there for the tests
 alone.  ``linalg.bareiss``, the one elimination loop, is named only by
 ``linalg.row_reduce`` and ``algebra._expansion_operator``, so every rational
-inverse goes through ``row_reduce``."""
+inverse goes through ``row_reduce``.  A weight has one representation, its
+coordinates in exact form: ``algebra._exact``, the one normalizer, is named
+only by ``WeightVector``'s methods, ``_coordinates`` and ``gram_record``, and
+no module names a second form kept beside them, such as a ``_key``."""
 
 import ast
 import importlib
@@ -79,23 +82,39 @@ def unreferenced_private_definitions(trees: dict[str, ast.Module]) -> list[str]:
     return unreferenced_definitions(trees, lambda module, name: not name.startswith("_"))
 
 
-def users(trees: dict[str, ast.Module], name: str) -> list[str]:
+def definitions_where(trees: dict[str, ast.Module], match) -> list[str]:
     """Every module-level definition of ``trees`` (by module name) whose code
-    names ``name``, bare or as an attribute, as ``module.definition``; and
-    ``module`` for other module-level code that does, or that imports
-    ``name`` under another name."""
+    holds an AST node that ``match`` accepts, as ``module.definition``; and
+    ``module`` for other module-level code that does."""
     found = set()
     for module, tree in trees.items():
         for node in tree.body:
-            if any(
-                isinstance(sub, ast.Name) and sub.id == name
-                or isinstance(sub, ast.Attribute) and sub.attr == name
-                or isinstance(sub, ast.alias) and sub.name == name and sub.asname not in (None, name)
-                for sub in ast.walk(node)
-            ):
+            if any(map(match, ast.walk(node))):
                 named = isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
                 found.add(f"{module}.{node.name}" if named else module)
     return sorted(found)
+
+
+def users(trees: dict[str, ast.Module], name: str) -> list[str]:
+    """Every module-level definition of ``trees`` whose code names ``name``,
+    bare or as an attribute, as ``definitions_where`` lists them; and
+    ``module`` for module-level code that imports ``name`` under another
+    name."""
+    return definitions_where(
+        trees,
+        lambda sub: isinstance(sub, ast.Name) and sub.id == name
+        or isinstance(sub, ast.Attribute) and sub.attr == name
+        or isinstance(sub, ast.alias) and sub.name == name and sub.asname not in (None, name),
+    )
+
+
+def mentions(trees: dict[str, ast.Module], name: str) -> list[str]:
+    """Every module-level definition of ``trees`` whose code holds ``name``
+    in any form, as ``definitions_where`` lists them: a name or attribute,
+    the name of a definition or import, or a string, as ``getattr`` and
+    ``object.__setattr__`` name an attribute."""
+    fields = ("id", "attr", "name", "value")
+    return definitions_where(trees, lambda sub: name in [getattr(sub, f, None) for f in fields])
 
 
 CACHES = {"lru_cache", "cache", "cached_property"}
@@ -197,6 +216,19 @@ def test_every_definition_outside_all_is_used(monkeypatch):
 def test_one_elimination_loop_backs_every_rational_inverse():
     trees = {path.stem: ast.parse(path.read_text(), str(path)) for path in SOURCES}
     assert users(trees, "bareiss") == ["algebra._expansion_operator", "linalg.row_reduce"]
+
+
+# the one normalizer of a weight's coordinates, and who may call it
+EXACT_USERS = ["algebra.WeightVector", "algebra._coordinates", "algebra.gram_record"]
+# names of a second form of a weight, kept beside its coordinates
+SHADOWS = ("_key", "_exact_key", "_keyed", "_SHARED")
+
+
+def test_a_weight_has_one_representation():
+    trees = {path.stem: ast.parse(path.read_text(), str(path)) for path in SOURCES}
+    assert users(trees, "_exact") == EXACT_USERS
+    for name in SHADOWS:
+        assert mentions(trees, name) == [], name
 
 
 @pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
@@ -308,6 +340,34 @@ def test_the_elimination_rule_catches_each_kind():
         "c": ast.parse("from a import elim as e\n"),
     }
     assert users(trees, "elim") == ["a", "a.C", "a.allowed", "a.nested", "b.by_attribute", "c"]
+
+
+def test_the_weight_rule_catches_each_kind():
+    trees = {
+        "algebra": ast.parse(
+            "def _exact(part): pass\n"
+            "class WeightVector:\n"
+            "    def scale(self, c): return _exact(c)\n"
+            "def _coordinates(part): return _exact(part)\n"
+            "def gram_record(d): return _exact(d)\n"
+            "def _exact_key(v): return getattr(v, '_key', None)\n"
+            "def _weights(v): object.__setattr__(v, '_key', ())\n"
+            "def generate_roots(d): return sorted(d, key=_exact_key)\n"
+            "_SHARED = {1: 1}\n"
+        ),
+        "vogan": ast.parse(
+            "from .algebra import _exact as normal\n"
+            "def reads(v): return v._key\n"
+            "def _keyed(e, d): pass\n"
+        ),
+    }
+    assert users(trees, "_exact") == EXACT_USERS + ["vogan"]
+    assert {name: mentions(trees, name) for name in SHADOWS} == {
+        "_key": ["algebra._exact_key", "algebra._weights", "vogan.reads"],
+        "_exact_key": ["algebra._exact_key", "algebra.generate_roots"],
+        "_keyed": ["vogan._keyed"],
+        "_SHARED": ["algebra"],
+    }
 
 
 def test_the_cache_rule_catches_each_kind():

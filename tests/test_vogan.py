@@ -567,7 +567,7 @@ def oracle_classes(diagram):
         return sum(a * b for a, b in zip(u[0], v[0])) - sum(a * b for a, b in zip(u[1], v[1]))
 
     def odd_entry(i, j):
-        a = 2 * inner(roots[i], roots[j]) / inner(roots[i], roots[i])
+        a = Fraction(2 * inner(roots[i], roots[j]), inner(roots[i], roots[i]))
         return a.denominator == 1 and a.numerator % 2 == 1
 
     n = len(roots)
