@@ -133,11 +133,8 @@ def _exact(part) -> tuple:
 
 
 def _scaled(part: tuple, s: int) -> tuple[int, ...]:
-    """A part in exact form times ``s``, a multiple of the denominators of
-    its ``Fraction``s.  Over ``s`` 1 the part holds only ``int``s and is
-    returned as it is."""
-    if s == 1:
-        return part
+    """A part of ``int``s and ``Fraction``s times ``s``, a multiple of the
+    denominators of its ``Fraction``s, each coordinate an ``int``."""
     return tuple([x * s if type(x) is int else x.numerator * (s // x.denominator) for x in part])
 
 
@@ -463,8 +460,8 @@ def gram_record(diagram: Diagram) -> GramRecord:
     isotropic node orthogonal to the whole diagram, raises
     SingularNormalization.
     """
-    # exact form, so each part below is all ints over s 1: a hand-built or
-    # unpickled root may hold integral Fractions
+    # a hand-built or unpickled root may hold integral Fractions: in exact
+    # form, each part reads as the built root's, type for type
     parts = [(_exact(node.root.e_part), _exact(node.root.d_part)) for node in diagram.nodes]
     s = _denominator(chain.from_iterable(chain.from_iterable(parts)))
     e = [_scaled(e_part, s) for e_part, _ in parts]
@@ -814,10 +811,13 @@ def _integer_expansion(diagram: Diagram, v: WeightVector) -> tuple[tuple[int, ..
     if (len(v.e_part), len(v.d_part)) != shape:
         raise ValueError(f"{v} is not a weight of the {shape[0]}|{shape[1]} space")
     coords = v.e_part + v.d_part
-    s = _denominator(coords)
+    fractions = [x.denominator for x in coords if type(x) is not int]
+    s = lcm(*fractions)
     out = [0] * len(diagram)
     residual = [0] * len(vanish)
-    for r, x in enumerate(_scaled(coords, s)):
+    # a built root holds ints alone and is read as it stands; a hand-built
+    # one may hold Fractions, integral ones too, each scaled to an int
+    for r, x in enumerate(_scaled(coords, s) if fractions else coords):
         if x:
             for i, w in solve[r]:
                 out[i] += w * x

@@ -11,8 +11,11 @@ namer that reads a position computes the canonical painting once per call
 and reads every side off it, and the namers of B(0,n), D(2,1;alpha) and the
 A(n,n) reversal, which read no position, never compute it.
 ``enumerate_real_forms`` hands the same namers each orbit's canonical
-painting, which ``vogan._orbit_keys`` reads off the block targets that
-the flip kernel's record filled when it was built, and computes none.
+painting, which ``vogan._orbit_keys`` reads off each block's classes of
+single vertices, one per block orbit, counted in closed form by
+``vogan._block_targets`` (Kac, *Infinite-Dimensional Lie Algebras*, ch.
+8); it computes none and walks no orbit, so a cold table builds no flip
+kernel.
 
 The symplectic side of B(m,n), B(0,n) and D(m,n) is the delta chain plus
 the long root 2 delta_n, which no diagram node carries.  No flip toggles

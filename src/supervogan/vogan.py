@@ -17,15 +17,21 @@ its key (``classify.enumerate_real_forms`` names the keys), ``equivalent``
 compares keys, ``reduce_with_trail`` reduces to it, and
 ``canonical_block_painting``, its public face, returns it.
 
+Which single vertices share a block orbit is a count of Kac coordinates
+(Kac, *Infinite-Dimensional Lie Algebras*, ch. 8): ``_block_targets``
+reads it off the integer Gram rows of ``algebra.gram_record``, one class
+and target per block orbit, and ``_orbit_keys`` lists orbits from the
+classes without a walk, so a table builds no kernel.
+
 One kernel does every flip; its state is one record per (diagram, fixed
 nodes), ``_kernel``, built once and kept in the diagram's record, which
 ``build_diagram.cache_clear()`` drops.  Inside the kernel a painting is an
 ``int`` bitmask, bit i for node i, and a flip at node i is one XOR with the
-record's ``masks[i]``, read off the integer Gram rows of
-``algebra.gram_record``.  The record is plain data, complete and checked
-when built: one walk per block orbit, from its target, fills its two flat
-tables, indexed by block painting, ``targets`` (the orbit's target) and
-``dist`` (the flip distance to it); nothing is filled or checked later,
+record's ``masks[i]``, read off the Gram rows.  The record is plain data,
+complete and checked when built: one walk per class, from its target,
+fills its two flat tables, indexed by block painting, ``targets`` (the
+orbit's target) and ``dist`` (the flip distance to it), and checks the
+classes against the orbits it walks; nothing is filled or checked later,
 and only the public ``flip_orbit`` walks again.  ``_orbit_key`` ORs a
 painting's block targets into its orbit key; the record holds nothing that
 refers back to its diagram, so a diagram no one holds is freed at once.
@@ -229,6 +235,72 @@ class FlipMove:
 _Kernel = namedtuple("Kernel", "masks blocks targets dist moves")
 
 
+def _line(links: dict[int, list[int]], line: list[int]) -> list[int]:
+    """``line``, a path of linked nodes, continued along ``links`` to its end."""
+    while step := [j for j in links[line[-1]] if j not in line]:
+        line.append(step[0])
+    return line
+
+
+def _reversed_pairs(line: list[int]) -> list[list[int]]:
+    """``line``'s nodes grouped with their mirror images: q with -1 - q."""
+    return [[line[q], line[-1 - q]] for q in range((len(line) + 1) // 2)]
+
+
+@stored
+def _block_targets(diagram: Diagram, fixed: frozenset[int]) -> tuple[int, ...]:
+    """Each fixed even node's block-orbit target under the fixed nodes
+    ``fixed``, as a mask, and 0 at every other node: the single vertex of
+    the longest root (largest |n_ii|) in the node's class, the lowest on a
+    tie.  A class holds the single vertices of one block orbit, counted by
+    the Kac coordinates of a painting's element of order two (Kac,
+    *Infinite-Dimensional Lie Algebras*, ch. 8; Chuah and Hu, J. Algebra
+    279, 2004), and read off the integer Gram rows: a block part's type
+    comes from its links, the fork and its end root's norm.  Along a chain
+    of positions 1..k (1..r), the classes are:
+
+    - A_k: {p, k+1-p}; a D swap's fixed nodes and D(2,1;alpha)'s A_1
+      blocks are A chains;
+    - B_r (short end root r): {p};
+    - C_r (long end root r): {p, r-p}, and {r};
+    - D_r (prongs r-1 and r): {1} and {p, r-p} on the chain 1..r-2, and
+      the prongs one class when r is odd, two when it is even;
+    - G_2: one class."""
+    rows = gram_record(diagram).rows
+    out = [0] * len(diagram)
+    for block in even_blocks(diagram):
+        part = [i for i in block if i in fixed]
+        if not part:
+            continue
+        norm = {i: abs(rows[i][i]) for i in part}
+        links = {i: [j for j in part if j != i and rows[i][j]] for i in part}
+        fork = [i for i in part if len(links[i]) == 3]
+        if fork:  # D_r, r >= 4: the chain from its far end, then the prongs
+            (at,) = fork
+            arm, *prongs = sorted(links[at], key=lambda j: len(links[j]) == 1)
+            chain = _line(links, [at, arm])[::-1]
+            classes = [chain[:1], *_reversed_pairs(chain[1:])]
+            classes += [prongs] if len(part) % 2 else [[j] for j in prongs]
+        else:  # a path, from an end that shares its neighbour's norm
+            ends = [i for i in part if len(links[i]) < 2]
+            start = min(ends, key=lambda i: any(norm[j] != norm[i] for j in links[i]))
+            line = _line(links, [start])
+            first, last = norm[line[0]], norm[line[-1]]
+            if first == last:  # A_k
+                classes = _reversed_pairs(line)
+            elif max(first, last) == 3 * min(first, last):  # G_2
+                classes = [line]
+            elif last < first:  # B_r
+                classes = [[i] for i in line]
+            else:  # C_r
+                classes = [*_reversed_pairs(line[:-1]), line[-1:]]
+        for cls in classes:
+            target = 1 << min(cls, key=lambda i: (-norm[i], i))
+            for i in cls:
+                out[i] = target
+    return tuple(out)
+
+
 @stored
 def _kernel(diagram: Diagram, fixed: frozenset[int]) -> _Kernel:
     """The flip kernel's record under the fixed nodes ``fixed`` (see the
@@ -239,33 +311,35 @@ def _kernel(diagram: Diagram, fixed: frozenset[int]) -> _Kernel:
     c n_ij = q mod 2q (for either sign of q, as Python's ``%`` takes the
     sign of the modulus).  ``blocks[i]`` masks node i's even block, if any.
 
-    The Borel-de Siebenthal step: the fixed even nodes are visited longest
-    root (largest |n_ii|) first, then lowest first, and one walk from each
-    node no walk has reached fills ``targets`` and ``dist`` for its block
-    orbit.  So each block orbit's target is the first single vertex visited,
-    its longest-root one (the lowest on a tie).  The walks stay in their
-    blocks and never meet, so they fill the 2**k - 1 paintings of a block's
-    k fixed even nodes exactly when each of its orbits holds a single
-    vertex; the build raises InvariantViolation otherwise."""
+    One walk from each class target of ``_block_targets`` fills
+    ``targets`` and ``dist`` for its block orbit, and the build checks the
+    closed form: the walks stay in their blocks, fill the 2**k - 1
+    paintings of a block's k fixed even nodes exactly when each block orbit
+    holds a single vertex (Borel-de Siebenthal), and reach each single
+    vertex from its own class target exactly when the classes are the
+    block orbits; otherwise the build raises InvariantViolation."""
     rows, _, scales, _, _ = gram_record(diagram)
     even = [j for j in diagram.even_indices() if j in fixed]
     masks = tuple(
         _mask(j for j in even if j != at and c * row[j] % (2 * q) == q)
         for at, (row, (c, q)) in enumerate(zip(rows, scales))
     )
+    classes = _block_targets(diagram, fixed)
     size = 1 << len(diagram)
     targets, dist = array("I", [0]) * size, array("I", [0]) * size
     filled = 0
-    for i in sorted(even, key=lambda i: (-abs(rows[i][i]), i)):
-        if not targets[1 << i]:
-            orbit = _painting_orbit(masks, 1 << i)
-            filled += len(orbit)
-            for p, d in orbit.items():
-                targets[p], dist[p] = 1 << i, d
+    for start in dict.fromkeys(classes[i] for i in even):
+        orbit = _painting_orbit(masks, start)
+        filled += len(orbit)
+        for p, d in orbit.items():
+            targets[p], dist[p] = start, d
     blocks = even_blocks(diagram)
     if filled != sum((1 << len(fixed.intersection(block))) - 1 for block in blocks):
         family = diagram.family.display()
         raise InvariantViolation(f"a block orbit of {family} holds no single vertex")
+    if any(targets[1 << i] != classes[i] for i in even):
+        family = diagram.family.display()
+        raise InvariantViolation(f"the block classes of {family} are not its block orbits")
     owner = {i: _mask(block) for block in blocks for i in block}
     block_of = tuple(owner.get(i, 0) for i in range(len(diagram)))
     return _Kernel(masks, block_of, targets, dist, tuple(map(FlipMove, range(len(diagram)))))
@@ -332,9 +406,10 @@ def _orbit_keys(diagram: Diagram) -> list[tuple[DiagramInvolution, int, int]]:
     """Every flip orbit once, in ``enumerate_vogan`` order of its first
     painting, as (involution, first painting, canonical painting), masks.
 
-    Read off the blocks alone.  Every nonempty block orbit holds a single
-    vertex, so its first painting is its lowest one: each block's orbits
-    are listed from its fixed single vertices, ascending, by their targets.
+    Read off the block classes alone, without a walk.  Every nonempty block
+    orbit holds a single vertex, so its first painting is its lowest one:
+    each block's orbits are listed from its fixed single vertices,
+    ascending, by their class targets (``_block_targets``).
     An orbit is the product of its block orbits: its canonical painting is
     the union of their targets, and its first painting the union of their
     first ones, since the fewest painted nodes are the fewest on each
@@ -343,13 +418,13 @@ def _orbit_keys(diagram: Diagram) -> list[tuple[DiagramInvolution, int, int]]:
     out = []
     for inv in automorphisms(diagram):
         fixed = inv.fixed_set
-        targets = _kernel(diagram, fixed).targets
+        targets = _block_targets(diagram, fixed)
         orbits = {0: 0}  # first painting: canonical painting
         for block in even_blocks(diagram):
             firsts = {0: 0}  # each block orbit's target: its first painting
             for i in block:
                 if i in fixed:
-                    firsts.setdefault(targets[1 << i], 1 << i)
+                    firsts.setdefault(targets[i], 1 << i)
             orbits = {f | g: t | u for f, t in orbits.items() for u, g in firsts.items()}
         out += ((inv, first, orbits[first]) for first in sorted(orbits, key=_order))
     return out

@@ -39,7 +39,7 @@ from supervogan import (
     root_expansion,
     table_report,
 )
-from supervogan.algebra import Diagram, WeightVector, gram_record
+from supervogan.algebra import Diagram, WeightVector, _integer_expansion, gram_record
 from supervogan.vogan import _kernel
 from test_algebra import EXPANSION_GRID, Q, exact_form, guard_families
 from test_vogan import ADMISSIBLE_ALPHAS
@@ -225,6 +225,23 @@ def test_a_diagram_of_integral_fractions_reads_as_the_built_one():
                 want = noncompact_parity(built, painted, r)
                 assert noncompact_parity(hand, painted, r) == want
                 assert noncompact_parity(hand, painted, integral_fractions(r)) == want
+
+
+def test_a_weight_of_integral_fractions_expands_over_ints():
+    """``_integer_expansion`` sums ``int``s alone, whatever form a weight's
+    coordinates take: every root and negative of each family below, rebuilt
+    with ``Fraction`` coordinates, integral ones included, gives the built
+    root's ``int`` coefficients and denominator.  C(4)'s 2 delta_3, (0 | 0,
+    0, 2), once gave the coefficient ``Fraction(2, 1)``."""
+    fams = [FamilyId("C", n=3), FamilyId("A", 2, 1), FamilyId("B", 2, 3), FamilyId("B0", 0, 3)]
+    fams += [FamilyId("D", 3, 2), FamilyId("F4"), FamilyId("G3"), FamilyId("D21alpha", alpha=Q(3, 7))]
+    for fam in fams:
+        diagram = build_diagram(fam)
+        for root in generate_roots(diagram).all_positive():
+            for v in (root, -root):
+                coeffs, den = _integer_expansion(diagram, integral_fractions(v))
+                assert (coeffs, den) == _integer_expansion(diagram, v), (fam.display(), v)
+                assert all(type(c) is int for c in coeffs) and type(den) is int, (fam.display(), v)
 
 
 # ----------------------------------------------------- integer Gram readings
